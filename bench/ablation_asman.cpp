@@ -67,16 +67,9 @@ Sweep build_sweep() {
   return s;
 }
 
-void annotate(const PointResult& pr, benchmark::State& st) {
-  const ex::VmResult& v1 = pr.run.vm("V1");
-  st.counters["runtime_s"] = v1.runtime_seconds;
-  st.counters["adjusting"] = static_cast<double>(v1.adjusting_events);
-  st.counters["high_frac"] = v1.vcrd_high_fraction;
-}
-
 void row(ex::TextTable& t, const Sweep& s, const std::string& l,
          const std::string& name) {
-  const ex::VmResult& v1 = s.get(l).run.vm("V1");
+  const ex::VmResult& v1 = s.get(l).vm("V1");
   t.add_row({name, ex::fmt_f(v1.runtime_seconds),
              std::to_string(v1.adjusting_events),
              ex::fmt_pct(v1.vcrd_high_fraction)});
@@ -105,8 +98,7 @@ void print_tables(const Sweep& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Sweep sweep = build_sweep();
-  return run_bench_main(argc, argv, sweep, "ablation", annotate,
-                        print_tables);
+  return run_bench_main(sweep, print_tables);
 }

@@ -49,19 +49,6 @@ Sweep build_sweep() {
   return s;
 }
 
-void annotate(const PointResult& pr, benchmark::State& st) {
-  const ex::RunResult& rr = pr.run;
-  st.counters["attacker_share"] =
-      rr.vm("Attacker").observed_online_rate;
-  st.counters["victim_share"] = rr.vm("Victim").observed_online_rate;
-  st.counters["theft_cycles"] = static_cast<double>(rr.theft_cycles);
-  st.counters["dodged_samples"] = static_cast<double>(rr.dodged_samples);
-  st.counters["boost_denials"] = static_cast<double>(rr.boost_denials);
-  st.counters["implausible_vcrds"] =
-      static_cast<double>(rr.implausible_vcrds);
-  st.counters["fairness_min"] = rr.fairness_min;
-}
-
 void add_row(ex::TextTable& t, const char* label, const ex::RunResult& rr) {
   char stolen[32];
   std::snprintf(stolen, sizeof stolen, "%.2f",
@@ -82,7 +69,7 @@ void print_tables(const Sweep& s) {
                        "stolen Gcyc", "dodged", "boost denials",
                        "implausible VCRDs"});
       for (const char* level : kLevels)
-        add_row(t, level, s.get(adv_label(k, a, level)).run);
+        add_row(t, level, s.get(adv_label(k, a, level)));
       std::printf("%s", t.str().c_str());
     }
   }
@@ -90,8 +77,7 @@ void print_tables(const Sweep& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Sweep sweep = build_sweep();
-  return run_bench_main(argc, argv, sweep, "adversary", annotate,
-                        print_tables);
+  return run_bench_main(sweep, print_tables);
 }

@@ -41,18 +41,6 @@ Sweep build_sweep() {
   return s;
 }
 
-void annotate(const PointResult& pr, benchmark::State& st) {
-  const ex::RunResult& rr = pr.run;
-  st.counters["gang_work"] =
-      static_cast<double>(rr.vm("Gang").stats.spin_acquisitions);
-  st.counters["creates"] = static_cast<double>(rr.vm_creates);
-  st.counters["destroys"] = static_cast<double>(rr.vm_destroys);
-  st.counters["resizes"] = static_cast<double>(rr.vm_resizes);
-  st.counters["adm_rejects"] = static_cast<double>(rr.admission_rejects);
-  st.counters["sheds"] = static_cast<double>(rr.overload_sheds);
-  st.counters["restores"] = static_cast<double>(rr.overload_restores);
-}
-
 void add_row(ex::TextTable& t, const char* label, const ex::RunResult& rr,
              double base_work) {
   const auto acq = rr.vm("Gang").stats.spin_acquisitions;
@@ -69,7 +57,7 @@ void add_row(ex::TextTable& t, const char* label, const ex::RunResult& rr,
 
 void print_tables(const Sweep& s) {
   for (core::SchedulerKind k : kScheds) {
-    const ex::RunResult& base = s.get(churn_label(k, "baseline")).run;
+    const ex::RunResult& base = s.get(churn_label(k, "baseline"));
     const double base_work =
         static_cast<double>(base.vm("Gang").stats.spin_acquisitions);
     std::printf("\n== Churn overhead under %s (gang throughput retained "
@@ -78,11 +66,11 @@ void print_tables(const Sweep& s) {
     ex::TextTable t({"scenario", "gang work", "retained", "create",
                      "destroy", "resize", "reject", "shed", "restore"});
     add_row(t, "(no churn)", base, base_work);
-    add_row(t, "churn", s.get(churn_label(k, "churn")).run, base_work);
+    add_row(t, "churn", s.get(churn_label(k, "churn")), base_work);
     for (const ex::ChaosClass c : ex::all_chaos_classes())
-      add_row(t, ex::to_string(c), s.get(churn_label(k, ex::to_string(c))).run,
+      add_row(t, ex::to_string(c), s.get(churn_label(k, ex::to_string(c))),
               base_work);
-    add_row(t, "saturated", s.get(churn_label(k, "saturated")).run,
+    add_row(t, "saturated", s.get(churn_label(k, "saturated")),
             base_work);
     std::printf("%s", t.str().c_str());
   }
@@ -90,7 +78,7 @@ void print_tables(const Sweep& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Sweep sweep = build_sweep();
-  return run_bench_main(argc, argv, sweep, "churn", annotate, print_tables);
+  return run_bench_main(sweep, print_tables);
 }

@@ -1,25 +1,22 @@
-// Cluster fabric bench: event-engine throughput for a 16-host fleet under
-// the full robustness storm.
+// Cluster fabric bench: a 16-host fleet under the full robustness storm.
 //
 // For each scheduler the point runs cluster_chaos_scenario at 16 hosts /
 // 200 tenants: seeded churn of live migrations, retirements and hot
 // admissions, two host crashes (with crash recovery re-placing every
 // surviving VM), a degraded-host window and a migration-link-loss window.
-// The JSON (BENCH_cluster.json; committed baseline in bench/baselines/)
-// carries events/sec, ns/event and the process peak RSS so the fabric's
-// perf trajectory is tracked run over run. Run with ASMAN_AUDIT=1 to get
-// all ten invariants — including single-ownership and cluster credit
-// conservation — checked on every point; violations fail the binary.
-#include <vector>
-
+// Run with ASMAN_AUDIT=1 to get all ten invariants — including
+// single-ownership and cluster credit conservation — checked on every
+// point; violations fail the binary, and so does a VM lost to a crash.
 #include "bench_util.h"
 #include "experiments/cluster.h"
-#include "simcore/thread_pool.h"
 
 using namespace asman;
 using namespace asman::bench;
 
 namespace {
+
+using ClusterSweep = BasicSweep<ex::ClusterScenario, ex::ClusterRunResult,
+                                ex::run_cluster_scenario>;
 
 constexpr core::SchedulerKind kScheds[] = {core::SchedulerKind::kCredit,
                                            core::SchedulerKind::kCon,
@@ -29,120 +26,45 @@ constexpr std::uint32_t kHosts = 16;
 constexpr std::uint32_t kVms = 200;
 constexpr std::uint64_t kSeed = 42;
 
-struct ClusterPoint {
-  std::string label;
-  ex::ClusterScenario scenario;
-  ex::ClusterRunResult run;
-  double wall_seconds{0};
-};
-
-void annotate(const ClusterPoint& p, benchmark::State& st) {
-  const ex::ClusterRunResult& rr = p.run;
-  st.counters["events_per_sec"] =
-      p.wall_seconds > 0
-          ? static_cast<double>(rr.events) / p.wall_seconds
-          : 0.0;
-  st.counters["migrations_committed"] =
-      static_cast<double>(rr.migrations_committed);
-  st.counters["migrations_aborted"] =
-      static_cast<double>(rr.migrations_aborted);
-  st.counters["host_crashes"] = static_cast<double>(rr.host_crashes);
-  st.counters["vms_replaced"] = static_cast<double>(rr.vms_replaced);
-  st.counters["vms_lost"] = static_cast<double>(rr.vms_lost);
-  st.counters["admission_rejects"] =
-      static_cast<double>(rr.admission_rejects);
-  st.counters["peak_rss_bytes"] = static_cast<double>(peak_rss_bytes());
+ClusterSweep build_sweep() {
+  ClusterSweep s;
+  for (core::SchedulerKind k : kScheds)
+    s.add(core::to_string(k),
+          ex::cluster_chaos_scenario(k, kHosts, kVms, kSeed));
+  return s;
 }
 
-void print_table(const std::vector<ClusterPoint>& points) {
+void print_table(const ClusterSweep& s) {
   std::printf("\n== cluster fabric storm (%u hosts, %u tenants, seed %llu) "
               "==\n",
               kHosts, kVms, static_cast<unsigned long long>(kSeed));
-  ex::TextTable t({"scheduler", "events", "ns/event", "committed", "aborted",
-                   "crashes", "replaced", "lost", "violations"});
-  for (const ClusterPoint& p : points) {
-    char nspe[32];
-    std::snprintf(nspe, sizeof nspe, "%.1f",
-                  p.run.events > 0
-                      ? p.wall_seconds * 1e9 /
-                            static_cast<double>(p.run.events)
-                      : 0.0);
-    t.add_row({p.label, std::to_string(p.run.events), nspe,
-               std::to_string(p.run.migrations_committed),
-               std::to_string(p.run.migrations_aborted),
-               std::to_string(p.run.host_crashes),
-               std::to_string(p.run.vms_replaced),
-               std::to_string(p.run.vms_lost),
-               std::to_string(p.run.audit_violations)});
+  ex::TextTable t({"scheduler", "events", "committed", "aborted", "crashes",
+                   "replaced", "lost", "violations"});
+  for (const std::string& label : s.labels()) {
+    const ex::ClusterRunResult& rr = s.get(label);
+    t.add_row({label, std::to_string(rr.events),
+               std::to_string(rr.migrations_committed),
+               std::to_string(rr.migrations_aborted),
+               std::to_string(rr.host_crashes),
+               std::to_string(rr.vms_replaced), std::to_string(rr.vms_lost),
+               std::to_string(rr.audit_violations)});
   }
   std::printf("%s", t.str().c_str());
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-
-  std::vector<ClusterPoint> points;
-  for (core::SchedulerKind k : kScheds) {
-    ClusterPoint p;
-    p.label = core::to_string(k);
-    p.scenario = ex::cluster_chaos_scenario(k, kHosts, kVms, kSeed);
-    points.push_back(std::move(p));
-  }
-  std::fprintf(stderr, "[sweep] running %zu cluster storms...\n",
-               points.size());
-  sim::ThreadPool pool;
-  pool.parallel_for(points.size(), [&](std::size_t i) {
-    points[i].wall_seconds = wall_seconds_of(
-        [&] { points[i].run = ex::run_cluster_scenario(points[i].scenario); });
-  });
-  std::fprintf(stderr, "[sweep] done.\n");
-
-  std::vector<BenchRecord> records;
-  for (const ClusterPoint& p : points)
-    records.push_back(BenchRecord{p.label, p.label, kSeed, p.run.events,
-                                  p.wall_seconds});
-  const std::string json = write_bench_json(records, "cluster");
-  if (!json.empty())
-    std::fprintf(stderr, "[bench] wrote %s\n", json.c_str());
-
-  for (const ClusterPoint& p : points) {
-    const ClusterPoint* pp = &p;
-    benchmark::RegisterBenchmark(
-        ("cluster/" + p.label).c_str(),
-        [pp](benchmark::State& state) {
-          for (auto _ : state) state.SetIterationTime(pp->wall_seconds);
-          annotate(*pp, state);
-        })
-        ->UseManualTime()
-        ->Iterations(1);
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_table(points);
-
-  // Auditing (ASMAN_AUDIT=1) and crash recovery are both hard gates: a
-  // violated invariant or a VM lost to a host crash fails the binary so CI
-  // treats it as an error, exactly like the adversary bench.
-  std::uint64_t violations = 0;
+int main() {
+  ClusterSweep sweep = build_sweep();
+  const int rc = run_bench_main(sweep, print_table);
+  // Crash recovery is a hard gate alongside the audit verdict.
   std::uint64_t lost = 0;
-  for (const ClusterPoint& p : points) {
-    if (p.run.audit_violations > 0)
-      std::fprintf(stderr, "[audit] %s: %llu violation(s)\n%s",
-                   p.label.c_str(),
-                   static_cast<unsigned long long>(p.run.audit_violations),
-                   p.run.audit_summary.c_str());
-    violations += p.run.audit_violations;
-    lost += p.run.vms_lost;
-  }
-  if (violations > 0 || lost > 0) {
-    std::fprintf(stderr,
-                 "[bench] FAILED: %llu invariant violation(s), %llu VM(s) "
-                 "lost\n",
-                 static_cast<unsigned long long>(violations),
+  for (const std::string& label : sweep.labels())
+    lost += sweep.get(label).vms_lost;
+  if (lost > 0) {
+    std::fprintf(stderr, "[bench] FAILED: %llu VM(s) lost\n",
                  static_cast<unsigned long long>(lost));
     return 1;
   }
-  return 0;
+  return rc;
 }

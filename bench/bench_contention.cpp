@@ -11,8 +11,7 @@
 // pressure-aware placement, steal gating and balancing alone buy; Jain
 // fairness shows the fairness side of the trade. The table aggregates
 // across seeds (single seeds are noise-dominated — boot order decides
-// which LLC the streamer lands on); the per-point benchmark entries keep
-// the per-seed spread visible. Run with ASMAN_AUDIT=1 to get the
+// which LLC the streamer lands on). Run with ASMAN_AUDIT=1 to get the
 // pressure-conservation invariant checked on every point.
 #include "bench_util.h"
 #include "experiments/contention.h"
@@ -67,19 +66,6 @@ double degraded_fraction(std::uint64_t degraded, std::uint64_t accounted) {
              : 0.0;
 }
 
-void annotate(const PointResult& pr, benchmark::State& st) {
-  const ex::RunResult& rr = pr.run;
-  st.counters["degraded_cycles"] = static_cast<double>(rr.pressure_degraded);
-  st.counters["degraded_frac"] =
-      degraded_fraction(rr.pressure_degraded, rr.pressure_accounted);
-  st.counters["pressure_periods"] =
-      static_cast<double>(rr.pressure_periods);
-  st.counters["steal_rejects"] =
-      static_cast<double>(rr.pressure_steal_rejects);
-  st.counters["rebalances"] = static_cast<double>(rr.pressure_rebalances);
-  st.counters["jain_mean"] = rr.fairness_mean;
-}
-
 /// One table row aggregated over the seeds of a (scheduler, mode) cell:
 /// cycles and counters sum; Jain fairness averages.
 struct Agg {
@@ -124,11 +110,11 @@ void print_tables(const Sweep& s) {
     Agg aware;
     Agg blind;
     for (const std::uint64_t seed : kSeeds) {
-      aware.fold(s.get(point_label(k, true, false, seed)).run);
-      blind.fold(s.get(point_label(k, false, false, seed)).run);
+      aware.fold(s.get(point_label(k, true, false, seed)));
+      blind.fold(s.get(point_label(k, false, false, seed)));
     }
     Agg flat;
-    flat.fold(s.get(point_label(k, true, true, 42)).run);
+    flat.fold(s.get(point_label(k, true, true, 42)));
     add_row(t, "aware", aware);
     add_row(t, "blind", blind);
     add_row(t, "flat", flat);
@@ -138,8 +124,7 @@ void print_tables(const Sweep& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Sweep sweep = build_sweep();
-  return run_bench_main(argc, argv, sweep, "contention", annotate,
-                        print_tables);
+  return run_bench_main(sweep, print_tables);
 }

@@ -37,22 +37,9 @@ Sweep build_sweep() {
   return s;
 }
 
-void annotate(const PointResult& pr, benchmark::State& st) {
-  const ex::RunResult& rr = pr.run;
-  st.counters["gang_work"] =
-      static_cast<double>(rr.vm("Gang").stats.spin_acquisitions);
-  st.counters["ipi_retries"] = static_cast<double>(rr.ipi_retries);
-  st.counters["gang_ipi_aborts"] = static_cast<double>(rr.gang_ipi_aborts);
-  st.counters["watchdog_fires"] =
-      static_cast<double>(rr.gang_watchdog_fires);
-  st.counters["demotions"] = static_cast<double>(rr.vcrd_demotions);
-  st.counters["evacuated"] = static_cast<double>(rr.evacuated_vcpus);
-}
-
 void print_tables(const Sweep& s) {
   for (core::SchedulerKind k : kScheds) {
-    const ex::RunResult& base =
-        s.get(chaos_label(k, "baseline")).run;
+    const ex::RunResult& base = s.get(chaos_label(k, "baseline"));
     const double base_work =
         static_cast<double>(base.vm("Gang").stats.spin_acquisitions);
     std::printf("\n== Degradation overhead under %s (gang throughput "
@@ -68,7 +55,7 @@ void print_tables(const Sweep& s) {
                std::to_string(base.vcrd_demotions),
                std::to_string(base.evacuated_vcpus)});
     for (const ex::ChaosClass c : ex::all_chaos_classes()) {
-      const ex::RunResult& rr = s.get(chaos_label(k, ex::to_string(c))).run;
+      const ex::RunResult& rr = s.get(chaos_label(k, ex::to_string(c)));
       const auto acq = rr.vm("Gang").stats.spin_acquisitions;
       const double work = static_cast<double>(acq);
       t.add_row({ex::to_string(c), std::to_string(acq),
@@ -86,7 +73,7 @@ void print_tables(const Sweep& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Sweep sweep = build_sweep();
-  return run_bench_main(argc, argv, sweep, "faults", annotate, print_tables);
+  return run_bench_main(sweep, print_tables);
 }

@@ -47,20 +47,6 @@ Sweep build_sweep() {
   return s;
 }
 
-void annotate(const PointResult& pr, benchmark::State& st) {
-  const ex::RunResult& rr = pr.run;
-  st.counters["gang_work"] =
-      static_cast<double>(rr.vm("Gang").stats.spin_acquisitions);
-  st.counters["migrations"] = static_cast<double>(rr.migrations);
-  st.counters["cross_llc"] = static_cast<double>(rr.cross_llc_migrations);
-  st.counters["cross_socket"] =
-      static_cast<double>(rr.cross_socket_migrations);
-  st.counters["penalty_cycles"] =
-      static_cast<double>(rr.migration_penalty_cycles);
-  st.counters["steal_rejects"] =
-      static_cast<double>(rr.topology_steal_rejects);
-}
-
 void add_row(ex::TextTable& t, const char* label, const ex::RunResult& rr) {
   t.add_row({label, std::to_string(rr.vm("Gang").stats.spin_acquisitions),
              std::to_string(rr.migrations),
@@ -77,18 +63,17 @@ void print_tables(const Sweep& s) {
                 core::to_string(k));
     ex::TextTable t({"scenario", "gang work", "migrations", "cross-LLC",
                      "cross-socket", "penalty (cyc)", "steal rejects"});
-    add_row(t, "aware", s.get(topo_label(k, true, false)).run);
-    add_row(t, "blind", s.get(topo_label(k, false, false)).run);
-    add_row(t, "aware+socket-offline", s.get(topo_label(k, true, true)).run);
-    add_row(t, "blind+socket-offline", s.get(topo_label(k, false, true)).run);
+    add_row(t, "aware", s.get(topo_label(k, true, false)));
+    add_row(t, "blind", s.get(topo_label(k, false, false)));
+    add_row(t, "aware+socket-offline", s.get(topo_label(k, true, true)));
+    add_row(t, "blind+socket-offline", s.get(topo_label(k, false, true)));
     std::printf("%s", t.str().c_str());
   }
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Sweep sweep = build_sweep();
-  return run_bench_main(argc, argv, sweep, "topology", annotate,
-                        print_tables);
+  return run_bench_main(sweep, print_tables);
 }

@@ -1,25 +1,21 @@
 // Shared plumbing for the figure-reproduction bench binaries.
 //
-// Every bench binary reproduces one figure of the paper: it declares a
-// sweep of scenarios (scheduler x online rate x workload), executes them in
+// Every bench binary reproduces one figure of the paper (or one scenario
+// family): it declares a sweep of labelled scenarios, executes them in
 // parallel on a thread pool (each simulation is single-threaded and
-// deterministic), registers one google-benchmark entry per point whose
-// manual time is the measured simulation wall time and whose counters carry
-// the paper metrics, and finally prints the paper-style table.
+// deterministic) and prints the paper-style table. The binaries report
+// results, not timings; perfbench/ is the timing harness.
 #pragma once
 
-#include <benchmark/benchmark.h>
-
-#include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <map>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "experiments/paper.h"
-#include "experiments/runner.h"
+#include "experiments/scenario.h"
 #include "experiments/tables.h"
 #include "simcore/thread_pool.h"
 
@@ -27,66 +23,42 @@ namespace asman::bench {
 
 namespace ex = asman::experiments;
 
-struct PointResult {
-  ex::RunResult run;
-  double wall_seconds{0};
-};
-
-/// Runs `fn` and returns its host wall time in seconds. The measurement
-/// never feeds back into any simulation (each run is a pure function of
-/// its scenario + seed), so determinism is not at stake — this helper is
-/// the one sanctioned wall-clock site in the bench harness.
-inline double wall_seconds_of(const std::function<void()>& fn) {
-  // asman-lint: allow(determinism) -- host wall-clock measures the harness, not the simulation
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  const std::chrono::duration<double> dt =
-      // asman-lint: allow(determinism) -- host wall-clock measures the harness, not the simulation
-      std::chrono::steady_clock::now() - t0;
-  return dt.count();
-}
-
-/// Annotates one google-benchmark entry with counters for a point.
-using Annotator =
-    std::function<void(const PointResult&, benchmark::State&)>;
-
-class Sweep {
+/// A labelled set of scenarios, each run once by `Run`. Any result type
+/// that carries audit_checks / audit_violations / audit_summary fits: the
+/// single-host RunResult and the cluster's ClusterRunResult both do.
+template <typename ScenarioT, typename ResultT,
+          ResultT (*Run)(const ScenarioT&)>
+class BasicSweep {
  public:
-  void add(std::string label, ex::Scenario scenario) {
-    labels_.push_back(label);
-    scenarios_.emplace(std::move(label), std::move(scenario));
+  void add(std::string label, ScenarioT scenario) {
+    labels_.push_back(std::move(label));
+    scenarios_.push_back(std::move(scenario));
   }
 
-  bool contains(const std::string& label) const {
-    return scenarios_.count(label) != 0;
-  }
-
-  /// Run every scenario (parallel) and memoize results.
+  /// Run every scenario (parallel) and keep the results by label. With
+  /// ASMAN_AUDIT=1 in the environment every run is audited; the verdicts
+  /// go to stderr.
   void execute() {
-    std::vector<std::string> todo;
-    for (const auto& l : labels_)
-      if (!results_.count(l)) todo.push_back(l);
-    std::fprintf(stderr, "[sweep] running %zu simulations...\n", todo.size());
+    std::fprintf(stderr, "[sweep] running %zu simulations...\n",
+                 labels_.size());
+    std::vector<ResultT> out(labels_.size());
     sim::ThreadPool pool;
-    std::vector<PointResult> out(todo.size());
-    pool.parallel_for(todo.size(), [&](std::size_t i) {
-      out[i].wall_seconds = wall_seconds_of(
-          [&] { out[i].run = ex::run_scenario(scenarios_.at(todo[i])); });
+    pool.parallel_for(labels_.size(), [&](std::size_t i) {
+      out[i] = Run(scenarios_[i]);
     });
     std::uint64_t audited = 0;
     std::uint64_t audit_checks = 0;
-    for (std::size_t i = 0; i < todo.size(); ++i) {
-      if (out[i].run.audit_checks > 0) {
+    for (std::size_t i = 0; i < labels_.size(); ++i) {
+      if (out[i].audit_checks > 0) {
         ++audited;
-        audit_checks += out[i].run.audit_checks;
+        audit_checks += out[i].audit_checks;
       }
-      if (out[i].run.audit_violations > 0)
+      if (out[i].audit_violations > 0)
         std::fprintf(stderr, "[audit] %s: %llu violation(s)\n%s",
-                     todo[i].c_str(),
-                     static_cast<unsigned long long>(
-                         out[i].run.audit_violations),
-                     out[i].run.audit_summary.c_str());
-      results_.emplace(todo[i], std::move(out[i]));
+                     labels_[i].c_str(),
+                     static_cast<unsigned long long>(out[i].audit_violations),
+                     out[i].audit_summary.c_str());
+      results_.emplace(labels_[i], std::move(out[i]));
     }
     if (audited > 0)
       std::fprintf(stderr,
@@ -97,53 +69,27 @@ class Sweep {
   }
 
   /// Total invariant violations across all executed points (0 unless the
-  /// runs were audited, e.g. via the ASMAN_AUDIT environment variable).
+  /// runs were audited).
   std::uint64_t audit_violations() const {
     std::uint64_t n = 0;
-    for (const auto& [label, pr] : results_) n += pr.run.audit_violations;
+    for (const auto& [label, r] : results_) n += r.audit_violations;
     return n;
   }
 
-  const PointResult& get(const std::string& label) const {
+  const ResultT& get(const std::string& label) const {
     return results_.at(label);
   }
 
   /// Declared point labels, in declaration order.
   const std::vector<std::string>& labels() const { return labels_; }
 
-  /// The scenario a label was declared with (for seed/scheduler metadata).
-  const ex::Scenario& scenario(const std::string& label) const {
-    return scenarios_.at(label);
-  }
-
-  bool executed(const std::string& label) const {
-    return results_.count(label) != 0;
-  }
-
-  /// One google-benchmark entry per point; manual time = simulation wall
-  /// time, counters = paper metrics chosen by `annotate`.
-  void register_benchmarks(const std::string& prefix,
-                           Annotator annotate) const {
-    for (const auto& l : labels_) {
-      const PointResult* pr = &results_.at(l);
-      benchmark::RegisterBenchmark(
-          (prefix + "/" + l).c_str(),
-          [pr, annotate](benchmark::State& state) {
-            for (auto _ : state) {
-              state.SetIterationTime(pr->wall_seconds);
-            }
-            annotate(*pr, state);
-          })
-          ->UseManualTime()
-          ->Iterations(1);
-    }
-  }
-
  private:
   std::vector<std::string> labels_;
-  std::map<std::string, ex::Scenario> scenarios_;
-  std::map<std::string, PointResult> results_;
+  std::vector<ScenarioT> scenarios_;  // parallel to labels_
+  std::map<std::string, ResultT> results_;
 };
+
+using Sweep = BasicSweep<ex::Scenario, ex::RunResult, ex::run_scenario>;
 
 /// Canonical single-VM label "SCHED/rateNN".
 inline std::string rate_label(core::SchedulerKind k, double rate) {
@@ -153,39 +99,20 @@ inline std::string rate_label(core::SchedulerKind k, double rate) {
   return buf;
 }
 
-/// Peak resident set size of this process in bytes (getrusage; 0 when the
-/// platform reports nothing useful).
-std::uint64_t peak_rss_bytes();
-
-/// One executed bench point, engine-agnostic: any harness that can name a
-/// point and count its simulated events can emit the standard JSON via
-/// write_bench_json — the cluster bench uses this directly because its
-/// runner returns ClusterRunResult, not the single-host RunResult the
-/// Sweep machinery is built around.
-struct BenchRecord {
-  std::string label;
-  std::string scheduler;
-  std::uint64_t seed{0};
-  std::uint64_t events{0};
-  double wall_seconds{0};
-};
-
-/// Writes BENCH_<name>.json next to the binary's working directory: one
-/// record per executed point carrying label, scheduler, seed, simulated
-/// events, wall seconds, events/sec and ns/event, plus the process-wide
-/// peak RSS. Machine-readable so the perf trajectory can be tracked run
-/// over run (bench/baselines/ holds committed baselines). Returns the
-/// path written, or an empty string on I/O failure.
-std::string write_bench_json(const std::vector<BenchRecord>& records,
-                             const std::string& name);
-
-/// Sweep convenience wrapper over the record-based writer.
-std::string write_bench_json(const Sweep& sweep, const std::string& name);
-
-/// Standard bench entry point: execute sweep, emit tables and
-/// BENCH_<prefix>.json, then hand over to google-benchmark.
-int run_bench_main(int argc, char** argv, Sweep& sweep,
-                   const std::string& prefix, const Annotator& annotate,
-                   const std::function<void(const Sweep&)>& print_tables);
+/// Standard bench entry point: execute the sweep, print its tables, and
+/// fail the binary when an audited run violated an invariant, so CI
+/// treats violations as errors.
+template <typename SweepT>
+int run_bench_main(SweepT& sweep, void (*print_tables)(const SweepT&)) {
+  sweep.execute();
+  print_tables(sweep);
+  const std::uint64_t violations = sweep.audit_violations();
+  if (violations > 0) {
+    std::fprintf(stderr, "[audit] %llu invariant violation(s) -- see above\n",
+                 static_cast<unsigned long long>(violations));
+    return 1;
+  }
+  return 0;
+}
 
 }  // namespace asman::bench

@@ -38,26 +38,14 @@ Sweep build_sweep() {
   return s;
 }
 
-void annotate(const PointResult& pr, benchmark::State& st) {
-  const ex::VmResult& v1 = pr.run.vm("V1");
-  st.counters["runtime_s"] = v1.runtime_seconds;
-  st.counters["spin_gt_2e10"] =
-      static_cast<double>(v1.stats.spin_waits.count_above(10));
-  st.counters["spin_gt_2e20"] =
-      static_cast<double>(v1.stats.spin_waits.count_above(20));
-  st.counters["sem_max_log2"] =
-      static_cast<double>(sim::log2_floor(v1.stats.sem_waits.max_value()));
-  st.counters["online_rate"] = v1.observed_online_rate;
-}
-
 void print_tables(const Sweep& s) {
   std::printf("\n== Figure 1(a): LU run time vs VCPU online rate (Credit) ==\n");
   ex::TextTable a({"online rate", "run time (s)", "slowdown",
                    "observed rate"});
   double base = 0.0;
   for (const ex::RatePoint& rp : ex::kRatePoints) {
-    const auto& pr = s.get(rate_label(core::SchedulerKind::kCredit, rp.rate));
-    const ex::VmResult& v1 = pr.run.vm("V1");
+    const ex::VmResult& v1 =
+        s.get(rate_label(core::SchedulerKind::kCredit, rp.rate)).vm("V1");
     if (rp.rate == 1.0) base = v1.runtime_seconds;
     a.add_row({ex::fmt_pct(rp.rate), ex::fmt_f(v1.runtime_seconds),
                ex::fmt_f(base > 0 ? v1.runtime_seconds / base : 1.0),
@@ -70,8 +58,8 @@ void print_tables(const Sweep& s) {
   ex::TextTable b({"online rate", ">2^10 cycles", ">2^20 cycles",
                    "max (log2)"});
   for (const ex::RatePoint& rp : ex::kRatePoints) {
-    const auto& pr = s.get(rate_label(core::SchedulerKind::kCredit, rp.rate));
-    const ex::VmResult& v1 = pr.run.vm("V1");
+    const ex::VmResult& v1 =
+        s.get(rate_label(core::SchedulerKind::kCredit, rp.rate)).vm("V1");
     const double scale =
         v1.runtime_seconds > 0 ? 30.0 / v1.runtime_seconds : 0.0;
     b.add_row(
@@ -87,7 +75,7 @@ void print_tables(const Sweep& s) {
   std::printf("%s", b.str().c_str());
 
   const auto& sem = s.get("Credit/semaphores");
-  const ex::VmResult& v1 = sem.run.vm("V1");
+  const ex::VmResult& v1 = sem.vm("V1");
   std::printf(
       "\n== §2.2 observation: semaphore waits at 22.2%% online rate ==\n"
       "  semaphore ops: %llu, max wait: 2^%u cycles (paper: all < 2^16)\n",
@@ -97,7 +85,7 @@ void print_tables(const Sweep& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Sweep sweep = build_sweep();
-  return run_bench_main(argc, argv, sweep, "fig01", annotate, print_tables);
+  return run_bench_main(sweep, print_tables);
 }

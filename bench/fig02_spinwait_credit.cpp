@@ -25,24 +25,10 @@ Sweep build_sweep() {
   return s;
 }
 
-void annotate(const PointResult& pr, benchmark::State& st) {
-  const ex::VmResult& v1 = pr.run.vm("V1");
-  st.counters["spin_total"] =
-      static_cast<double>(v1.stats.spin_waits.total());
-  st.counters["gt_2e15"] =
-      static_cast<double>(v1.stats.spin_waits.count_above(15));
-  st.counters["gt_2e20"] =
-      static_cast<double>(v1.stats.spin_waits.count_above(20));
-  st.counters["gt_2e25"] =
-      static_cast<double>(v1.stats.spin_waits.count_above(25));
-  st.counters["max_log2"] =
-      static_cast<double>(sim::log2_floor(v1.stats.spin_waits.max_value()));
-}
-
 void print_tables(const Sweep& s) {
   for (const ex::RatePoint& rp : ex::kRatePoints) {
-    const auto& pr = s.get(rate_label(core::SchedulerKind::kCredit, rp.rate));
-    const ex::VmResult& v1 = pr.run.vm("V1");
+    const ex::VmResult& v1 =
+        s.get(rate_label(core::SchedulerKind::kCredit, rp.rate)).vm("V1");
     std::printf(
         "\n== Figure 2: spinlock wait distribution, Credit @ %s online "
         "rate (waits > 2^10: %llu, max 2^%u) ==\n%s",
@@ -67,7 +53,7 @@ void print_tables(const Sweep& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Sweep sweep = build_sweep();
-  return run_bench_main(argc, argv, sweep, "fig02", annotate, print_tables);
+  return run_bench_main(sweep, print_tables);
 }

@@ -26,15 +26,6 @@ Sweep build_sweep() {
   return s;
 }
 
-void annotate(const PointResult& pr, benchmark::State& st) {
-  const ex::VmResult& v1 = pr.run.vm("V1");
-  st.counters["runtime_s"] = v1.runtime_seconds;
-  st.counters["vcrd_windows"] = static_cast<double>(v1.vcrd_transitions);
-  st.counters["vcrd_high_frac"] = v1.vcrd_high_fraction;
-  st.counters["cosched_events"] =
-      static_cast<double>(pr.run.cosched_events);
-}
-
 void print_tables(const Sweep& s) {
   std::printf("\n== Figure 7: LU run time (s), Credit vs ASMan ==\n");
   ex::TextTable t({"online rate", "Credit", "ASMan", "saving",
@@ -42,9 +33,9 @@ void print_tables(const Sweep& s) {
   double base = 0.0;
   for (const ex::RatePoint& rp : ex::kRatePoints) {
     const ex::VmResult& c =
-        s.get(rate_label(core::SchedulerKind::kCredit, rp.rate)).run.vm("V1");
+        s.get(rate_label(core::SchedulerKind::kCredit, rp.rate)).vm("V1");
     const ex::VmResult& a =
-        s.get(rate_label(core::SchedulerKind::kAsman, rp.rate)).run.vm("V1");
+        s.get(rate_label(core::SchedulerKind::kAsman, rp.rate)).vm("V1");
     if (rp.rate == 1.0) base = c.runtime_seconds;
     t.add_row({ex::fmt_pct(rp.rate), ex::fmt_f(c.runtime_seconds),
                ex::fmt_f(a.runtime_seconds),
@@ -57,7 +48,7 @@ void print_tables(const Sweep& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Sweep sweep = build_sweep();
-  return run_bench_main(argc, argv, sweep, "fig07", annotate, print_tables);
+  return run_bench_main(sweep, print_tables);
 }

@@ -27,20 +27,10 @@ Sweep build_sweep() {
   return s;
 }
 
-void annotate(const PointResult& pr, benchmark::State& st) {
-  const ex::VmResult& v1 = pr.run.vm("V1");
-  st.counters["gt_2e20"] =
-      static_cast<double>(v1.stats.spin_waits.count_above(20));
-  st.counters["max_log2"] =
-      static_cast<double>(sim::log2_floor(v1.stats.spin_waits.max_value()));
-  st.counters["adjusting_events"] =
-      static_cast<double>(v1.adjusting_events);
-}
-
 void print_tables(const Sweep& s) {
   for (const ex::RatePoint& rp : ex::kRatePoints) {
     const ex::VmResult& a =
-        s.get(rate_label(core::SchedulerKind::kAsman, rp.rate)).run.vm("V1");
+        s.get(rate_label(core::SchedulerKind::kAsman, rp.rate)).vm("V1");
     std::printf(
         "\n== Figure 8: spinlock wait distribution, ASMan @ %s online rate "
         "(waits > 2^10: %llu, max 2^%u, adjusting events: %llu) ==\n%s",
@@ -56,10 +46,10 @@ void print_tables(const Sweep& s) {
   for (const ex::RatePoint& rp : ex::kRatePoints) {
     const auto cc =
         s.get(rate_label(core::SchedulerKind::kCredit, rp.rate))
-            .run.vm("V1")
+            .vm("V1")
             .stats.spin_waits.count_above(20);
     const auto aa = s.get(rate_label(core::SchedulerKind::kAsman, rp.rate))
-                        .run.vm("V1")
+                        .vm("V1")
                         .stats.spin_waits.count_above(20);
     t.add_row({ex::fmt_pct(rp.rate), std::to_string(cc), std::to_string(aa),
                cc > 0 ? ex::fmt_pct(1.0 - static_cast<double>(aa) /
@@ -71,7 +61,7 @@ void print_tables(const Sweep& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Sweep sweep = build_sweep();
-  return run_bench_main(argc, argv, sweep, "fig08", annotate, print_tables);
+  return run_bench_main(sweep, print_tables);
 }

@@ -42,11 +42,7 @@ Sweep build_sweep() {
 }
 
 double runtime_of(const Sweep& s, const std::string& l) {
-  return s.get(l).run.vm("V1").runtime_seconds;
-}
-
-void annotate(const PointResult& pr, benchmark::State& st) {
-  st.counters["runtime_s"] = pr.run.vm("V1").runtime_seconds;
+  return s.get(l).vm("V1").runtime_seconds;
 }
 
 void print_tables(const Sweep& s) {
@@ -81,7 +77,7 @@ void print_tables(const Sweep& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Sweep sweep = build_sweep();
-  return run_bench_main(argc, argv, sweep, "fig09", annotate, print_tables);
+  return run_bench_main(sweep, print_tables);
 }

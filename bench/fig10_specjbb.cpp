@@ -40,15 +40,9 @@ Sweep build_sweep() {
 }
 
 double bops(const Sweep& s, const std::string& l) {
-  const auto& pr = s.get(l);
-  const ex::VmResult& v1 = pr.run.vm("V1");
-  return static_cast<double>(v1.work_units) / pr.run.elapsed_seconds;
-}
-
-void annotate(const PointResult& pr, benchmark::State& st) {
-  const ex::VmResult& v1 = pr.run.vm("V1");
-  st.counters["bops"] =
-      static_cast<double>(v1.work_units) / pr.run.elapsed_seconds;
+  const ex::RunResult& rr = s.get(l);
+  const ex::VmResult& v1 = rr.vm("V1");
+  return static_cast<double>(v1.work_units) / rr.elapsed_seconds;
 }
 
 void print_tables(const Sweep& s) {
@@ -84,7 +78,7 @@ void print_tables(const Sweep& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Sweep sweep = build_sweep();
-  return run_bench_main(argc, argv, sweep, "fig10", annotate, print_tables);
+  return run_bench_main(sweep, print_tables);
 }

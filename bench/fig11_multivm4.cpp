@@ -66,13 +66,6 @@ Sweep build_sweep() {
   return s;
 }
 
-void annotate(const PointResult& pr, benchmark::State& st) {
-  for (std::size_t i = 1; i < pr.run.vms.size(); ++i) {
-    st.counters["vm" + std::to_string(i) + "_round_s"] =
-        pr.run.vms[i].mean_round_seconds(kRounds);
-  }
-}
-
 void print_combo(const Sweep& s, const Combo& c, const char* figure) {
   std::printf("\n== Figure %s: mean round time (s, first %llu rounds) ==\n",
               figure, static_cast<unsigned long long>(kRounds));
@@ -84,16 +77,17 @@ void print_combo(const Sweep& s, const Combo& c, const char* figure) {
     std::vector<std::string> row{c.vms[i].first + " (V" +
                                  std::to_string(i + 1) + ")"};
     for (core::SchedulerKind k : kScheds) {
-      const auto& pr = s.get(std::string("combo") + c.name + "/" +
-                             core::to_string(k));
-      row.push_back(ex::fmt_f(pr.run.vms[i + 1].mean_round_seconds(kRounds)));
+      const ex::RunResult& rr =
+          s.get(std::string("combo") + c.name + "/" + core::to_string(k));
+      row.push_back(ex::fmt_f(rr.vms[i + 1].mean_round_seconds(kRounds)));
     }
     // Paper protocol (§5.3): the mean is only reported when the rounds'
     // coefficient of variation is below 10 %.
     {
-      const auto& pr = s.get(std::string("combo") + c.name + "/ASMan");
+      const ex::RunResult& rr =
+          s.get(std::string("combo") + c.name + "/ASMan");
       sim::Summary sum;
-      const auto& rs = pr.run.vms[i + 1].round_seconds;
+      const auto& rs = rr.vms[i + 1].round_seconds;
       for (std::size_t ri = 0; ri < rs.size() && ri < kRounds; ++ri)
         sum.add(rs[ri]);
       row.push_back(ex::fmt_pct(sum.cv()));
@@ -111,7 +105,7 @@ void print_tables(const Sweep& s) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   Sweep sweep = build_sweep();
-  return run_bench_main(argc, argv, sweep, "fig11", annotate, print_tables);
+  return run_bench_main(sweep, print_tables);
 }

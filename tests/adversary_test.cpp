@@ -2,15 +2,17 @@
 // guarantees"): the attacks work against the faithful-vulnerable
 // scheduler, the hardened defense stack bounds every attack to epsilon of
 // fair share with a clean audit, and both sides are bit-reproducible.
-#include <cstdio>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "experiments/adversary.h"
+#include "run_fingerprint.h"
 
 namespace asman::experiments {
 namespace {
+
+using testutil::fingerprint;
 
 using workloads::AttackKind;
 
@@ -146,25 +148,6 @@ TEST(AdversaryHardening, VcrdLiarCaughtHonestGangServed) {
 // quadruple yields identical results — including under the seeded random
 // sampling offsets, whose draws come from the hypervisor's own stream.
 TEST(AdversaryDeterminism, BitReproduciblePerSeed) {
-  auto fingerprint = [](const RunResult& rr) {
-    std::string fp;
-    char buf[256];
-    for (const VmResult& v : rr.vms) {
-      std::snprintf(buf, sizeof buf, "%s %a %llu %llu %llu %llu|", v.name.c_str(),
-                    v.observed_online_rate,
-                    static_cast<unsigned long long>(v.cycles_consumed),
-                    static_cast<unsigned long long>(v.cycles_attributed),
-                    static_cast<unsigned long long>(v.dodged_samples),
-                    static_cast<unsigned long long>(v.boost_grants));
-      fp += buf;
-    }
-    std::snprintf(buf, sizeof buf, "e=%llu m=%llu f=%a %a",
-                  static_cast<unsigned long long>(rr.events),
-                  static_cast<unsigned long long>(rr.migrations),
-                  rr.fairness_min, rr.fairness_mean);
-    fp += buf;
-    return fp;
-  };
   for (bool hardened : {false, true}) {
     Scenario a = adversary_scenario(core::SchedulerKind::kAsman,
                                     AttackKind::kTickDodge, hardened, 42);

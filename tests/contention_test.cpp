@@ -10,9 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -23,6 +20,7 @@
 #include "experiments/scenario.h"
 #include "experiments/topology.h"
 #include "hw/memsys/footprint.h"
+#include "run_fingerprint.h"
 #include "simcore/simulator.h"
 #include "vmm/hypervisor.h"
 #include "workloads/adversary.h"
@@ -33,6 +31,7 @@ namespace {
 
 namespace ex = asman::experiments;
 namespace ms = asman::hw::memsys;
+using testutil::fingerprint;
 
 using ms::make_footprint;
 
@@ -133,39 +132,6 @@ TEST(Contention, GrantPassIsAnExactPartitionUnderOverflow) {
 }
 
 // ---------------------------------------------------------- inert gates --
-
-void append(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  out += buf;
-}
-
-/// Exact serialization of the contention-relevant slice of a RunResult
-/// (hex floats, so equality is bit-equality).
-std::string fingerprint(const ex::RunResult& rr) {
-  std::string fp;
-  append(fp, "elapsed=%a events=%" PRIu64 " migrations=%" PRIu64
-             " ctx=%" PRIu64 " idle=%a\n",
-         rr.elapsed_seconds, rr.events, rr.migrations, rr.context_switches,
-         rr.idle_fraction);
-  append(fp, "pacc=%" PRIu64 " pdeg=%" PRIu64 " peff=%" PRIu64
-             " pper=%" PRIu64 " psrej=%" PRIu64 " preb=%" PRIu64 "\n",
-         rr.pressure_accounted, rr.pressure_degraded, rr.pressure_effective,
-         rr.pressure_periods, rr.pressure_steal_rejects,
-         rr.pressure_rebalances);
-  for (const ex::VmResult& v : rr.vms) {
-    append(fp, "%s fin=%d rt=%a online=%a work=%" PRIu64 " pacc=%" PRIu64
-               " pdeg=%" PRIu64 " peff=%" PRIu64 "\n",
-           v.name.c_str(), v.finished ? 1 : 0, v.runtime_seconds,
-           v.observed_online_rate, v.work_units, v.pressure_accounted,
-           v.pressure_degraded, v.pressure_effective);
-    for (double r : v.round_seconds) append(fp, "  round=%a\n", r);
-  }
-  return fp;
-}
 
 TEST(ContentionGates, FlatTopologyKeepsTheEngineInertAndBitIdentical) {
   // Footprints + capacities on a flat machine: the engine must stay off

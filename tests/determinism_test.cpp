@@ -7,19 +7,21 @@
 #include <gtest/gtest.h>
 
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <string>
 
 #include "core/schedulers.h"
 #include "experiments/scenario.h"
 #include "guest/guest_kernel.h"
+#include "run_fingerprint.h"
 #include "simcore/simulator.h"
 #include "simcore/trace.h"
 #include "workloads/synthetic.h"
 
 namespace asman::experiments {
 namespace {
+
+using testutil::append;
+using testutil::fingerprint;
 
 Cycles ms(std::uint64_t n) { return sim::kDefaultClock.from_ms(n); }
 Cycles us(std::uint64_t n) { return sim::kDefaultClock.from_us(n); }
@@ -28,43 +30,6 @@ hw::MachineConfig small_machine(std::uint32_t pcpus) {
   hw::MachineConfig m;
   m.num_pcpus = pcpus;
   return m;
-}
-
-void append(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  out += buf;
-}
-
-/// Exact serialization of a RunResult: integers in decimal, doubles in %a
-/// (hex float) so equality is bit-equality, not round-off coincidence.
-std::string fingerprint(const RunResult& rr) {
-  std::string fp;
-  append(fp, "sched=%s\n", core::to_string(rr.scheduler));
-  append(fp, "elapsed=%a events=%" PRIu64 " migrations=%" PRIu64 "\n",
-         rr.elapsed_seconds, rr.events, rr.migrations);
-  append(fp, "cosched=%" PRIu64 " ipi=%" PRIu64 " ctx=%" PRIu64 " idle=%a\n",
-         rr.cosched_events, rr.ipi_sent, rr.context_switches,
-         rr.idle_fraction);
-  append(fp, "xllc=%" PRIu64 " xsock=%" PRIu64 " penalty=%" PRIu64
-             " srej=%" PRIu64 "\n",
-         rr.cross_llc_migrations, rr.cross_socket_migrations,
-         rr.migration_penalty_cycles, rr.topology_steal_rejects);
-  for (const VmResult& v : rr.vms) {
-    append(fp, "%s[%s] fin=%d rt=%a online=%a vcrd=%" PRIu64
-               " high=%a work=%" PRIu64 " otl=%" PRIu64 " adj=%" PRIu64
-               " xllc=%" PRIu64 " xsock=%" PRIu64 " pen=%" PRIu64 "\n",
-           v.name.c_str(), v.workload_name.c_str(), v.finished ? 1 : 0,
-           v.runtime_seconds, v.observed_online_rate, v.vcrd_transitions,
-           v.vcrd_high_fraction, v.work_units, v.over_threshold_events,
-           v.adjusting_events, v.cross_llc_migrations,
-           v.cross_socket_migrations, v.migration_penalty_cycles);
-    for (double r : v.round_seconds) append(fp, "  round=%a\n", r);
-  }
-  return fp;
 }
 
 Scenario lock_hammer_scenario(core::SchedulerKind sched, std::uint64_t seed) {

@@ -443,20 +443,17 @@ TEST(LintCheckFilter, SingleCheckRunsAlone) {
 }
 
 // The acceptance gate: the shipped tree (src/ + bench/ + examples/)
-// carries zero non-allowed findings, and every suppression that remains is
-// deliberate and reasoned. The auditor's getenv arming switch no longer
-// needs an allow — the confinement proof exempts equality-only uses.
+// carries zero findings and zero suppressions. The auditor's getenv arming
+// switch needs no allow — the confinement proof exempts equality-only
+// uses — and no bench reads a host clock.
 TEST(LintTree, ShippedTreeIsCleanUnderAllChecks) {
   const LintRun r = run_lint("");
   EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("0 error(s)"), std::string::npos) << r.output;
-  // The two standing allows: bench_util's wall-clock timer, which measures
-  // the harness itself and never feeds simulation state.
-  EXPECT_EQ(count_of(r.output, "suppressed by allow("), 2) << r.output;
-  EXPECT_EQ(count_of(r.output, "host wall-clock measures the harness"), 2)
-      << r.output;
+  EXPECT_EQ(count_of(r.output, "suppressed by allow("), 0) << r.output;
   // The suppression budget is actual + 2: a new escape can't hide in slack.
-  EXPECT_NE(r.output.find("(budget 4)"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("0 error(s), 0 suppression(s) (budget 2)"),
+            std::string::npos)
+      << r.output;
   EXPECT_EQ(r.output.find("audit arming is host config"), std::string::npos)
       << r.output;
 }

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <iterator>
 #include <string>
@@ -18,38 +17,12 @@
 #include "experiments/churn.h"
 #include "experiments/cluster.h"
 #include "experiments/scenario.h"
+#include "run_fingerprint.h"
 
 namespace asman::experiments {
 namespace {
 
-void append(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, ap);
-  va_end(ap);
-  out += buf;
-}
-
-/// Exact serialization (hex-float doubles) including the lifecycle
-/// counters and per-VM id/destroyed markers, so equality is bit-equality
-/// over everything churn can perturb.
-std::string fingerprint(const RunResult& rr) {
-  std::string fp;
-  append(fp, "ev=%" PRIu64 " mig=%" PRIu64 " cos=%" PRIu64 " ipi=%" PRIu64
-             " ctx=%" PRIu64 " idle=%a\n",
-         rr.events, rr.migrations, rr.cosched_events, rr.ipi_sent,
-         rr.context_switches, rr.idle_fraction);
-  append(fp, "adm=%" PRIu64 " cre=%" PRIu64 " des=%" PRIu64 " rez=%" PRIu64
-             " shed=%" PRIu64 " rest=%" PRIu64 " rej=%" PRIu64 "\n",
-         rr.admission_rejects, rr.vm_creates, rr.vm_destroys, rr.vm_resizes,
-         rr.overload_sheds, rr.overload_restores, rr.hypercall_rejects);
-  for (const VmResult& v : rr.vms)
-    append(fp, "%u:%s dead=%d fin=%d rt=%a online=%a work=%" PRIu64 "\n",
-           v.id, v.name.c_str(), v.destroyed ? 1 : 0, v.finished ? 1 : 0,
-           v.runtime_seconds, v.observed_online_rate, v.work_units);
-  return fp;
-}
+using testutil::fingerprint;
 
 RunResult run_audited(Scenario sc) {
   sc.audit = true;

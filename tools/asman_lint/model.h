@@ -51,10 +51,9 @@ struct Options {
   std::vector<std::string> prefixes{"src/", "bench/", "examples/"};
   std::vector<std::string> only_checks;  // --check NAME (repeatable)
   std::string sarif_path;        // --sarif FILE (empty: no SARIF output)
-  // Suppression budget (CI-visible). The clean tree carries exactly 2
-  // ledgered allows (bench_util.h's wall-clock reads); actual + 2 keeps a
-  // new escape from hiding inside slack.
-  int max_allows{4};
+  // Suppression budget (CI-visible). The clean tree carries no ledgered
+  // allows; actual + 2 keeps a new escape from hiding inside slack.
+  int max_allows{2};
   bool quiet{false};
   bool list_checks{false};
 };
