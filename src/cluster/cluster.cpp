@@ -41,30 +41,28 @@ Cluster::Cluster(sim::Simulator& simulation, const ClusterConfig& cfg)
 Cluster::~Cluster() = default;
 
 std::vector<HostId> Cluster::host_order(HostId exclude) const {
-  std::vector<HostId> order;
-  order.reserve(hosts_.size());
-  for (HostId h = 0; h < hosts_.size(); ++h) {
-    if (h == exclude) continue;
-    if (!hosts_[h].alive || hosts_[h].degraded) continue;
-    order.push_back(h);
-  }
   // Least weighted VCPU load first, memory pressure folded in (a host
   // losing a fifth of its cycles to contention effectively has a fifth
   // fewer PCPUs, so its score is scaled up by the degraded fraction),
   // index breaking ties. Both inputs are pure functions of deterministic
   // state — and pressure_score() is exactly 0.0 on hosts whose contention
   // engine is inert — so the order is reproducible and bit-identical to
-  // the pre-pressure sort in footprint-free clusters.
-  std::sort(order.begin(), order.end(), [this](HostId a, HostId b) {
-    const auto score = [this](HostId h) {
-      const vmm::Hypervisor& hv = *hosts_[h].hv;
-      return hv.weighted_vcpu_load() * (1.0 + hv.pressure_score());
-    };
-    const double la = score(a);
-    const double lb = score(b);
-    if (la != lb) return la < lb;
-    return a < b;
-  });
+  // the pre-pressure sort in footprint-free clusters. Each score walks
+  // the host's VM records, so it is computed once per host, not once per
+  // comparison.
+  std::vector<std::pair<double, HostId>> scored;
+  scored.reserve(hosts_.size());
+  for (HostId h = 0; h < hosts_.size(); ++h) {
+    if (h == exclude) continue;
+    if (!hosts_[h].alive || hosts_[h].degraded) continue;
+    const vmm::Hypervisor& hv = *hosts_[h].hv;
+    scored.emplace_back(hv.weighted_vcpu_load() * (1.0 + hv.pressure_score()),
+                        h);
+  }
+  std::sort(scored.begin(), scored.end());
+  std::vector<HostId> order;
+  order.reserve(scored.size());
+  for (const auto& [score, h] : scored) order.push_back(h);
   return order;
 }
 

@@ -44,7 +44,8 @@ ClusterRunResult run_cluster_scenario(const ClusterScenario& sc) {
   // Targets resolve by name at fire time (latest admission wins), so a
   // schedule can retire a VM that an earlier event admitted and a
   // vanished target is a silent no-op — same composability contract as
-  // single-host churn.
+  // single-host churn. Each event captures its index into sc.churn (the
+  // scenario outlives the run), not a copy of the spec.
   const auto find = [&cl](const std::string& name) -> cluster::ClusterVmId {
     for (std::size_t i = cl.num_vms(); i-- > 0;) {
       const cluster::VmRecord& r =
@@ -53,8 +54,9 @@ ClusterRunResult run_cluster_scenario(const ClusterScenario& sc) {
     }
     return cluster::kInvalidClusterVmId;
   };
-  for (const ClusterChurnEvent& ev : sc.churn) {
-    simulation.at(ev.at, [&cl, &find, ev] {
+  for (std::size_t i = 0; i < sc.churn.size(); ++i) {
+    simulation.at(sc.churn[i].at, [&cl, &find, &sc, i] {
+      const ClusterChurnEvent& ev = sc.churn[i];
       switch (ev.kind) {
         case ClusterChurnEvent::Kind::kAdmit:
           cl.admit(ev.spec);

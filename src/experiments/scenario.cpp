@@ -126,21 +126,27 @@ RunResult run_scenario(const Scenario& sc) {
   // Schedule the scripted lifecycle events. Targets resolve by name at
   // fire time (latest creation wins), so a list can destroy a VM that an
   // earlier event created; a vanished target is a silent no-op, keeping
-  // churn lists composable with chaos plans that crash VMs.
+  // churn lists composable with chaos plans that crash VMs. Each event
+  // captures its index into sc.churn (the scenario outlives the run), not
+  // a copy of the spec. Creates and destroys change what the stop
+  // predicate reads, so they bump the progress epoch.
   sim::SplitMix64 churn_seeds(sc.seed ^ 0xC1124E5EEDULL);
   const auto find_vm = [&rts](const std::string& name) -> VmRuntime* {
     for (auto it = rts.rbegin(); it != rts.rend(); ++it)
       if (it->name == name) return &*it;
     return nullptr;
   };
-  for (const ChurnEvent& ev : sc.churn) {
-    simulation.at(ev.at, [&, ev] {
+  for (std::size_t i = 0; i < sc.churn.size(); ++i) {
+    simulation.at(sc.churn[i].at, [&, i] {
+      const ChurnEvent& ev = sc.churn[i];
       switch (ev.kind) {
         case ChurnEvent::Kind::kCreate:
           instantiate(ev.spec, churn_seeds);
+          simulation.note_progress();
           break;
         case ChurnEvent::Kind::kDestroy:
           if (VmRuntime* rt = find_vm(ev.target)) hv->destroy_vm(rt->id);
+          simulation.note_progress();
           break;
         case ChurnEvent::Kind::kResize:
           if (VmRuntime* rt = find_vm(ev.target))
@@ -183,8 +189,19 @@ RunResult run_scenario(const Scenario& sc) {
     return any;
   };
 
-  simulation.run_while(sc.horizon,
-                       [&all_work_finished] { return !all_work_finished(); });
+  // all_work_finished scans every VM, but its inputs change only when the
+  // progress epoch moves (a round recorded, a thread retired, a VM created
+  // or destroyed): rescan then, and answer from the cached verdict on
+  // every other event.
+  std::uint64_t scanned_at = 0;
+  bool finished = all_work_finished();
+  simulation.run_while(sc.horizon, [&] {
+    if (simulation.progress() != scanned_at) {
+      scanned_at = simulation.progress();
+      finished = all_work_finished();
+    }
+    return !finished;
+  });
 
   // --- collect ---
   RunResult rr;

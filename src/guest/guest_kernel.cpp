@@ -17,10 +17,10 @@ GuestKernel::GuestKernel(sim::Simulator& simulation,
       rng_(cfg.seed ^ (0x5151u + vm_id)),
       vcpus_(cfg.n_vcpus),
       stats_(cfg.keep_wait_samples) {
-  timer_lock_ = create_spinlock("timer");
+  timer_lock_ = create_spinlock(LockKind::kTimer, 0);
   rq_locks_.reserve(cfg_.n_vcpus);
   for (std::uint32_t v = 0; v < cfg_.n_vcpus; ++v) {
-    rq_locks_.push_back(create_spinlock("rq:" + std::to_string(v)));
+    rq_locks_.push_back(create_spinlock(LockKind::kRunqueue, v));
     // IRQ pseudo-thread: the identity under which tick handlers hold locks.
     auto irq = std::make_unique<Thread>();
     irq->id = static_cast<Tid>(threads_.size());
@@ -35,35 +35,56 @@ GuestKernel::~GuestKernel() = default;
 
 // --- setup -------------------------------------------------------------------
 
-std::uint32_t GuestKernel::create_spinlock(std::string name) {
-  locks_.push_back(SpinLock{std::move(name), kNoTid, {}});
+std::uint32_t GuestKernel::create_spinlock(LockKind kind,
+                                           std::uint32_t index) {
+  locks_.push_back(SpinLock{kind, index, kNoTid, {}});
   return static_cast<std::uint32_t>(locks_.size() - 1);
+}
+
+std::string GuestKernel::lock_name(std::uint32_t lock) const {
+  const SpinLock& l = locks_[lock];
+  const std::string index = std::to_string(l.index);
+  switch (l.kind) {
+    case LockKind::kTimer:
+      return "timer";
+    case LockKind::kRunqueue:
+      return "rq:" + index;
+    case LockKind::kMutexFutex:
+      return "futex:m" + index;
+    case LockKind::kBarrierFutex:
+      return "futex:b" + index;
+    case LockKind::kSemaphoreFutex:
+      return "futex:s" + index;
+  }
+  return "?";
 }
 
 std::uint32_t GuestKernel::create_mutex() {
   const auto fq = static_cast<std::uint32_t>(futexes_.size());
-  futexes_.push_back(
-      FutexQ{create_spinlock("futex:m" + std::to_string(mutexes_.size())), {}});
-  mutexes_.push_back(Mutex{false, fq});
-  return static_cast<std::uint32_t>(mutexes_.size() - 1);
+  const auto m = static_cast<std::uint32_t>(mutexes_.size());
+  futexes_.push_back(FutexQ{create_spinlock(LockKind::kMutexFutex, m), 0, {}});
+  mutexes_.push_back(Mutex{fq});
+  return m;
 }
 
 std::uint32_t GuestKernel::create_barrier(std::uint32_t parties,
                                           bool spin_only) {
   assert(parties >= 1);
   const auto fq = static_cast<std::uint32_t>(futexes_.size());
-  futexes_.push_back(FutexQ{
-      create_spinlock("futex:b" + std::to_string(barriers_.size())), {}});
-  barriers_.push_back(Barrier{parties, 0, 0, fq, spin_only, {}});
-  return static_cast<std::uint32_t>(barriers_.size() - 1);
+  const auto b = static_cast<std::uint32_t>(barriers_.size());
+  futexes_.push_back(
+      FutexQ{create_spinlock(LockKind::kBarrierFutex, b), 0, {}});
+  barriers_.push_back(Barrier{parties, 0, fq, spin_only, {}});
+  return b;
 }
 
 std::uint32_t GuestKernel::create_semaphore(std::int32_t initial) {
   const auto fq = static_cast<std::uint32_t>(futexes_.size());
-  futexes_.push_back(FutexQ{
-      create_spinlock("futex:s" + std::to_string(semaphores_.size())), {}});
+  const auto sem = static_cast<std::uint32_t>(semaphores_.size());
+  futexes_.push_back(
+      FutexQ{create_spinlock(LockKind::kSemaphoreFutex, sem), 0, {}});
   semaphores_.push_back(Semaphore{initial, fq});
-  return static_cast<std::uint32_t>(semaphores_.size() - 1);
+  return sem;
 }
 
 Tid GuestKernel::spawn(std::unique_ptr<ThreadProgram> prog,
@@ -86,10 +107,6 @@ bool GuestKernel::thread_done(Tid t) const {
 
 Cycles GuestKernel::thread_finish_time(Tid t) const {
   return threads_[t]->finish_time;
-}
-
-void GuestKernel::note_trace(sim::TraceCat cat, const std::string& msg) {
-  if (trace_) trace_->emit(sim_.now(), cat, msg);
 }
 
 // --- execution engine ---------------------------------------------------------
@@ -179,7 +196,6 @@ void GuestKernel::burn_complete(Tid t) {
   th.act.ev = {};
   th.act.kind = ActKind::kNone;
   Cont done = std::move(th.act.done);
-  th.act.done = nullptr;
   done();
   maybe_deliver_pending(th.vcpu);
 }
@@ -198,6 +214,16 @@ void GuestKernel::repurpose_burn(Tid t, Cycles extra, Cont instead) {
   if (is_executing(t)) activate(t);
 }
 
+void GuestKernel::park(Tid t, Cont done) {
+  Thread& th = *threads_[t];
+  assert(!th.path_done && "a kernel path is already in progress");
+  th.path_done = std::move(done);
+}
+
+GuestKernel::Cont GuestKernel::unpark(Tid t) {
+  return std::move(threads_[t]->path_done);
+}
+
 // --- spinlocks -----------------------------------------------------------------
 
 void GuestKernel::record_spin_wait(Cycles waited) {
@@ -206,8 +232,7 @@ void GuestKernel::record_spin_wait(Cycles waited) {
   if (observer_) observer_->on_spin_acquired(waited);
 }
 
-void GuestKernel::lock_acquire(Tid t, std::uint32_t lock,
-                               std::function<void(Cycles)> acquired) {
+void GuestKernel::lock_acquire(Tid t, std::uint32_t lock, Acquired acquired) {
   assert(is_executing(t));
   SpinLock& l = locks_[lock];
   if (l.owner == kNoTid) {
@@ -229,8 +254,9 @@ void GuestKernel::lock_acquire(Tid t, std::uint32_t lock,
   w.cross_ev = sim_.after(cfg_.over_threshold,
                           [this, lock, t] { spin_cross_check(lock, t); });
   locks_[lock].waiters.push_back(std::move(w));
-  note_trace(sim::TraceCat::kLock,
-             "t" + std::to_string(t) + " spins on " + locks_[lock].name);
+  note_trace(sim::TraceCat::kLock, [&] {
+    return "t" + std::to_string(t) + " spins on " + lock_name(lock);
+  });
 }
 
 void GuestKernel::spin_cross_check(std::uint32_t lock, Tid t) {
@@ -264,9 +290,10 @@ void GuestKernel::grant_to_waiter(std::uint32_t lock, std::size_t idx) {
   th.act.kind = ActKind::kNone;
   const Cycles waited = sim_.now() - w.since;
   record_spin_wait(waited);
-  note_trace(sim::TraceCat::kLock, "t" + std::to_string(w.tid) +
-                                       " acquired " + l.name + " after " +
-                                       sim::format_cycles(waited));
+  note_trace(sim::TraceCat::kLock, [&] {
+    return "t" + std::to_string(w.tid) + " acquired " + lock_name(lock) +
+           " after " + sim::format_cycles(waited);
+  });
   w.acquired(waited);
 }
 
@@ -328,20 +355,19 @@ void GuestKernel::make_ready(Tid t) {
   }
 }
 
-void GuestKernel::futex_wait(Tid t, std::uint32_t fq, Cont on_wake,
-                             const std::function<bool()>& still_needed) {
+void GuestKernel::futex_wait(Tid t, std::uint32_t fq, std::uint64_t val,
+                             Cont on_wake) {
   ++stats_.futex_waits;
-  burn(t, cfg_.syscall_entry, false, [this, t, fq, on_wake, still_needed] {
-    lock_acquire(t, futexes_[fq].bucket_lock,
-                 [this, t, fq, on_wake, still_needed](Cycles) {
-      burn(t, cfg_.futex_enqueue_hold, true,
-           [this, t, fq, on_wake, still_needed] {
+  park(t, std::move(on_wake));
+  burn(t, cfg_.syscall_entry, false, [this, t, fq, val] {
+    lock_acquire(t, futexes_[fq].bucket_lock, [this, t, fq, val](Cycles) {
+      burn(t, cfg_.futex_enqueue_hold, true, [this, t, fq, val] {
         FutexQ& q = futexes_[fq];
-        if (!still_needed()) {
-          // The condition changed while we were entering the kernel
-          // (futex value re-check): do not sleep.
+        if (q.word != val) {
+          // The word changed while we were entering the kernel (futex
+          // value re-check): do not sleep.
           lock_release(t, q.bucket_lock);
-          burn(t, Cycles{200}, false, on_wake);
+          burn(t, Cycles{200}, false, unpark(t));
           return;
         }
         q.sleepers.push_back(t);
@@ -350,10 +376,10 @@ void GuestKernel::futex_wait(Tid t, std::uint32_t fq, Cont on_wake,
         // this lock is also taken by remote wakers, so a holder preempted
         // here stalls wake-ups for the whole VCPU.
         const std::uint32_t rq = rq_locks_[threads_[t]->vcpu];
-        lock_acquire(t, rq, [this, t, rq, on_wake](Cycles) {
-          burn(t, cfg_.rq_wake_hold, true, [this, t, rq, on_wake] {
+        lock_acquire(t, rq, [this, t, rq](Cycles) {
+          burn(t, cfg_.rq_wake_hold, true, [this, t, rq] {
             lock_release(t, rq);
-            block_current(t, on_wake);
+            block_current(t, unpark(t));
           });
         });
       });
@@ -364,46 +390,42 @@ void GuestKernel::futex_wait(Tid t, std::uint32_t fq, Cont on_wake,
 void GuestKernel::futex_wake(Tid t, std::uint32_t fq, std::uint32_t n,
                              Cont done) {
   ++stats_.futex_wakes;
-  burn(t, cfg_.syscall_entry, false, [this, t, fq, n, done] {
-    lock_acquire(t, futexes_[fq].bucket_lock,
-                 [this, t, fq, n, done](Cycles) {
+  park(t, std::move(done));
+  burn(t, cfg_.syscall_entry, false, [this, t, fq, n] {
+    lock_acquire(t, futexes_[fq].bucket_lock, [this, t, fq, n](Cycles) {
       FutexQ& q = futexes_[fq];
       const std::size_t k =
           std::min<std::size_t>(n, q.sleepers.size());
       const Cycles hold =
           cfg_.futex_wake_base +
           Cycles{cfg_.futex_wake_per_thread.v * k};
-      burn(t, hold, true, [this, t, fq, k, done] {
+      burn(t, hold, true, [this, t, fq, k] {
         FutexQ& q2 = futexes_[fq];
-        std::vector<Tid> woken(q2.sleepers.begin(),
-                               q2.sleepers.begin() +
-                                   static_cast<std::ptrdiff_t>(k));
-        q2.sleepers.erase(q2.sleepers.begin(),
-                          q2.sleepers.begin() +
-                              static_cast<std::ptrdiff_t>(k));
+        const auto end =
+            q2.sleepers.begin() + static_cast<std::ptrdiff_t>(k);
+        threads_[t]->woken.assign(q2.sleepers.begin(), end);
+        q2.sleepers.erase(q2.sleepers.begin(), end);
         lock_release(t, q2.bucket_lock);
-        wake_chain(t, std::move(woken), 0, done);
+        wake_chain(t, 0, unpark(t));
       });
     });
   });
 }
 
-void GuestKernel::wake_chain(Tid waker, std::vector<Tid> woken, std::size_t i,
-                             Cont done) {
+void GuestKernel::wake_chain(Tid waker, std::size_t i, Cont done) {
+  const std::vector<Tid>& woken = threads_[waker]->woken;
   if (i == woken.size()) {
     done();
     return;
   }
+  park(waker, std::move(done));
   const Tid w = woken[i];
   const std::uint32_t rq = rq_locks_[threads_[w]->vcpu];
-  lock_acquire(waker, rq,
-               [this, waker, woken = std::move(woken), i, done, w,
-                rq](Cycles) mutable {
-    burn(waker, cfg_.rq_wake_hold, true,
-         [this, waker, woken = std::move(woken), i, done, w, rq]() mutable {
+  lock_acquire(waker, rq, [this, waker, i, w, rq](Cycles) {
+    burn(waker, cfg_.rq_wake_hold, true, [this, waker, i, w, rq] {
       lock_release(waker, rq);
       make_ready(w);
-      wake_chain(waker, std::move(woken), i + 1, done);
+      wake_chain(waker, i + 1, unpark(waker));
     });
   });
 }
@@ -432,7 +454,6 @@ void GuestKernel::schedule_vcpu(std::uint32_t v) {
   }
   if (th.wake_cont) {
     Cont cont = std::move(th.wake_cont);
-    th.wake_cont = nullptr;
     cont();
     return;
   }
@@ -448,7 +469,8 @@ void GuestKernel::idle_check(std::uint32_t v) {
     if (cc.online && !cc.in_irq && cc.current == kNoTid && cc.runq.empty() &&
         !cc.halted) {
       cc.halted = true;
-      note_trace(sim::TraceCat::kGuest, "vcpu" + std::to_string(v) + " halt");
+      note_trace(sim::TraceCat::kGuest,
+                 [v] { return "vcpu" + std::to_string(v) + " halt"; });
       hv_.vcpu_block(vm_id_, v);
     }
   });
@@ -527,30 +549,20 @@ void GuestKernel::enter_tick_irq(std::uint32_t v) {
   if (c.current != kNoTid) deactivate(c.current);
   c.in_irq = true;
   const Tid irq = c.irq_tid;
-  const Cont finish = [this, v] {
-    VcpuCtx& cc = vcpus_[v];
-    cc.in_irq = false;
-    if (cc.current != kNoTid) {
-      activate(cc.current);
-    } else if (cc.online) {
-      schedule_vcpu(v);
-    }
-    maybe_deliver_pending(v);
-  };
   // Tick handler: bookkeeping, then the timer lock (xtime_lock — a real
   // kernel spinlock shared by every VCPU of the VM, so a preempted tick
   // handler strands all of them), then every Nth tick a load-balance pass
   // that takes a *remote* runqueue lock (Linux 2.6 rebalance_tick).
-  burn(irq, cfg_.tick_overhead, true, [this, v, irq, finish] {
-    lock_acquire(irq, timer_lock_, [this, v, irq, finish](Cycles) {
-      burn(irq, cfg_.tick_lock_hold, true, [this, v, irq, finish] {
+  burn(irq, cfg_.tick_overhead, true, [this, v, irq] {
+    lock_acquire(irq, timer_lock_, [this, v, irq](Cycles) {
+      burn(irq, cfg_.tick_lock_hold, true, [this, v, irq] {
         lock_release(irq, timer_lock_);
         VcpuCtx& cc = vcpus_[v];
         const bool balance = cfg_.n_vcpus > 1 &&
                              cfg_.balance_every_ticks != 0 &&
                              cc.ticks % cfg_.balance_every_ticks == 0;
         if (!balance) {
-          finish();
+          finish_tick_irq(v);
           return;
         }
         const std::uint32_t victim = static_cast<std::uint32_t>(
@@ -558,15 +570,26 @@ void GuestKernel::enter_tick_irq(std::uint32_t v) {
         const std::uint32_t target = victim == v ? (v + 1) % cfg_.n_vcpus
                                                  : victim;
         const std::uint32_t rq = rq_locks_[target];
-        lock_acquire(irq, rq, [this, irq, rq, finish](Cycles) {
-          burn(irq, cfg_.balance_hold, true, [this, irq, rq, finish] {
+        lock_acquire(irq, rq, [this, v, irq, rq](Cycles) {
+          burn(irq, cfg_.balance_hold, true, [this, v, irq, rq] {
             lock_release(irq, rq);
-            finish();
+            finish_tick_irq(v);
           });
         });
       });
     });
   });
+}
+
+void GuestKernel::finish_tick_irq(std::uint32_t v) {
+  VcpuCtx& c = vcpus_[v];
+  c.in_irq = false;
+  if (c.current != kNoTid) {
+    activate(c.current);
+  } else if (c.online) {
+    schedule_vcpu(v);
+  }
+  maybe_deliver_pending(v);
 }
 
 void GuestKernel::tick_wake(std::uint32_t v) {
@@ -706,49 +729,33 @@ void GuestKernel::op_sleep(Tid t, Cycles len) {
 
 void GuestKernel::op_critical(Tid t, std::uint32_t mtx, Cycles hold) {
   // User-space fast path: one atomic attempt, then the futex slow path.
-  burn(t, Cycles{120}, false, [this, t, mtx, hold] {
-    Mutex& m = mutexes_[mtx];
-    if (!m.locked) {
-      m.locked = true;
-      burn(t, hold, false, [this, t, mtx] {
-        mutex_unlock(t, mtx, [this, t] { next_op(t); });
-      });
-      return;
-    }
-    // Contended: sleep in the kernel and retry on wake (futex loop).
-    struct Retry {
-      GuestKernel* k;
-      Tid t;
-      std::uint32_t mtx;
-      Cycles hold;
-      void operator()() const {
-        Mutex& m2 = k->mutexes_[mtx];
-        if (!m2.locked) {
-          m2.locked = true;
-          GuestKernel* kk = k;
-          Tid tt = t;
-          std::uint32_t mm = mtx;
-          kk->burn(tt, hold, false, [kk, tt, mm] {
-            kk->mutex_unlock(tt, mm, [kk, tt] { kk->next_op(tt); });
-          });
-          return;
-        }
-        k->futex_wait(t, m2.fq, Retry{*this},
-                      [k2 = k, mtx2 = mtx] { return k2->mutexes_[mtx2].locked; });
-      }
-    };
-    Retry{this, t, mtx, hold}();
-  });
+  burn(t, Cycles{120}, false,
+       [this, t, mtx, hold] { mutex_lock_hold(t, mtx, hold); });
+}
+
+void GuestKernel::mutex_lock_hold(Tid t, std::uint32_t mtx, Cycles hold) {
+  std::uint64_t& locked = futexes_[mutexes_[mtx].fq].word;
+  if (locked == 0) {
+    locked = 1;
+    burn(t, hold, false, [this, t, mtx] {
+      mutex_unlock(t, mtx, [this, t] { next_op(t); });
+    });
+    return;
+  }
+  // Contended: sleep in the kernel and retry on wake (futex loop).
+  futex_wait(t, mutexes_[mtx].fq, 1,
+             [this, t, mtx, hold] { mutex_lock_hold(t, mtx, hold); });
 }
 
 void GuestKernel::mutex_unlock(Tid t, std::uint32_t mtx, Cont done) {
-  burn(t, Cycles{100}, false, [this, t, mtx, done] {
-    Mutex& m = mutexes_[mtx];
-    m.locked = false;
-    if (!futexes_[m.fq].sleepers.empty()) {
-      futex_wake(t, m.fq, 1, done);
+  park(t, std::move(done));
+  burn(t, Cycles{100}, false, [this, t, mtx] {
+    const std::uint32_t fq = mutexes_[mtx].fq;
+    futexes_[fq].word = 0;
+    if (!futexes_[fq].sleepers.empty()) {
+      futex_wake(t, fq, 1, unpark(t));
     } else {
-      done();
+      unpark(t)();
     }
   });
 }
@@ -757,15 +764,15 @@ void GuestKernel::op_barrier(Tid t, std::uint32_t bar) {
   ++stats_.barrier_arrivals;
   burn(t, Cycles{150}, false, [this, t, bar] {
     Barrier& b = barriers_[bar];
+    std::uint64_t& generation = futexes_[b.fq].word;
     if (++b.arrived == b.parties) {
       b.arrived = 0;
-      ++b.generation;
+      ++generation;
       barrier_release(t, b, [this, t] { next_op(t); });
       return;
     }
-    const std::uint64_t g = b.generation;
-    b.spinners.push_back(
-        Barrier::Spinner{t, g, [this, t] { next_op(t); }});
+    const std::uint64_t g = generation;
+    b.spinners.push_back(Barrier::Spinner{t, g});
     barrier_spin_loop(t, bar, g, Cycles{0});
   });
 }
@@ -785,7 +792,7 @@ void GuestKernel::barrier_spin_loop(Tid t, std::uint32_t bar,
         [t](const Barrier::Spinner& s) { return s.tid == t; });
     if (it != bb.spinners.end()) bb.spinners.erase(it);
   };
-  if (b.generation != gen) {
+  if (futexes_[b.fq].word != gen) {
     // Released while we were inside the kernel part of the loop; the
     // releaser could not repurpose our spin burn then, so we exit here.
     drop_record();
@@ -795,12 +802,11 @@ void GuestKernel::barrier_spin_loop(Tid t, std::uint32_t bar,
   if (!b.spin_only && spun >= cfg_.user_spin_limit) {
     drop_record();
     ++stats_.barrier_kernel_sleeps;
-    futex_wait(t, b.fq, [this, t] { next_op(t); },
-               [this, bar, gen] { return barriers_[bar].generation == gen; });
+    futex_wait(t, b.fq, gen, [this, t] { next_op(t); });
     return;
   }
   burn(t, cfg_.spin_yield_period, false, [this, t, bar, gen, spun] {
-    if (barriers_[bar].generation != gen) {
+    if (futexes_[barriers_[bar].fq].word != gen) {
       barrier_spin_loop(t, bar, gen, spun);  // takes the released path
       return;
     }
@@ -819,27 +825,29 @@ void GuestKernel::barrier_spin_loop(Tid t, std::uint32_t bar,
       remote_rq = rq_locks_[target == self_v ? (self_v + 1) % cfg_.n_vcpus
                                              : target];
     }
-    const Cont continue_spin = [this, t, bar, gen, spun] {
-      barrier_spin_loop(t, bar, gen, spun + cfg_.spin_yield_period);
-    };
     hv_.vcpu_yield_hint(vm_id_, threads_[t]->vcpu);
     burn(t, cfg_.syscall_entry, false,
-         [this, t, rq, remote_rq, probe_remote, continue_spin] {
-      lock_acquire(t, rq, [this, t, rq, remote_rq, probe_remote,
-                           continue_spin](Cycles) {
-        burn(t, cfg_.yield_hold, true, [this, t, rq, remote_rq, probe_remote,
-                                        continue_spin] {
+         [this, t, bar, gen, spun, rq, remote_rq, probe_remote] {
+      lock_acquire(t, rq, [this, t, bar, gen, spun, rq, remote_rq,
+                           probe_remote](Cycles) {
+        burn(t, cfg_.yield_hold, true,
+             [this, t, bar, gen, spun, rq, remote_rq, probe_remote] {
           lock_release(t, rq);
           if (!probe_remote || remote_rq == rq) {
-            yield_cpu(t, continue_spin);
+            yield_cpu(t, [this, t, bar, gen, spun] {
+              barrier_spin_loop(t, bar, gen, spun + cfg_.spin_yield_period);
+            });
             return;
           }
           lock_acquire(t, remote_rq,
-                       [this, t, remote_rq, continue_spin](Cycles) {
-            burn(t, cfg_.balance_hold, true, [this, t, remote_rq,
-                                              continue_spin] {
+                       [this, t, bar, gen, spun, remote_rq](Cycles) {
+            burn(t, cfg_.balance_hold, true,
+                 [this, t, bar, gen, spun, remote_rq] {
               lock_release(t, remote_rq);
-              yield_cpu(t, continue_spin);
+              yield_cpu(t, [this, t, bar, gen, spun] {
+                barrier_spin_loop(t, bar, gen,
+                                  spun + cfg_.spin_yield_period);
+              });
             });
           });
         });
@@ -870,22 +878,21 @@ void GuestKernel::yield_cpu(Tid t, Cont resume) {
 void GuestKernel::barrier_release(Tid t, Barrier& b, Cont done) {
   // Wake user-level spinners: those inside their user-space spin chunk
   // observe the flag immediately (their burn is repurposed); those inside
-  // the kernel part of the yield notice at the next loop check.
-  std::vector<Barrier::Spinner> leftover;
-  std::vector<Barrier::Spinner> spinners;
-  spinners.swap(b.spinners);
-  for (auto& s : spinners) {
-    Thread& th = *threads_[s.tid];
+  // the kernel part of the yield notice at the next loop check. Threads
+  // mid-yield keep their records until their own generation check removes
+  // them (they may also time out into futex_wait, whose word re-check
+  // fails and lets them through).
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < b.spinners.size(); ++i) {
+    const Barrier::Spinner s = b.spinners[i];
+    const Thread& th = *threads_[s.tid];
     if (th.act.kind == ActKind::kBurn && !th.act.kernel) {
-      repurpose_burn(s.tid, Cycles{120}, std::move(s.resume));
+      repurpose_burn(s.tid, Cycles{120}, [this, st = s.tid] { next_op(st); });
     } else {
-      leftover.push_back(std::move(s));
+      b.spinners[kept++] = s;
     }
   }
-  // Threads mid-yield keep their records until their own generation check
-  // removes them (they may also time out into futex_wait, whose
-  // still_needed re-check fails and lets them through).
-  b.spinners = std::move(leftover);
+  b.spinners.resize(kept);
   if (!futexes_[b.fq].sleepers.empty()) {
     futex_wake(t, b.fq, static_cast<std::uint32_t>(-1), std::move(done));
   } else {
@@ -967,16 +974,17 @@ void GuestKernel::retire(Tid t) {
   th.finish_time = sim_.now();
   last_finish_ = sim_.now();
   ++done_count_;
+  sim_.note_progress();
   VcpuCtx& c = vcpus_[th.vcpu];
   c.current = kNoTid;
   if (c.quantum_ev.valid()) {
     sim_.cancel(c.quantum_ev);
     c.quantum_ev = {};
   }
-  note_trace(sim::TraceCat::kGuest, "t" + std::to_string(t) + " done");
+  note_trace(sim::TraceCat::kGuest,
+             [t] { return "t" + std::to_string(t) + " done"; });
   if (all_threads_done() && all_done_) {
     Cont cb = std::move(all_done_);
-    all_done_ = nullptr;
     cb();
   }
   if (c.online) schedule_vcpu(th.vcpu);

@@ -22,19 +22,23 @@
 // Execution model: the kernel is driven entirely by simulator events and
 // the VMM's online/offline callbacks. Each thread has at most one live
 // "activity" (a timed burn or a spinlock spin); activities only progress
-// while their VCPU is online. Continuations (std::function) sequence
-// multi-step kernel paths such as futex wake chains.
+// while their VCPU is online. Continuations sequence multi-step kernel
+// paths such as futex wake chains. A continuation is a move-only
+// sim::InlineFunction whose closure carries scalars only; a path that must
+// run a caller's continuation when it ends parks it in the thread's
+// `path_done` slot instead of capturing it, so no closure nests another
+// callable and none outgrows the inline buffer.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "guest/observer.h"
 #include "guest/program.h"
+#include "simcore/inline_function.h"
 #include "simcore/rng.h"
 #include "simcore/simulator.h"
 #include "simcore/trace.h"
@@ -46,7 +50,9 @@ using sim::Cycles;
 
 class GuestKernel final : public vmm::GuestPort {
  public:
-  using Cont = std::function<void()>;
+  using Cont = sim::InlineFunction<void()>;
+  /// Spinlock acquisition continuation; receives the wait.
+  using Acquired = sim::InlineFunction<void(Cycles)>;
 
   struct Config {
     std::uint32_t n_vcpus{4};
@@ -164,6 +170,8 @@ class GuestKernel final : public vmm::GuestPort {
     TState state{TState::kReady};
     Activity act;
     Cont wake_cont;  // continuation to run when a blocked thread wakes
+    Cont path_done;  // parked continuation of the kernel path in progress
+    std::vector<Tid> woken;  // this waker's futex_wake batch (wake_chain)
     Cycles finish_time{};
   };
 
@@ -191,31 +199,39 @@ class GuestKernel final : public vmm::GuestPort {
     bool reported{false};       // over-threshold already reported
     bool report_pending{false}; // crossed while offline; report on online
     sim::EventId cross_ev{};
-    std::function<void(Cycles)> acquired;  // waited -> continue
+    Acquired acquired;  // waited -> continue
+  };
+  enum class LockKind : std::uint8_t {
+    kTimer,
+    kRunqueue,
+    kMutexFutex,
+    kBarrierFutex,
+    kSemaphoreFutex,
   };
   struct SpinLock {
-    std::string name;
+    LockKind kind{LockKind::kTimer};
+    std::uint32_t index{0};  // VCPU (run queue) or mutex/barrier/semaphore
     Tid owner{kNoTid};
     std::vector<SpinWaiter> waiters;
   };
   struct FutexQ {
     std::uint32_t bucket_lock{0};  // spinlock index
+    /// The futex word: a mutex's lock state (0/1) or a barrier's
+    /// generation. futex_wait sleeps only while it holds the expected value.
+    std::uint64_t word{0};
     std::vector<Tid> sleepers;
   };
   struct Mutex {
-    bool locked{false};
-    std::uint32_t fq{0};
+    std::uint32_t fq{0};  // its futex word is the lock state
   };
   struct Barrier {
     std::uint32_t parties{0};
     std::uint32_t arrived{0};
-    std::uint64_t generation{0};
-    std::uint32_t fq{0};
+    std::uint32_t fq{0};  // its futex word is the generation
     bool spin_only{false};
     struct Spinner {
       Tid tid{kNoTid};
       std::uint64_t gen{0};
-      Cont resume;
     };
     std::vector<Spinner> spinners;
   };
@@ -235,20 +251,30 @@ class GuestKernel final : public vmm::GuestPort {
   /// be in a kBurn activity. Its `done` is replaced by `instead`.
   void repurpose_burn(Tid t, Cycles extra, Cont instead);
 
+  /// Park `done` as `t`'s kernel-path continuation; take it back when the
+  /// path ends. Closures along the path then capture scalars only.
+  void park(Tid t, Cont done);
+  Cont unpark(Tid t);
+
   // spinlocks
-  std::uint32_t create_spinlock(std::string name);
-  void lock_acquire(Tid t, std::uint32_t lock,
-                    std::function<void(Cycles)> acquired);
+  std::uint32_t create_spinlock(LockKind kind, std::uint32_t index);
+  /// "timer", "rq:N", "futex:mN", "futex:bN" or "futex:sN".
+  std::string lock_name(std::uint32_t lock) const;
+  void lock_acquire(Tid t, std::uint32_t lock, Acquired acquired);
   void lock_release(Tid t, std::uint32_t lock);
   void grant_to_waiter(std::uint32_t lock, std::size_t waiter_index);
   void spin_cross_check(std::uint32_t lock, Tid t);
   void record_spin_wait(Cycles waited);
 
   // futex / sleep-wake
-  void futex_wait(Tid t, std::uint32_t fq, Cont on_wake,
-                  const std::function<bool()>& still_needed);
+  /// Sleep on futex `fq` while its word equals `val` (re-checked under the
+  /// bucket lock); continue with `on_wake` once woken, or at once when the
+  /// word already moved on.
+  void futex_wait(Tid t, std::uint32_t fq, std::uint64_t val, Cont on_wake);
   void futex_wake(Tid t, std::uint32_t fq, std::uint32_t n, Cont done);
-  void wake_chain(Tid waker, std::vector<Tid> woken, std::size_t i, Cont done);
+  /// Make `waker`'s woken threads ready from index `i` on, each under its
+  /// runqueue lock, then continue with `done`.
+  void wake_chain(Tid waker, std::size_t i, Cont done);
   void block_current(Tid t, Cont on_wake);
   void make_ready(Tid t);
 
@@ -259,6 +285,8 @@ class GuestKernel final : public vmm::GuestPort {
   void arm_tick(std::uint32_t v);
   void run_tick(std::uint32_t v);
   void enter_tick_irq(std::uint32_t v);
+  /// Tick handler epilogue: leave the IRQ and resume whatever it preempted.
+  void finish_tick_irq(std::uint32_t v);
   void tick_wake(std::uint32_t v);
   void maybe_deliver_pending(std::uint32_t v);
   void idle_check(std::uint32_t v);
@@ -267,6 +295,9 @@ class GuestKernel final : public vmm::GuestPort {
   void next_op(Tid t);
   void exec_op(Tid t, const Op& op);
   void op_critical(Tid t, std::uint32_t mtx, Cycles hold);
+  /// Take mutex `mtx` (futex loop while contended), hold it for `hold`,
+  /// unlock it, and go on with the thread's next op.
+  void mutex_lock_hold(Tid t, std::uint32_t mtx, Cycles hold);
   void mutex_unlock(Tid t, std::uint32_t mtx, Cont done);
   void op_barrier(Tid t, std::uint32_t bar);
   void barrier_spin_loop(Tid t, std::uint32_t bar, std::uint64_t gen,
@@ -280,7 +311,13 @@ class GuestKernel final : public vmm::GuestPort {
   void op_sleep(Tid t, Cycles len);
   void retire(Tid t);
 
-  void note_trace(sim::TraceCat cat, const std::string& msg);
+  /// Emit a trace record whose text `msg()` builds. `msg` runs only when a
+  /// trace is attached and enabled, so tracing off formats nothing.
+  template <typename MakeMsg>
+  void note_trace(sim::TraceCat cat, MakeMsg&& msg) {
+    if (trace_ != nullptr && trace_->enabled())
+      trace_->emit(sim_.now(), cat, msg());
+  }
 
   sim::Simulator& sim_;
   vmm::HypervisorPort& hv_;

@@ -2,43 +2,53 @@
 //
 // Events at equal timestamps fire in insertion order (a monotonically
 // increasing sequence number breaks ties), which makes whole simulations
-// bit-reproducible regardless of heap internals. Cancellation is lazy: a
-// cancelled entry stays in the heap and is skipped on pop, which keeps both
-// schedule() and cancel() O(log n) / O(1).
+// bit-reproducible regardless of heap internals.
+//
+// A slot table owns the callbacks, and a binary min-heap orders 24-byte
+// (at, seq, slot) keys into it. An EventId names both the sequence number
+// and the slot, and each slot records the seq of the event it holds (0 when
+// free), so pending() and cancel() are one comparison. cancel() frees the
+// slot and destroys the callback at once; the cancelled event's key stays
+// in the heap and is dropped when it surfaces, because its seq no longer
+// matches the slot's (a later event may already reuse the slot). schedule()
+// and pop are O(log n), cancel() is O(1), and once the tables have grown to
+// the run's peak none of them hashes or allocates.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
+#include "simcore/inline_function.h"
 #include "simcore/time.h"
 
 namespace asman::sim {
 
 /// Opaque handle identifying a scheduled event; may be used to cancel it.
+/// `seq` is dense from 1 in scheduling order; `slot` locates the callback.
 struct EventId {
   std::uint64_t seq{0};
+  std::uint32_t slot{0};
   constexpr bool valid() const { return seq != 0; }
   friend constexpr bool operator==(EventId, EventId) = default;
 };
 
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
+  using Callback = InlineFunction<void()>;
 
   /// Schedule `cb` to fire at absolute time `at`. `at` must not precede the
   /// last popped event time (checked by the Simulator layer).
   EventId schedule(Cycles at, Callback cb);
 
-  /// Cancel a previously scheduled event. Returns true if the event was
-  /// still pending (false if already fired or cancelled).
+  /// Cancel a previously scheduled event and destroy its callback. Returns
+  /// true if the event was still pending (false if already fired or
+  /// cancelled).
   bool cancel(EventId id);
 
   /// True while `id` is scheduled and neither fired nor cancelled.
   bool pending(EventId id) const {
-    return pending_seqs_.count(id.seq) != 0;
+    return id.valid() && id.slot < slots_.size() &&
+           slots_[id.slot].seq == id.seq;
   }
 
   bool empty() const { return live_count_ == 0; }
@@ -52,23 +62,23 @@ class EventQueue {
   Cycles pop_and_run();
 
  private:
-  struct Entry {
+  struct Key {
     Cycles at;
     std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  struct Slot {
+    std::uint64_t seq{0};  // seq of the pending event held; 0 when free
     Callback cb;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
 
-  void skip_cancelled() const;
+  void release(std::uint32_t slot);
+  /// Pop keys of fired or cancelled events off the top of the heap.
+  void drop_stale() const;
 
-  mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  mutable std::unordered_set<std::uint64_t> cancelled_;
-  std::unordered_set<std::uint64_t> pending_seqs_;
+  mutable std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_{1};
   std::size_t live_count_{0};
 };

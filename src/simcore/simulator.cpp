@@ -16,18 +16,4 @@ std::uint64_t Simulator::run_until(Cycles deadline) {
   return n;
 }
 
-std::uint64_t Simulator::run_while(Cycles deadline,
-                                   const std::function<bool()>& pred) {
-  std::uint64_t n = 0;
-  while (!queue_.empty() && pred()) {
-    const Cycles t = queue_.next_time();
-    if (t > deadline) break;
-    now_ = t;
-    queue_.pop_and_run();
-    ++n;
-  }
-  events_processed_ += n;
-  return n;
-}
-
 }  // namespace asman::sim

@@ -8,7 +8,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <utility>
 
 #include "simcore/event_queue.h"
@@ -59,10 +58,30 @@ class ASMAN_CAPABILITY("simulator") Simulator {
   std::uint64_t run_all() { return run_until(Cycles::max()); }
 
   /// Run while `pred()` is true and events remain before `deadline`.
-  std::uint64_t run_while(Cycles deadline, const std::function<bool()>& pred);
+  /// `pred` is evaluated before every event.
+  template <typename Pred>
+  std::uint64_t run_while(Cycles deadline, Pred&& pred) {
+    std::uint64_t n = 0;
+    while (!queue_.empty() && pred()) {
+      const Cycles t = queue_.next_time();
+      if (t > deadline) break;
+      now_ = t;
+      queue_.pop_and_run();
+      ++n;
+    }
+    events_processed_ += n;
+    return n;
+  }
 
   std::uint64_t events_processed() const { return events_processed_; }
   std::size_t pending_events() const { return queue_.size(); }
+
+  /// Progress epoch. Components bump it whenever state that a run's stop
+  /// predicate reads may have changed: a workload recorded a round, a
+  /// guest thread retired, a VM was created or destroyed. A run loop whose
+  /// predicate is costly re-evaluates it only when the epoch has moved.
+  void note_progress() { ++progress_; }
+  std::uint64_t progress() const { return progress_; }
 
   /// Advance the clock to `when` without processing events; used by tests
   /// and by drivers that interleave simulation segments.
@@ -76,6 +95,7 @@ class ASMAN_CAPABILITY("simulator") Simulator {
   EventQueue queue_;
   Cycles now_{0};
   std::uint64_t events_processed_{0};
+  std::uint64_t progress_{0};
 };
 
 }  // namespace asman::sim

@@ -25,7 +25,7 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    std::function<void()> task;
+    InlineFunction<void()> task;
     {
       MutexLock lk(mu_);
       // Open-coded wait loop (rather than the predicate overload) so the
@@ -38,23 +38,6 @@ void ThreadPool::worker_loop() {
     }
     task();
   }
-}
-
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  std::vector<std::future<void>> futs;
-  futs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    futs.push_back(submit([&fn, i] { fn(i); }));
-  std::exception_ptr first;
-  for (auto& f : futs) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
 }
 
 }  // namespace asman::sim

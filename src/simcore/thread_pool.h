@@ -13,11 +13,14 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <functional>
+#include <exception>
 #include <future>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "simcore/inline_function.h"
 #include "simcore/mutex.h"
 
 namespace asman::sim {
@@ -37,12 +40,11 @@ class ThreadPool {
   template <typename F>
   auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> fut = task->get_future();
+    std::packaged_task<R()> task(std::forward<F>(fn));
+    std::future<R> fut = task.get_future();
     {
       MutexLock lk(mu_);
-      queue_.emplace_back([task] { (*task)(); });
+      queue_.emplace_back([task = std::move(task)]() mutable { task(); });
     }
     cv_.notify_one();
     return fut;
@@ -50,7 +52,22 @@ class ThreadPool {
 
   /// Run `fn(i)` for i in [0, n) across the pool and wait for all of them.
   /// Exceptions from tasks are rethrown (the first one encountered).
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
+  template <typename Fn>
+  void parallel_for(std::size_t n, const Fn& fn) {
+    std::vector<std::future<void>> futs;
+    futs.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+      futs.push_back(submit([&fn, i] { fn(i); }));
+    std::exception_ptr first;
+    for (auto& f : futs) {
+      try {
+        f.get();
+      } catch (...) {
+        if (!first) first = std::current_exception();
+      }
+    }
+    if (first) std::rethrow_exception(first);
+  }
 
  private:
   void worker_loop();
@@ -58,7 +75,7 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   Mutex mu_;
   std::condition_variable_any cv_;
-  std::deque<std::function<void()>> queue_ ASMAN_GUARDED_BY(mu_);
+  std::deque<InlineFunction<void()>> queue_ ASMAN_GUARDED_BY(mu_);
   bool stop_ ASMAN_GUARDED_BY(mu_){false};
 };
 

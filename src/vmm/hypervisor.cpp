@@ -193,10 +193,6 @@ Cycles Hypervisor::pcpu_idle_total(PcpuId p) const {
   return t;
 }
 
-void Hypervisor::note_trace(sim::TraceCat cat, std::string msg) {
-  if (trace_) trace_->emit(sim_.now(), cat, std::move(msg));
-}
-
 void Hypervisor::set_fault_hook(FaultHook* hook) {
   fault_hook_ = hook;
   if (hook) faults_armed_ = true;
@@ -251,8 +247,9 @@ void Hypervisor::demote_vm(Vm& v, const char* why) {
   v.degraded = true;
   v.degraded_until = sim_.now() + resilience_.demote_backoff;
   ++v.demotions;
-  note_trace(sim::TraceCat::kMonitor,
-             v.name + " demoted to stock credit treatment (" + why + ")");
+  note_trace(sim::TraceCat::kMonitor, [&] {
+    return v.name + " demoted to stock credit treatment (" + why + ")";
+  });
   // Strip gang privileges immediately: cancel the boosts and let every
   // PCPU re-pick under stock rules (members with credit keep running as
   // ordinary UNDER VCPUs — degradation is graceful, not punitive).
@@ -295,8 +292,9 @@ bool Hypervisor::grant_boost(Vm& m) {
   if (++m.boost_count > resilience_.boost_limit) {
     m.boost_penalty_until = now + resilience_.boost_penalty;
     ++m.boost_denials;
-    note_trace(sim::TraceCat::kMonitor,
-               m.name + " BOOST rate limit hit (abuse suspected)");
+    note_trace(sim::TraceCat::kMonitor, [&] {
+      return m.name + " BOOST rate limit hit (abuse suspected)";
+    });
     return false;
   }
   ++m.boost_grants;
@@ -327,7 +325,9 @@ void Hypervisor::degradation_tick(Vm& v) {
     v.degraded = false;
     v.flap_count = 0;
     v.watchdog_streak = 0;
-    note_trace(sim::TraceCat::kMonitor, v.name + " degraded state lifted");
+    note_trace(sim::TraceCat::kMonitor, [&] {
+      return v.name + " degraded state lifted";
+    });
     // While degraded the members ran under stock rules and may have drifted
     // onto shared homes; a gang must regain coscheduling with a coherent
     // placement or the next launch would double-book a PCPU. (Excess-socket
@@ -344,7 +344,9 @@ void Hypervisor::degradation_tick(Vm& v) {
     v.vcrd = Vcrd::kLow;
     v.vcrd_high_time += now - v.vcrd_high_since;
     ++v.stale_vcrd_drops;
-    note_trace(sim::TraceCat::kMonitor, v.name + " VCRD stale -> LOW (TTL)");
+    note_trace(sim::TraceCat::kMonitor, [&] {
+      return v.name + " VCRD stale -> LOW (TTL)";
+    });
   }
 }
 
@@ -372,8 +374,9 @@ void Hypervisor::gang_watchdog_fire(VmId id) {
   if (running > 0 && absent > 0) {
     ++gang_watchdog_fires_;
     ++v.watchdog_streak;
-    note_trace(sim::TraceCat::kCosched,
-               v.name + " gang watchdog: partial gang released");
+    note_trace(sim::TraceCat::kCosched, [&] {
+      return v.name + " gang watchdog: partial gang released";
+    });
     if (resilience_.watchdog_demote_after > 0 &&
         v.watchdog_streak >= resilience_.watchdog_demote_after) {
       demote_vm(v, "gang watchdog streak");  // includes the co-stop
@@ -399,16 +402,17 @@ void Hypervisor::ipi_ack_check(VmId vm_id, std::uint32_t vidx,
   if (sib.state != VcpuState::kRunnable || sib.cosched_boost) return;
   if (attempt > resilience_.ipi_max_retries) {
     ++gang_ipi_aborts_;
-    note_trace(sim::TraceCat::kCosched,
-               v.name + " gang start abandoned for this slot (" +
-                   key_str(sib.key) + " unreachable after retries)");
+    note_trace(sim::TraceCat::kCosched, [&] {
+      return v.name + " gang start abandoned for this slot (" +
+             key_str(sib.key) + " unreachable after retries)";
+    });
     return;
   }
   ++ipi_retries_;
   const std::uint32_t vector = vm_id * 2 + (strong ? 1u : 0u);
-  note_trace(sim::TraceCat::kCosched,
-             "IPI retry " + std::to_string(attempt) + " for " +
-                 key_str(sib.key));
+  note_trace(sim::TraceCat::kCosched, [&] {
+    return "IPI retry " + std::to_string(attempt) + " for " + key_str(sib.key);
+  });
   ipi_.send(sib.where, sib.where, vector);
   sim_.after(resilience_.ipi_ack_timeout,
              [this, vm_id, vidx, attempt, strong] {
@@ -513,10 +517,11 @@ void Hypervisor::note_migration(Vcpu& v, PcpuId from, PcpuId to) {
   const Credit debit = static_cast<Credit>(
       (static_cast<__int128>(pen.v) * kCreditPerSlot) / slot_len_.v);
   v.credit = std::max<Credit>(v.credit - debit, -credit_cap_);
-  note_trace(sim::TraceCat::kSched,
-             key_str(v.key) + " " + std::string(hw::to_string(hop)) +
-                 " migration P" + std::to_string(from) + "->P" +
-                 std::to_string(to) + " penalty=" + std::to_string(pen.v));
+  note_trace(sim::TraceCat::kSched, [&] {
+    return key_str(v.key) + " " + std::string(hw::to_string(hop)) +
+           " migration P" + std::to_string(from) + "->P" + std::to_string(to) +
+           " penalty=" + std::to_string(pen.v);
+  });
 }
 
 std::vector<bool> Hypervisor::gang_socket_set(const Vm& v) const {
@@ -747,7 +752,7 @@ void Hypervisor::do_accounting() {
     audit_minted(v.id, inc);
     on_accounting(v);
   }
-  note_trace(sim::TraceCat::kCredit, "accounting done");
+  note_trace(sim::TraceCat::kCredit, [] { return "accounting done"; });
 }
 
 // --- audited mutation seam --------------------------------------------------
@@ -787,8 +792,9 @@ void Hypervisor::go_online(PcpuId p, Vcpu* v) {
   v->slice_start = sim_.now();
   ++v->dispatches;
   ++context_switches_;
-  note_trace(sim::TraceCat::kSched, key_str(v->key) + " online on P" +
-                                        std::to_string(p));
+  note_trace(sim::TraceCat::kSched, [&] {
+    return key_str(v->key) + " online on P" + std::to_string(p);
+  });
   Vm& owner = vm(v->key.vm);
   if (owner.guest) owner.guest->vcpu_online(v->key.idx);
 }
@@ -807,8 +813,9 @@ Vcpu* Hypervisor::unmap_current(PcpuId p) {
   v->ever_ran = true;
   v->cache_home = p;
   v->cache_home_at = sim_.now();
-  note_trace(sim::TraceCat::kSched, key_str(v->key) + " offline from P" +
-                                        std::to_string(p));
+  note_trace(sim::TraceCat::kSched, [&] {
+    return key_str(v->key) + " offline from P" + std::to_string(p);
+  });
   Vm& owner = vm(v->key.vm);
   if (owner.guest) owner.guest->vcpu_offline(v->key.idx);
   return v;
@@ -1039,7 +1046,7 @@ void Hypervisor::co_stop(Vm& v) {
   if (in_co_stop_) return;
   in_co_stop_ = true;
   ++co_stops_;
-  note_trace(sim::TraceCat::kCosched, v.name + " co-stop");
+  note_trace(sim::TraceCat::kCosched, [&] { return v.name + " co-stop"; });
   for (Vcpu& w : v.vcpus) {
     if (w.cosched_clear_ev.valid()) {
       sim_.cancel(w.cosched_clear_ev);
@@ -1076,9 +1083,10 @@ void Hypervisor::launch_cosched(PcpuId from, Vcpu& head) {
   const bool strong =
       head.credit >= 0 || (head.cosched_boost && !head.cosched_weak);
   ++(strong ? strong_launches_ : weak_launches_);
-  note_trace(sim::TraceCat::kCosched,
-             "cosched launch " + gang.name + " from P" + std::to_string(from) +
-                 (strong ? " (strong)" : " (weak)"));
+  note_trace(sim::TraceCat::kCosched, [&] {
+    return "cosched launch " + gang.name + " from P" + std::to_string(from) +
+           (strong ? " (strong)" : " (weak)");
+  });
   const std::uint32_t vector = gang.id * 2 + (strong ? 1u : 0u);
   for (Vcpu& w : gang.vcpus) {
     if (&w == &head) continue;
@@ -1146,9 +1154,9 @@ void Hypervisor::ipi_handler(PcpuId target, std::uint32_t vector) {
   in_scheduler_ = true;
   go_online(target, sib);
   in_scheduler_ = false;
-  note_trace(sim::TraceCat::kCosched,
-             key_str(sib->key) + " cosched-boosted on P" +
-                 std::to_string(target));
+  note_trace(sim::TraceCat::kCosched, [&] {
+    return key_str(sib->key) + " cosched-boosted on P" + std::to_string(target);
+  });
   audit_event(AuditPoint::kIpi);
 }
 
@@ -1230,9 +1238,10 @@ void Hypervisor::do_vcrd_op(VmId id, Vcrd vcrd) {
   if (halted_ || id >= vms_.size() || !vms_[id]->alive ||
       (vcrd != Vcrd::kLow && vcrd != Vcrd::kHigh)) {
     ++hypercall_rejects_;
-    note_trace(sim::TraceCat::kMonitor,
-               "do_vcrd_op rejected (vm=" + std::to_string(id) + " vcrd=" +
-                   std::to_string(static_cast<int>(vcrd)) + ")");
+    note_trace(sim::TraceCat::kMonitor, [&] {
+      return "do_vcrd_op rejected (vm=" + std::to_string(id) + " vcrd=" +
+             std::to_string(static_cast<int>(vcrd)) + ")";
+    });
     return;
   }
   if (in_scheduler_) {
@@ -1251,10 +1260,11 @@ void Hypervisor::do_vcrd_op(VmId id, Vcrd vcrd) {
             : 0;
     if (recent < resilience_.vcrd_min_yields) {
       ++v.implausible_vcrds;
-      note_trace(sim::TraceCat::kMonitor,
-                 v.name + " VCRD HIGH claim rejected (" +
-                     std::to_string(recent) + " recent yields < " +
-                     std::to_string(resilience_.vcrd_min_yields) + ")");
+      note_trace(sim::TraceCat::kMonitor, [&] {
+        return v.name + " VCRD HIGH claim rejected (" + std::to_string(recent) +
+               " recent yields < " +
+               std::to_string(resilience_.vcrd_min_yields) + ")";
+      });
       return;
     }
   }
@@ -1269,8 +1279,9 @@ void Hypervisor::do_vcrd_op(VmId id, Vcrd vcrd) {
   } else {
     v.vcrd_high_time += sim_.now() - v.vcrd_high_since;
   }
-  note_trace(sim::TraceCat::kMonitor,
-             v.name + " VCRD -> " + to_string(vcrd));
+  note_trace(sim::TraceCat::kMonitor, [&] {
+    return v.name + " VCRD -> " + to_string(vcrd);
+  });
   on_vcrd_changed(v, previous);
   audit_event(AuditPoint::kVcrdOp);
 }
@@ -1374,7 +1385,7 @@ void Hypervisor::vcpu_kick(VmId id, std::uint32_t vidx) {
 void Hypervisor::relocate_vm(Vm& v) {
   if (topo_place_active()) {
     relocate_vm_topo(v);
-    note_trace(sim::TraceCat::kCosched, v.name + " relocated");
+    note_trace(sim::TraceCat::kCosched, [&] { return v.name + " relocated"; });
     audit_relocated(v.id);
     return;
   }
@@ -1412,7 +1423,7 @@ void Hypervisor::relocate_vm(Vm& v) {
     c.where = dest;  // blocked VCPUs just get a new wake-up home
     claimed[dest] = true;
   }
-  note_trace(sim::TraceCat::kCosched, v.name + " relocated");
+  note_trace(sim::TraceCat::kCosched, [&] { return v.name + " relocated"; });
   audit_relocated(v.id);
 }
 
@@ -1463,14 +1474,16 @@ void Hypervisor::relocate_vm_topo(Vm& v) {
 void Hypervisor::fault_pcpu_offline(PcpuId p) {
   if (p >= machine_.num_pcpus || !pcpus_[p].online) return;
   if (online_pcpus_ <= 1) {
-    note_trace(sim::TraceCat::kSched,
-               "P" + std::to_string(p) +
-                   " offline refused (last online PCPU)");
+    note_trace(sim::TraceCat::kSched, [&] {
+      return "P" + std::to_string(p) + " offline refused (last online PCPU)";
+    });
     return;
   }
   faults_armed_ = true;
   ++pcpu_offline_events_;
-  note_trace(sim::TraceCat::kSched, "P" + std::to_string(p) + " offline");
+  note_trace(sim::TraceCat::kSched, [&] {
+    return "P" + std::to_string(p) + " offline";
+  });
   PcpuRec& pc = pcpus_[p];
   in_scheduler_ = true;
   // Preempt whoever is running (through the normal burn/charge/requeue
@@ -1520,7 +1533,9 @@ void Hypervisor::fault_pcpu_online(PcpuId p) {
   if (p >= machine_.num_pcpus || pcpus_[p].online) return;
   pcpus_[p].online = true;
   ++online_pcpus_;
-  note_trace(sim::TraceCat::kSched, "P" + std::to_string(p) + " online");
+  note_trace(sim::TraceCat::kSched, [&] {
+    return "P" + std::to_string(p) + " online";
+  });
   in_scheduler_ = true;
   // Load per online PCPU just fell; the governor may restore coscheduling
   // (still gated by the shed backoff).
@@ -1548,7 +1563,9 @@ void Hypervisor::fault_crash_vcpu(VmId vm_id, std::uint32_t vidx) {
   if (v.crashed) return;
   v.crashed = true;
   faults_armed_ = true;
-  note_trace(sim::TraceCat::kSched, key_str(v.key) + " crashed");
+  note_trace(sim::TraceCat::kSched, [&] {
+    return key_str(v.key) + " crashed";
+  });
   if (v.cosched_clear_ev.valid()) {
     sim_.cancel(v.cosched_clear_ev);
     v.cosched_clear_ev = {};

@@ -609,7 +609,13 @@ class Hypervisor : public HypervisorPort {
   bool is_schedulable(const Vcpu& v) const;
   /// True if placing a VCPU of `vm_id` on `p` would co-locate gang members.
   bool would_collide(VmId vm_id, PcpuId p) const;
-  void note_trace(sim::TraceCat cat, std::string msg);
+  /// Emit a trace record whose text `msg()` builds. `msg` runs only when a
+  /// trace is attached and enabled, so tracing off formats nothing.
+  template <typename MakeMsg>
+  void note_trace(sim::TraceCat cat, MakeMsg&& msg) {
+    if (trace_ != nullptr && trace_->enabled())
+      trace_->emit(sim_.now(), cat, msg());
+  }
 
   // --- topology placement & migration cost (topology-gated) ------------------
   /// Cost model active: any multi-domain topology pays migration penalties,

@@ -128,9 +128,10 @@ VmId Hypervisor::create_vm(std::string name, std::uint32_t weight,
   weight = core::clamp_to_bounds(core::field::weight, weight);
   if (n_vcpus >
       static_cast<std::uint32_t>(core::bounds_of(core::field::n_vcpus)->hi)) {
-    note_trace(sim::TraceCat::kSched,
-               name + " rejected: n_vcpus " + std::to_string(n_vcpus) +
-                   " outside the bounds spec");
+    note_trace(sim::TraceCat::kSched, [&] {
+      return name + " rejected: n_vcpus " + std::to_string(n_vcpus) +
+             " outside the bounds spec";
+    });
     return kInvalidVmId;
   }
   if (admission_enabled()) {
@@ -140,13 +141,15 @@ VmId Hypervisor::create_vm(std::string name, std::uint32_t weight,
     const double load = prospective_load(extra);
     if (load > admission_.max_vcpus_per_pcpu) {
       ++admission_rejects_;
-      char buf[128];
-      std::snprintf(buf, sizeof buf,
-                    "admission reject: %s (+%u VCPUs would load %.2f/%.2f "
-                    "per PCPU)",
-                    name.c_str(), n_vcpus, load,
-                    admission_.max_vcpus_per_pcpu);
-      note_trace(sim::TraceCat::kSched, buf);
+      note_trace(sim::TraceCat::kSched, [&] {
+        char buf[128];
+        std::snprintf(buf, sizeof buf,
+                      "admission reject: %s (+%u VCPUs would load %.2f/%.2f "
+                      "per PCPU)",
+                      name.c_str(), n_vcpus, load,
+                      admission_.max_vcpus_per_pcpu);
+        return std::string(buf);
+      });
       return kInvalidVmId;
     }
   }
@@ -170,9 +173,10 @@ VmId Hypervisor::create_vm(std::string name, std::uint32_t weight,
   vms_.push_back(std::move(v));
   if (started_) {
     ++vm_creates_;
-    note_trace(sim::TraceCat::kSched,
-               vm(id).name + " hot-created (" + std::to_string(n_vcpus) +
-                   " VCPUs, weight " + std::to_string(weight) + ")");
+    note_trace(sim::TraceCat::kSched, [&] {
+      return vm(id).name + " hot-created (" + std::to_string(n_vcpus) +
+             " VCPUs, weight " + std::to_string(weight) + ")";
+    });
     audit_created(id);
     maybe_shed_overload();
     // Let idle PCPUs pick the new VCPUs up right away — deferred one
@@ -245,7 +249,7 @@ bool Hypervisor::destroy_vm(VmId id) {
   v.alive = false;
   v.destroyed_at = sim_.now();
   ++vm_destroys_;
-  note_trace(sim::TraceCat::kSched, v.name + " destroyed");
+  note_trace(sim::TraceCat::kSched, [&] { return v.name + " destroyed"; });
   const bool was = in_scheduler_;
   in_scheduler_ = true;
   if (v.watchdog_ev.valid()) {
@@ -284,13 +288,15 @@ bool Hypervisor::resize_vm(VmId id, std::uint32_t n_vcpus) {
       const double load = prospective_load(extra);
       if (load > admission_.max_vcpus_per_pcpu) {
         ++admission_rejects_;
-        char buf[128];
-        std::snprintf(buf, sizeof buf,
-                      "admission reject: resize %s to %u VCPUs (load "
-                      "%.2f/%.2f per PCPU)",
-                      v.name.c_str(), n_vcpus, load,
-                      admission_.max_vcpus_per_pcpu);
-        note_trace(sim::TraceCat::kSched, buf);
+        note_trace(sim::TraceCat::kSched, [&] {
+          char buf[128];
+          std::snprintf(buf, sizeof buf,
+                        "admission reject: resize %s to %u VCPUs (load "
+                        "%.2f/%.2f per PCPU)",
+                        v.name.c_str(), n_vcpus, load,
+                        admission_.max_vcpus_per_pcpu);
+          return std::string(buf);
+        });
         return false;
       }
     }
@@ -339,9 +345,10 @@ bool Hypervisor::resize_vm(VmId id, std::uint32_t n_vcpus) {
     maybe_restore_overload();
   }
   ++vm_resizes_;
-  note_trace(sim::TraceCat::kSched,
-             v.name + " resized " + std::to_string(n_old) + " -> " +
-                 std::to_string(n_vcpus) + " VCPUs");
+  note_trace(sim::TraceCat::kSched, [&] {
+    return v.name + " resized " + std::to_string(n_old) + " -> " +
+           std::to_string(n_vcpus) + " VCPUs";
+  });
   in_scheduler_ = was;
   audit_event(AuditPoint::kLifecycle);
   return true;
@@ -356,11 +363,13 @@ void Hypervisor::maybe_shed_overload() {
   overload_shed_ = true;
   overload_until_ = sim_.now() + admission_.restore_backoff;
   ++overload_sheds_;
-  char buf[96];
-  std::snprintf(buf, sizeof buf,
-                "overload shed: coscheduling off (load %.2f/%.2f per PCPU)",
-                load, admission_.max_vcpus_per_pcpu);
-  note_trace(sim::TraceCat::kMonitor, buf);
+  note_trace(sim::TraceCat::kMonitor, [&] {
+    char buf[96];
+    std::snprintf(buf, sizeof buf,
+                  "overload shed: coscheduling off (load %.2f/%.2f per PCPU)",
+                  load, admission_.max_vcpus_per_pcpu);
+    return std::string(buf);
+  });
   // Gangs that were eligible a moment ago still hold boosts and watchdogs;
   // strip them so every PCPU re-picks under stock credit rules. Fairness
   // is untouched — the members keep running as ordinary UNDER VCPUs.
@@ -386,12 +395,14 @@ void Hypervisor::maybe_restore_overload() {
     return;
   overload_shed_ = false;
   ++overload_restores_;
-  char buf[96];
-  std::snprintf(buf, sizeof buf,
-                "overload restored: coscheduling on (load %.2f/%.2f per "
-                "PCPU)",
-                load, admission_.max_vcpus_per_pcpu);
-  note_trace(sim::TraceCat::kMonitor, buf);
+  note_trace(sim::TraceCat::kMonitor, [&] {
+    char buf[96];
+    std::snprintf(buf, sizeof buf,
+                  "overload restored: coscheduling on (load %.2f/%.2f per "
+                  "PCPU)",
+                  load, admission_.max_vcpus_per_pcpu);
+    return std::string(buf);
+  });
   // While shed, gang members drifted onto shared homes under stock rules;
   // regaining eligibility with a colliding placement would double-book a
   // PCPU at the next launch (excess-socket drift is repacked too).

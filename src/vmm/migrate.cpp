@@ -76,7 +76,7 @@ bool Hypervisor::pause_vm(VmId id) {
   }
   redispatch_freed(freed);
   in_scheduler_ = was;
-  note_trace(sim::TraceCat::kSched, v.name + " paused");
+  note_trace(sim::TraceCat::kSched, [&] { return v.name + " paused"; });
   audit_event(AuditPoint::kLifecycle);
   return true;
 }
@@ -111,7 +111,7 @@ bool Hypervisor::resume_vm(VmId id) {
   for (PcpuId q = 0; q < machine_.num_pcpus; ++q)
     if (pcpus_[q].online && pcpus_[q].current == nullptr) dispatch(q);
   in_scheduler_ = was;
-  note_trace(sim::TraceCat::kSched, v.name + " resumed");
+  note_trace(sim::TraceCat::kSched, [&] { return v.name + " resumed"; });
   audit_event(AuditPoint::kLifecycle);
   return true;
 }
@@ -134,7 +134,7 @@ MigrationTicket Hypervisor::migrate_out(VmId id) {
   v.paused = false;
   v.destroyed_at = sim_.now();
   ++vm_migrations_out_;
-  note_trace(sim::TraceCat::kSched, v.name + " migrated out");
+  note_trace(sim::TraceCat::kSched, [&] { return v.name + " migrated out"; });
   const bool was = in_scheduler_;
   in_scheduler_ = true;
   if (v.watchdog_ev.valid()) {
@@ -166,7 +166,9 @@ VmId Hypervisor::migrate_in(const MigrationTicket& t, __int128* seeded) {
   const __int128 s = seed_credit(id, t.credit_pool);
   if (seeded) *seeded = s;
   ++vm_migrations_in_;
-  note_trace(sim::TraceCat::kSched, vm(id).name + " migrated in");
+  note_trace(sim::TraceCat::kSched, [&] {
+    return vm(id).name + " migrated in";
+  });
   audit_event(AuditPoint::kLifecycle);
   return id;
 }
@@ -215,7 +217,7 @@ void Hypervisor::halt() {
     }
   }
   in_scheduler_ = was;
-  note_trace(sim::TraceCat::kSched, "host halted");
+  note_trace(sim::TraceCat::kSched, [] { return "host halted"; });
   audit_event(AuditPoint::kFault);
 }
 

@@ -51,6 +51,7 @@ class MakeWorker final : public guest::ThreadProgram {
         if (++sh_.release_arrivals == p.workers) {
           sh_.release_arrivals = 0;
           sh_.pass_times.push_back(sh_.sim->now());
+          sh_.sim->note_progress();
         }
         ++pass_;
         stage_ = Stage::kPull;

@@ -77,6 +77,7 @@ class PhaseProgram final : public guest::ThreadProgram {
           if (++sh_.round_arrivals == sh_.p.threads) {
             sh_.round_arrivals = 0;
             sh_.round_times.push_back(sh_.sim->now());
+            sh_.sim->note_progress();
           }
           ++round_;
           if (round_ < p.rounds) {

@@ -58,8 +58,10 @@ class CopyProgram final : public guest::ThreadProgram {
         const bool round_complete = std::all_of(
             sh_.copy_round.begin(), sh_.copy_round.end(),
             [r](std::uint64_t c) { return c >= r; });
-        if (round_complete && sh_.round_times.size() + 1 == r + 0)
+        if (round_complete && sh_.round_times.size() + 1 == r + 0) {
           sh_.round_times.push_back(sh_.sim->now());
+          sh_.sim->note_progress();
+        }
         if (r >= p.rounds) return Op::done();
       }
       started_ = true;

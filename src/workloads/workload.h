@@ -46,7 +46,9 @@ class Workload {
 
   /// For batch workloads repeated in rounds (paper §5.3 runs each benchmark
   /// repeatedly and averages the first 10 rounds): completion count and
-  /// per-round completion timestamps.
+  /// per-round completion timestamps. A workload that counts rounds calls
+  /// Simulator::note_progress() whenever it records one: run_scenario
+  /// re-reads rounds_completed() only after the progress epoch moved.
   virtual std::uint64_t rounds_completed() const { return 0; }
   virtual std::vector<Cycles> round_times() const { return {}; }
 

@@ -6,6 +6,7 @@
 // that silently invalidates the paper's figures.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <string>
 
@@ -130,12 +131,14 @@ TEST(Determinism, AuditedRunMatchesUnauditedRun) {
 }
 #endif
 
+/// Every trace record of a short lock-hammer run, hypervisor and guest,
+/// one per line.
 std::string trace_blob(std::uint64_t seed) {
   sim::Simulator s;
   sim::Trace trace;
   trace.enable(true);
   core::AdaptiveScheduler hv(s, small_machine(2),
-                             vmm::SchedMode::kNonWorkConserving);
+                             vmm::SchedMode::kNonWorkConserving, &trace);
   const vmm::VmId id = hv.create_vm("V0", 256, 2);
   guest::GuestKernel::Config gc;
   gc.n_vcpus = 2;
@@ -157,6 +160,25 @@ TEST(Determinism, GuestTraceIsBitIdentical) {
   const std::string a = trace_blob(99);
   EXPECT_GT(a.size(), 0u);
   EXPECT_EQ(a, trace_blob(99));
+}
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+TEST(Determinism, TraceTextIsPinned) {
+  // Trace text is built only when a trace is attached, inside each call
+  // site's message callable. The record count and digest were recorded
+  // before the text moved into those callables; any drift in a message or
+  // in which records are emitted fails here.
+  const std::string blob = trace_blob(99);
+  EXPECT_EQ(std::count(blob.begin(), blob.end(), '\n'), 1628);
+  EXPECT_EQ(fnv1a(blob), 0xE616D9567EA6985EULL);
 }
 
 }  // namespace

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
+#include "simcore/event_scope.h"
 #include "simcore/rng.h"
+#include "simcore/simulator.h"
 
 namespace asman::sim {
 namespace {
@@ -87,6 +90,59 @@ TEST(EventQueue, SizeTracksLiveEvents) {
   EXPECT_EQ(q.size(), 1u);
   q.pop_and_run();
   EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(EventQueue, StaleIdAfterSlotReuseIsInert) {
+  EventQueue q;
+  const EventId old = q.schedule(Cycles{5}, [] {});
+  ASSERT_TRUE(q.cancel(old));
+  bool fired = false;
+  const EventId fresh = q.schedule(Cycles{7}, [&] { fired = true; });
+  ASSERT_EQ(fresh.slot, old.slot) << "the freed slot should be reused";
+  EXPECT_EQ(fresh.seq, old.seq + 1);  // seq stays dense
+  EXPECT_FALSE(q.pending(old));
+  EXPECT_FALSE(q.cancel(old));
+  EXPECT_TRUE(q.pending(fresh));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.pop_and_run(), Cycles{7});
+  EXPECT_TRUE(fired);
+}
+
+TEST(EventQueue, ScopeCancelAllWithStaleIdSparesTheSlotsNewEvent) {
+  Simulator s;
+  EventScope scope;
+  const EventId old = scope.after(s, Cycles{5}, [] {});
+  ASSERT_TRUE(s.cancel(old));
+  bool fired = false;
+  const EventId fresh = s.after(Cycles{6}, [&] { fired = true; });
+  ASSERT_EQ(fresh.slot, old.slot);
+  EXPECT_EQ(scope.cancel_all(s), 0u);
+  EXPECT_TRUE(s.pending(fresh));
+  s.run_all();
+  EXPECT_TRUE(fired);
+}
+
+TEST(EventQueue, CancelReleasesTheCallbackAtOnce) {
+  EventQueue q;
+  const auto token = std::make_shared<int>(0);
+  const EventId id = q.schedule(Cycles{5}, [token] { ++*token; });
+  q.schedule(Cycles{9}, [] {});
+  EXPECT_EQ(token.use_count(), 2);
+  ASSERT_TRUE(q.cancel(id));
+  // Freed at cancel time, not when the stale key is popped.
+  EXPECT_EQ(token.use_count(), 1);
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(*token, 0);
+}
+
+TEST(EventQueue, FiredCallbackIsDestroyedAfterItRuns) {
+  EventQueue q;
+  const auto token = std::make_shared<int>(0);
+  q.schedule(Cycles{1}, [token] { ++*token; });
+  EXPECT_EQ(token.use_count(), 2);
+  q.pop_and_run();
+  EXPECT_EQ(*token, 1);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 class EventQueueRandomized : public ::testing::TestWithParam<std::uint64_t> {
