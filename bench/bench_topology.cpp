@@ -11,7 +11,6 @@
 // topology-placement invariant checked on every point.
 #include "bench_util.h"
 #include "experiments/chaos.h"
-#include "experiments/topology.h"
 
 using namespace asman;
 using namespace asman::bench;

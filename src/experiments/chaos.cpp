@@ -231,4 +231,13 @@ Scenario chaos_scenario(core::SchedulerKind sched, ChaosClass c,
   return sc;
 }
 
+Scenario topology_scenario(core::SchedulerKind sched, std::uint64_t seed,
+                           bool aware, std::uint32_t n_vms) {
+  Scenario sc = chaos_base(sched, seed, n_vms);
+  sc.machine.num_pcpus = 8;
+  sc.machine.topology = hw::Topology::paper();
+  sc.topology_aware = aware;
+  return sc;
+}
+
 }  // namespace asman::experiments

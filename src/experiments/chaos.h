@@ -5,7 +5,8 @@
 // all of them on at once. The base scenario is a small consolidated host —
 // an idle Domain-0, a 4-VCPU synchronization-heavy VM (the gang candidate)
 // and a CPU-hog background tenant — sized so a full audited run finishes
-// in well under a second of wall time.
+// in well under a second of wall time. topology_scenario() puts the same
+// fleet on the paper's dual-socket host.
 #pragma once
 
 #include <cstdint>
@@ -51,5 +52,14 @@ void apply_chaos(Scenario& sc, ChaosClass c);
 /// extra VM is a 1-VCPU background hog).
 Scenario chaos_scenario(core::SchedulerKind sched, ChaosClass c,
                         std::uint64_t seed = 1, std::uint32_t n_vms = 3);
+
+/// The fault-free chaos base on the paper's dual-socket host
+/// (hw::Topology::paper(): 2 sockets x 2 shared-L2 domains x 2 PCPUs, the
+/// dual Harpertown testbed), for placement studies. `n_vms` as in
+/// chaos_scenario (minimum 3; default 4). `aware` false keeps the
+/// migration cost model but places like the flat scheduler, so an
+/// aware-vs-blind pair differs in placement alone.
+Scenario topology_scenario(core::SchedulerKind sched, std::uint64_t seed = 1,
+                           bool aware = true, std::uint32_t n_vms = 4);
 
 }  // namespace asman::experiments

@@ -18,7 +18,6 @@
 #include "experiments/chaos.h"
 #include "experiments/contention.h"
 #include "experiments/scenario.h"
-#include "experiments/topology.h"
 #include "hw/memsys/footprint.h"
 #include "run_fingerprint.h"
 #include "simcore/simulator.h"

@@ -24,7 +24,6 @@
 #include "experiments/cluster.h"
 #include "experiments/contention.h"
 #include "experiments/paper.h"
-#include "experiments/topology.h"
 #include "run_fingerprint.h"
 
 namespace asman::experiments {

@@ -12,7 +12,6 @@
 
 #include "core/schedulers.h"
 #include "experiments/chaos.h"
-#include "experiments/topology.h"
 #include "hw/machine.h"
 #include "simcore/simulator.h"
 #include "vmm/hypervisor.h"
