@@ -11,8 +11,8 @@
 // violation prints the report and aborts, pinning the offending event in
 // a debugger or core dump.
 //
-// The whole subsystem is compiled out with -DASMAN_AUDIT=OFF: the library
-// is not built and the hypervisor's notification hooks become no-ops.
+// Every build links the auditor; a run is audited only when one is attached
+// (AuditorConfig, ScenarioConfig::audit, or ASMAN_AUDIT=1 at run time).
 #pragma once
 
 #include <cstdint>

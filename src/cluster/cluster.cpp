@@ -142,7 +142,6 @@ void Cluster::start() {
   if (recovery_.max_downtime.v == 0)
     recovery_.max_downtime = Cycles{slot.v / 10};
   if (recovery_.heartbeat_period.v == 0) recovery_.heartbeat_period = acct;
-#ifdef ASMAN_AUDIT_ENABLED
   // Attach after the boot-time admissions, before the hosts start: each
   // host auditor snapshots the initial VCPU states and then sees every
   // scheduling event; the cluster auditor sees every fabric event.
@@ -154,7 +153,6 @@ void Cluster::start() {
     cluster_auditor_ =
         std::make_unique<ClusterAuditor>(*this, audit::audit_fatal_env());
   }
-#endif
   for (HostRec& hr : hosts_) hr.hv->start();
   for (const faults::HostFaultSpec& f : host_faults_) {
     if (f.host >= hosts_.size()) continue;
@@ -514,45 +512,33 @@ void Cluster::note_transfer(const char* what, __int128 expected,
   // fabric's ledger — never silently minted back.
   const __int128 residual = ticket - seeded;
   residual_credit_ += residual;
-#ifdef ASMAN_AUDIT_ENABLED
   if (cluster_auditor_)
     cluster_auditor_->on_transfer(what, expected, ticket, seeded, residual);
-#else
-  (void)what;
-  (void)expected;
-#endif
 }
 
 void Cluster::audit_cluster_event() {
-#ifdef ASMAN_AUDIT_ENABLED
   if (cluster_auditor_) cluster_auditor_->on_event();
-#endif
 }
 
 // --- audit aggregation ---
 
 std::uint64_t Cluster::audit_checks() const {
   std::uint64_t n = 0;
-#ifdef ASMAN_AUDIT_ENABLED
   for (const HostRec& hr : hosts_)
     if (hr.auditor) n += hr.auditor->report().total_checks();
   if (cluster_auditor_) n += cluster_auditor_->report().total_checks();
-#endif
   return n;
 }
 
 std::uint64_t Cluster::audit_violations() const {
   std::uint64_t n = 0;
-#ifdef ASMAN_AUDIT_ENABLED
   for (const HostRec& hr : hosts_)
     if (hr.auditor) n += hr.auditor->report().total_violations();
   if (cluster_auditor_) n += cluster_auditor_->report().total_violations();
-#endif
   return n;
 }
 
 std::string Cluster::audit_summary() const {
-#ifdef ASMAN_AUDIT_ENABLED
   // Merge every host report plus the cluster report into one table.
   audit::AuditReport merged;
   const auto fold = [&merged](const audit::AuditReport& r) {
@@ -581,16 +567,13 @@ std::string Cluster::audit_summary() const {
     any = true;
   }
   if (any) return merged.summary();
-#endif
   return {};
 }
 
 void Cluster::check_now() {
-#ifdef ASMAN_AUDIT_ENABLED
   for (HostRec& hr : hosts_)
     if (hr.auditor) hr.auditor->check_now();
   if (cluster_auditor_) cluster_auditor_->on_event();
-#endif
 }
 
 }  // namespace asman::cluster

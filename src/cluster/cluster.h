@@ -31,6 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "audit/auditor.h"
+#include "audit/report.h"
 #include "cluster/migration_spec.h"
 #include "core/schedulers.h"
 #include "faults/fault_plan.h"
@@ -38,11 +40,6 @@
 #include "simcore/event_scope.h"
 #include "simcore/simulator.h"
 #include "vmm/hypervisor.h"
-
-#ifdef ASMAN_AUDIT_ENABLED
-#include "audit/auditor.h"
-#include "audit/report.h"
-#endif
 
 namespace asman::cluster {
 
@@ -246,7 +243,7 @@ class Cluster {
   }
 
   /// Aggregated audit results over every host auditor plus the cluster
-  /// auditor. All zeros / empty when auditing is off or compiled out.
+  /// auditor. All zeros / empty when no auditor is attached.
   std::uint64_t audit_checks() const;
   std::uint64_t audit_violations() const;
   std::string audit_summary() const;
@@ -262,9 +259,7 @@ class Cluster {
     bool degraded{false};
     /// PCPUs taken offline by a kHostDegraded window, to bring back.
     std::vector<hw::PcpuId> degraded_offline;
-#ifdef ASMAN_AUDIT_ENABLED
     std::unique_ptr<audit::Auditor> auditor;
-#endif
   };
 
   /// The single seam every migration phase write goes through; call sites
@@ -321,9 +316,7 @@ class Cluster {
   __int128 residual_credit_{0};
   __int128 crash_credit_delta_{0};
 
-#ifdef ASMAN_AUDIT_ENABLED
   std::unique_ptr<ClusterAuditor> cluster_auditor_;
-#endif
 };
 
 }  // namespace asman::cluster

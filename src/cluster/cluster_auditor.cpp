@@ -1,7 +1,5 @@
 #include "cluster/cluster_auditor.h"
 
-#ifdef ASMAN_AUDIT_ENABLED
-
 #include <cstdio>
 #include <cstdlib>
 
@@ -110,5 +108,3 @@ void ClusterAuditor::on_transfer(const char* what, __int128 expected,
 }
 
 }  // namespace asman::cluster
-
-#endif  // ASMAN_AUDIT_ENABLED

@@ -17,11 +17,8 @@
 //
 // Violations accumulate in a standard audit::AuditReport (the cluster rows
 // of the shared invariant catalog); under fatal (or ASMAN_AUDIT_FATAL) the
-// first violation prints the report and aborts. The whole class is only
-// built when the audit subsystem is (-DASMAN_AUDIT=ON).
+// first violation prints the report and aborts.
 #pragma once
-
-#ifdef ASMAN_AUDIT_ENABLED
 
 #include <string>
 
@@ -58,5 +55,3 @@ class ClusterAuditor {
 };
 
 }  // namespace asman::cluster
-
-#endif  // ASMAN_AUDIT_ENABLED

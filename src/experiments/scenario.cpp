@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "faults/injector.h"
-
-#ifdef ASMAN_AUDIT_ENABLED
 #include "audit/auditor.h"
-#endif
+#include "faults/injector.h"
 
 namespace asman::experiments {
 
@@ -156,7 +153,6 @@ RunResult run_scenario(const Scenario& sc) {
     });
   }
 
-#ifdef ASMAN_AUDIT_ENABLED
   // Attach after VM creation, before start(): the auditor snapshots the
   // initial VCPU states and then sees every scheduling event of the run.
   std::unique_ptr<audit::Auditor> auditor;
@@ -165,7 +161,6 @@ RunResult run_scenario(const Scenario& sc) {
     cfg.stride = sc.audit_stride;
     auditor = std::make_unique<audit::Auditor>(simulation, *hv, cfg);
   }
-#endif
 
   hv->start();
 
@@ -259,14 +254,12 @@ RunResult run_scenario(const Scenario& sc) {
   for (hw::PcpuId p = 0; p < sc.machine.num_pcpus; ++p)
     idle += hv->pcpu_idle_total(p).ratio(elapsed);
   rr.idle_fraction = idle / sc.machine.num_pcpus;
-#ifdef ASMAN_AUDIT_ENABLED
   if (auditor) {
     auditor->check_now();  // final full scan at the horizon
     rr.audit_checks = auditor->report().total_checks();
     rr.audit_violations = auditor->report().total_violations();
     rr.audit_summary = auditor->report().summary();
   }
-#endif
 
   for (std::size_t i = 0; i < rts.size(); ++i) {
     const VmRuntime& rt = rts[i];

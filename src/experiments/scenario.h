@@ -78,8 +78,7 @@ struct Scenario {
   std::uint64_t seed{1};
   bool keep_wait_samples{false};
   /// Attach a runtime invariant auditor (audit::Auditor) to the run. Also
-  /// forced on for every run by the ASMAN_AUDIT environment variable; both
-  /// are ignored when the build has auditing compiled out (ASMAN_AUDIT=OFF).
+  /// forced on for every run by the ASMAN_AUDIT environment variable.
   bool audit{false};
   /// Full-state audit scans run every stride-th scheduling event.
   std::uint32_t audit_stride{1};

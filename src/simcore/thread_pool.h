@@ -2,8 +2,8 @@
 //
 // Individual simulations are single-threaded and deterministic; parameter
 // sweeps (one simulation per scheduler x online-rate x seed point) are
-// embarrassingly parallel, so the bench harness and the experiment runner
-// fan sweeps out over this pool. Tasks must not share mutable state: the
+// embarrassingly parallel, so the bench harness (bench::Sweep) fans sweeps
+// out over this pool. Tasks must not share mutable state: the
 // pool's own queue is the only cross-thread state here, guarded by an
 // annotated sim::Mutex so clang's -Wthread-safety proves every access
 // (asman-lint's `thread-safety` rule checks the callers' side — no

@@ -5,8 +5,8 @@
 // every individual VCPU lifecycle transition, and once per VM during credit
 // accounting with the exact minted amount. The production implementation is
 // audit::Auditor (src/audit/); the seam lives here so the VMM never depends
-// on the audit library. When the build is configured with -DASMAN_AUDIT=OFF
-// the notification calls compile to nothing (see hypervisor.h).
+// on the audit library. With no sink installed each notification is one
+// null check (see hypervisor.h).
 #pragma once
 
 #include <cstdint>

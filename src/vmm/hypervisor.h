@@ -347,8 +347,7 @@ class Hypervisor : public HypervisorPort {
   Credit credit_cap() const { return credit_cap_; }
 
   /// Install (or, with nullptr, remove) the invariant-audit sink. The sink
-  /// must outlive the hypervisor or be removed first. No-op hooks when the
-  /// build has auditing compiled out (ASMAN_AUDIT=OFF).
+  /// must outlive the hypervisor or be removed first.
   void set_audit_sink(AuditSink* sink) { audit_ = sink; }
   AuditSink* audit_sink() const { return audit_; }
 
@@ -731,9 +730,7 @@ class Hypervisor : public HypervisorPort {
   /// accounting boundaries and when load falls).
   void maybe_restore_overload();
 
-  // Audit notification helpers; compiled to nothing with ASMAN_AUDIT=OFF so
-  // the hot paths carry no audit branches in benchmark builds.
-#ifdef ASMAN_AUDIT_ENABLED
+  // Audit notification helpers: one null check when no sink is installed.
   void audit_event(AuditPoint pt) {
     if (audit_) audit_->on_sched_event(pt);
   }
@@ -758,16 +755,6 @@ class Hypervisor : public HypervisorPort {
   void audit_contention() {
     if (audit_) audit_->on_contention();
   }
-#else
-  void audit_event(AuditPoint) {}
-  void audit_transition(VcpuKey, VcpuState, VcpuState) {}
-  void audit_minted(VmId, Credit) {}
-  void audit_seeded(VmId, __int128) {}
-  void audit_created(VmId) {}
-  void audit_resized(VmId) {}
-  void audit_relocated(VmId) {}
-  void audit_contention() {}
-#endif
 
   hw::MachineConfig machine_;
   hw::Topology topo_;     // machine_.resolved_topology(), fixed at ctor

@@ -75,9 +75,7 @@ TEST(AdversaryHardening, EveryAttackBoundedWithCleanAudit) {
                 kAttackerFairShare + kFairnessEpsilon);
       EXPECT_EQ(rr.theft_cycles, 0u);
       EXPECT_EQ(rr.dodged_samples, 0u);
-#ifdef ASMAN_AUDIT_ENABLED
       EXPECT_GT(rr.audit_checks, 0u);
-#endif
       EXPECT_EQ(rr.audit_violations, 0u) << rr.audit_summary;
       // The honest tenants get their shares back.
       EXPECT_GE(rr.vm("Victim").observed_online_rate, 0.40);

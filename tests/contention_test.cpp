@@ -291,9 +291,7 @@ TEST(ContentionAudit, ContentionRunsAuditCleanForEveryScheduler) {
     const ex::RunResult rr = ex::run_scenario(sc);
     EXPECT_EQ(rr.audit_violations, 0u)
         << core::to_string(sched) << "\n" << rr.audit_summary;
-#ifdef ASMAN_AUDIT_ENABLED
     EXPECT_GT(rr.audit_checks, 0u) << core::to_string(sched);
-#endif
   }
 }
 

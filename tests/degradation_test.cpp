@@ -31,10 +31,8 @@ TEST_P(ChaosMatrix, AuditedRunSurvivesToHorizonWithZeroViolations) {
   Scenario sc = chaos_scenario(sched, cls, 42);
   sc.audit = true;
   const RunResult rr = run_scenario(sc);
-#ifdef ASMAN_AUDIT_ENABLED
   EXPECT_GT(rr.audit_checks, 0u);
   EXPECT_EQ(rr.audit_violations, 0u) << rr.audit_summary;
-#endif
   // No deadlock: the run reaches the horizon (the workloads are sized to
   // outlast it) and PCPUs were not idling the run away. Tick jitter can
   // leave the final event a hair short of the horizon, hence >= 99%.

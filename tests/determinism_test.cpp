@@ -116,7 +116,6 @@ TEST(Determinism, FlatVariantsMatchDefault) {
   EXPECT_EQ(fp, fingerprint(run_scenario(blind)));
 }
 
-#ifdef ASMAN_AUDIT_ENABLED
 TEST(Determinism, AuditedRunMatchesUnauditedRun) {
   // Observation must not perturb the system: the auditor only reads
   // hypervisor state, so attaching it cannot change any statistic.
@@ -129,7 +128,6 @@ TEST(Determinism, AuditedRunMatchesUnauditedRun) {
   EXPECT_EQ(ra.audit_violations, 0u);
   EXPECT_EQ(fingerprint(run_scenario(plain)), fa);
 }
-#endif
 
 /// Every trace record of a short lock-hammer run, hypervisor and guest,
 /// one per line.

@@ -73,10 +73,31 @@ TEST(LintCli, RejectsUnknownCheck) {
   EXPECT_NE(r.output.find("unknown check"), std::string::npos);
 }
 
+TEST(LintCli, RejectsMalformedBudgetAndRetiredFlags) {
+  const std::string clean = " " + fixture("fixture_clean.cpp");
+  // The budget is a whole non-negative number or nothing.
+  for (const char* bad : {"abc", "5x", "-1"}) {
+    const LintRun r =
+        run_lint(std::string("--max-allows ") + bad + clean);
+    EXPECT_EQ(r.exit_code, 2) << bad << "\n" << r.output;
+    EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
+  }
+  const LintRun ok = run_lint("--max-allows 0" + clean);
+  EXPECT_EQ(ok.exit_code, 0) << ok.output;
+  EXPECT_NE(ok.output.find("(budget 0)"), std::string::npos) << ok.output;
+  // Flags of the retired clang engine and compile-database mode are
+  // unknown now.
+  for (const char* gone : {"--engine ast", "-p build", "--prefix src/", "-q"}) {
+    const LintRun r = run_lint(std::string(gone) + clean);
+    EXPECT_EQ(r.exit_code, 2) << gone << "\n" << r.output;
+    EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
+  }
+}
+
 TEST(LintDeterminism, FixtureFiresOnEveryPlantedViolation) {
   const LintRun r = run_lint(fixture("fixture_determinism.cpp"));
   EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_EQ(count_of(r.output, "[determinism]"), 11) << r.output;
+  EXPECT_EQ(count_of(r.output, "[determinism]"), 14) << r.output;
   // One assertion per planted construct, so a regression names its victim.
   EXPECT_NE(r.output.find("#include <random>"), std::string::npos);
   EXPECT_NE(r.output.find("#include <ctime>"), std::string::npos);
@@ -89,6 +110,21 @@ TEST(LintDeterminism, FixtureFiresOnEveryPlantedViolation) {
   EXPECT_NE(r.output.find("comparing object addresses"), std::string::npos);
   EXPECT_NE(r.output.find("std::less over a pointer type"), std::string::npos);
   EXPECT_NE(r.output.find("'uintptr_t'"), std::string::npos);
+  // libc random() through the global qualifier, a wall clock laundered
+  // through a #define (flagged at the define), and two pointer-typed
+  // parameters compared with '<'.
+  EXPECT_NE(r.output.find("fixture_determinism.cpp:53: [determinism] "
+                          "'random'"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("fixture_determinism.cpp:58: [determinism] "
+                          "wall-clock call 'time()'"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("fixture_determinism.cpp:63: [determinism] "
+                          "relational comparison of pointers"),
+            std::string::npos)
+      << r.output;
 }
 
 TEST(LintOrderedIteration, FixtureFiresOnEveryPlantedLoop) {
@@ -103,12 +139,21 @@ TEST(LintOrderedIteration, FixtureFiresOnEveryPlantedLoop) {
 TEST(LintIntegerCredit, FixtureFiresOnEveryPlantedViolation) {
   const LintRun r = run_lint(fixture("fixture_credit.cpp"));
   EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_EQ(count_of(r.output, "[integer-credit]"), 4) << r.output;
+  EXPECT_EQ(count_of(r.output, "[integer-credit]"), 6) << r.output;
   EXPECT_NE(r.output.find("credit-scale multiply without __int128"),
             std::string::npos);
   EXPECT_NE(r.output.find("floating point reaching credit store"),
             std::string::npos);
-  EXPECT_EQ(count_of(r.output, "narrowing cast of credit quantity"), 2)
+  EXPECT_EQ(count_of(r.output, "narrowing cast of credit quantity"), 4)
+      << r.output;
+  // (int)v.credit and short(v.credit): the C-style and functional casts.
+  EXPECT_NE(r.output.find("fixture_credit.cpp:44: [integer-credit] "
+                          "narrowing cast"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("fixture_credit.cpp:45: [integer-credit] "
+                          "narrowing cast"),
+            std::string::npos)
       << r.output;
   // The rogue credit write in decay() is also an audit-seam breach, and the
   // flow-sensitive credit-flow check sees the same store as unsaturated.
@@ -438,7 +483,7 @@ TEST(LintCheckFilter, SingleCheckRunsAlone) {
   const LintRun r =
       run_lint("--check integer-credit " + fixture("fixture_credit.cpp"));
   EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_EQ(count_of(r.output, "[integer-credit]"), 4) << r.output;
+  EXPECT_EQ(count_of(r.output, "[integer-credit]"), 6) << r.output;
   EXPECT_EQ(count_of(r.output, "[audit-seam]"), 0) << r.output;
 }
 

@@ -3,8 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "bench_util.h"
 #include "experiments/paper.h"
-#include "experiments/runner.h"
 #include "workloads/synthetic.h"
 
 namespace asman::experiments {
@@ -141,30 +141,31 @@ TEST(PaperConfigs, RatePointsMatchEquation2) {
 }
 
 TEST(Runner, SweepPreservesOrder) {
-  std::vector<SweepPoint> pts;
+  // bench::Sweep is the fan-out every bench binary ships with.
+  bench::Sweep sweep;
+  std::vector<Scenario> scenarios;
   for (int i = 0; i < 3; ++i) {
     Scenario sc = tiny_scenario(core::SchedulerKind::kCredit);
     sc.seed = static_cast<std::uint64_t>(i + 1);
-    pts.push_back({"p" + std::to_string(i), std::move(sc)});
+    scenarios.push_back(sc);
+    sweep.add("p" + std::to_string(i), std::move(sc));
   }
-  const auto results = run_sweep(pts, 2);
-  ASSERT_EQ(results.size(), 3u);
-  for (const auto& r : results) EXPECT_TRUE(r.vm("V1").finished);
-  // Order is by input, not completion: seeds differ so runtimes differ,
-  // and re-running yields identical values (determinism through the pool).
-  const auto again = run_sweep(pts, 2);
-  for (std::size_t i = 0; i < 3; ++i)
-    EXPECT_DOUBLE_EQ(results[i].vm("V1").runtime_seconds,
-                     again[i].vm("V1").runtime_seconds);
-}
-
-TEST(Runner, RepeatedProtocolSummarizes) {
-  Scenario sc = tiny_scenario(core::SchedulerKind::kCredit);
-  const sim::Summary s = run_repeated(
-      sc, 5, [](const RunResult& r) { return r.vm("V1").runtime_seconds; }, 2);
-  EXPECT_EQ(s.count(), 5u);
-  EXPECT_GT(s.mean(), 0.0);
-  EXPECT_LT(s.cv(), 0.5);
+  sweep.execute();
+  ASSERT_EQ(sweep.labels(), (std::vector<std::string>{"p0", "p1", "p2"}));
+  // Each label gets its own scenario's result, not a neighbour's: seeds
+  // differ so runtimes differ, and the pooled run equals a serial one
+  // (determinism through the pool).
+  std::vector<double> runtimes;
+  for (std::size_t i = 0; i < 3; ++i) {
+    const RunResult& r = sweep.get(sweep.labels()[i]);
+    EXPECT_TRUE(r.vm("V1").finished);
+    EXPECT_DOUBLE_EQ(r.vm("V1").runtime_seconds,
+                     run_scenario(scenarios[i]).vm("V1").runtime_seconds);
+    runtimes.push_back(r.vm("V1").runtime_seconds);
+  }
+  EXPECT_NE(runtimes[0], runtimes[1]);
+  EXPECT_NE(runtimes[1], runtimes[2]);
+  EXPECT_NE(runtimes[0], runtimes[2]);
 }
 
 }  // namespace

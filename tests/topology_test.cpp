@@ -277,9 +277,7 @@ TEST(TopologyAudit, AwareTopologyRunsAuditClean) {
     const ex::RunResult rr = ex::run_scenario(sc);
     EXPECT_EQ(rr.audit_violations, 0u)
         << core::to_string(sched) << "\n" << rr.audit_summary;
-#ifdef ASMAN_AUDIT_ENABLED
     EXPECT_GT(rr.audit_checks, 0u) << core::to_string(sched);
-#endif
   }
 }
 

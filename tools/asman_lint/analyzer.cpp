@@ -267,7 +267,7 @@ FunctionIndex::FunctionIndex(const FileUnit& unit) {
         full += chain;
         std::size_t e = match_forward(t, body);
         if (e >= t.size()) e = t.size() - 1;
-        spans_.push_back({std::move(full), body, e + 1});
+        spans_.push_back({std::move(full), body, e + 1, i});
         i = e + 1;
         continue;
       }

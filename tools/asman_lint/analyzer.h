@@ -1,7 +1,6 @@
 // Structural analysis over the token stream: enclosing-function index and
-// statement extraction. This is the portable engine's stand-in for an AST —
-// precise enough for the project's own disciplines, with the clang engine
-// (when built) providing full semantic confirmation in CI.
+// statement extraction. This is the engine's stand-in for an AST — precise
+// enough for the project's own disciplines.
 #pragma once
 
 #include <cstddef>
@@ -20,8 +19,9 @@ namespace asman_lint {
 /// right granularity for the audited-setter whitelists.
 struct FunctionSpan {
   std::string name;
-  std::size_t begin;  // index of the body's '{'
-  std::size_t end;    // index one past the matching '}'
+  std::size_t begin;   // index of the body's '{'
+  std::size_t end;     // index one past the matching '}'
+  std::size_t params;  // index of the parameter list's '('
 };
 
 class FunctionIndex {

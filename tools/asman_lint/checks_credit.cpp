@@ -76,6 +76,37 @@ bool stmt_has_ident(const std::vector<Token>& t, StmtRange r,
   return false;
 }
 
+bool is_punct(const Token& t, const char* s) {
+  return t.kind == Tok::kPunct && t.text == s;
+}
+
+// Reports the first credit-named identifier in the cast operand
+// [begin, end), if any.
+void report_narrowing(const AnalysisContext& ctx, int line, std::size_t begin,
+                      std::size_t end) {
+  const std::vector<Token>& t = ctx.unit.toks;
+  for (std::size_t j = begin; j < end && j < t.size(); ++j) {
+    if (t[j].kind == Tok::kIdent && credit_ident(t[j].text)) {
+      ctx.report(line, "integer-credit",
+                 "narrowing cast of credit quantity '" + t[j].text +
+                     "' discards range; credit stays __int128/int64 end to "
+                     "end");
+      return;
+    }
+  }
+}
+
+// End of a C-style cast's operand starting at `i`: a parenthesized
+// expression, or a postfix chain of names (`v.credit`, `p->vcpu.credit`).
+std::size_t cast_operand_end(const std::vector<Token>& t, std::size_t i) {
+  if (i < t.size() && is_punct(t[i], "(")) return match_forward(t, i) + 1;
+  std::size_t j = i;
+  while (j < t.size() && (t[j].kind == Tok::kIdent || is_punct(t[j], ".") ||
+                          is_punct(t[j], "->") || is_punct(t[j], "::")))
+    ++j;
+  return j;
+}
+
 }  // namespace
 
 void check_integer_credit(const AnalysisContext& ctx) {
@@ -119,27 +150,45 @@ void check_integer_credit(const AnalysisContext& ctx) {
       continue;
     }
 
-    // (3) Narrowing cast of a credit quantity: static_cast<int>(v.credit).
+    // (3) Narrowing cast of a credit quantity, in each spelling:
+    // static_cast<int>(v.credit), (int)v.credit and int(v.credit).
     if (t[i].kind == Tok::kIdent && t[i].text == "static_cast" &&
-        i + 1 < t.size() && t[i + 1].kind == Tok::kPunct &&
-        t[i + 1].text == "<") {
+        i + 1 < t.size() && is_punct(t[i + 1], "<")) {
       const std::size_t tclose = match_forward(t, i + 1);
       if (tclose >= t.size()) continue;
       if (!narrow_type(t, i + 2, tclose)) continue;
-      if (tclose + 1 >= t.size() || !(t[tclose + 1].kind == Tok::kPunct &&
-                                      t[tclose + 1].text == "("))
-        continue;
+      if (tclose + 1 >= t.size() || !is_punct(t[tclose + 1], "(")) continue;
       const std::size_t aclose = match_forward(t, tclose + 1);
       if (aclose >= t.size()) continue;
-      for (std::size_t j = tclose + 2; j < aclose; ++j) {
-        if (t[j].kind == Tok::kIdent && credit_ident(t[j].text)) {
-          ctx.report(t[i].line, "integer-credit",
-                     "narrowing cast of credit quantity '" + t[j].text +
-                         "' discards range; credit stays __int128/int64 "
-                         "end to end");
-          break;
-        }
-      }
+      report_narrowing(ctx, t[i].line, tclose + 2, aclose);
+      continue;
+    }
+    // C-style: '(' a type made only of names ')' then the operand.
+    if (is_punct(t[i], "(")) {
+      const std::size_t close = match_forward(t, i);
+      if (close >= t.size() || close == i + 1) continue;
+      bool type_only = true;
+      for (std::size_t j = i + 1; j < close && type_only; ++j)
+        type_only = t[j].kind == Tok::kIdent || is_punct(t[j], "::");
+      if (type_only && narrow_type(t, i + 1, close))
+        report_narrowing(ctx, t[i].line, close + 1,
+                         cast_operand_end(t, close + 1));
+      continue;
+    }
+    // Functional: a one-word narrow type called like a function. Not after
+    // '<' (`function<int(Credit)>` is a function type), and two adjacent
+    // names inside make it a declarator (`int(Credit credit)`).
+    if (t[i].kind == Tok::kIdent && i + 1 < t.size() &&
+        is_punct(t[i + 1], "(") &&
+        !(i > 0 && (is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->") ||
+                    is_punct(t[i - 1], "<"))) &&
+        narrow_type(t, i, i + 1)) {
+      const std::size_t close = match_forward(t, i + 1);
+      if (close >= t.size()) continue;
+      bool declarator = false;
+      for (std::size_t j = i + 2; j + 1 < close && !declarator; ++j)
+        declarator = t[j].kind == Tok::kIdent && t[j + 1].kind == Tok::kIdent;
+      if (!declarator) report_narrowing(ctx, t[i].line, i + 2, close);
     }
   }
 }

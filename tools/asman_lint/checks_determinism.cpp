@@ -1,9 +1,11 @@
 // determinism: the simulation must be a pure function of its seed. Wall
 // clocks, libc randomness, environment reads, and pointer-address ordering
 // all smuggle host state into the run and break bit-identical replay; the
-// only sanctioned randomness is the seeded simcore::rng engine.
+// only sanctioned randomness is the seeded simcore::rng engine. Calls are
+// checked in code and in #define bodies alike.
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "analyzer.h"
 
@@ -25,10 +27,45 @@ const std::unordered_set<std::string>& banned_idents() {
   return b;
 }
 
+bool is_punct(const Token& t, const char* s) {
+  return t.kind == Tok::kPunct && t.text == s;
+}
+
 bool prev_is_member_access(const std::vector<Token>& t, std::size_t i) {
   if (i == 0) return false;
-  return t[i - 1].kind == Tok::kPunct &&
-         (t[i - 1].text == "." || t[i - 1].text == "->");
+  return is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->");
+}
+
+// Keywords that can open an expression: `return ::f()` is global-scope,
+// `return a * b;` is no declaration.
+bool expression_keyword(const std::string& s) {
+  static const std::unordered_set<std::string> k{
+      "return", "co_return", "co_yield", "throw", "case",
+      "else",   "do",        "new",      "delete", "sizeof"};
+  return k.count(s) != 0;
+}
+
+// The scope qualifying the name at `i`: "" when unqualified, "::" for the
+// global scope, else the qualifying name ("std").
+std::string qualifier(const std::vector<Token>& t, std::size_t i) {
+  if (i == 0 || !is_punct(t[i - 1], "::")) return "";
+  if (i >= 2 && t[i - 2].kind == Tok::kIdent &&
+      !expression_keyword(t[i - 2].text))
+    return t[i - 2].text;
+  return "::";
+}
+
+bool call_at(const std::vector<Token>& t, std::size_t i) {
+  return i + 1 < t.size() && is_punct(t[i + 1], "(");
+}
+
+// For `random(`: libc's PRNG, but also a plausible project method name, so
+// only a call that can resolve to libc — unqualified, `::` or `std::` — is
+// flagged; a member call or another scope's function is not.
+bool libc_random_call(const std::vector<Token>& t, std::size_t i) {
+  if (!call_at(t, i) || prev_is_member_access(t, i)) return false;
+  const std::string q = qualifier(t, i);
+  return q.empty() || q == "::" || q == "std";
 }
 
 // For `time(` / `clock(`: flag only `std::`- or global-`::`-qualified
@@ -37,14 +74,9 @@ bool prev_is_member_access(const std::vector<Token>& t, std::size_t i) {
 // unqualified libc call needs <ctime>/<time.h>, which the include rule
 // flags on its own — so qualified-only keeps full coverage.
 bool wall_clock_call(const std::vector<Token>& t, std::size_t i) {
-  if (i + 1 >= t.size() || !(t[i + 1].kind == Tok::kPunct &&
-                             t[i + 1].text == "("))
-    return false;
-  if (i == 0 || t[i - 1].kind != Tok::kPunct || t[i - 1].text != "::")
-    return false;
-  if (i >= 2 && t[i - 2].kind == Tok::kIdent)
-    return t[i - 2].text == "std";
-  return true;  // global-scope ::time( / ::clock(
+  if (!call_at(t, i)) return false;
+  const std::string q = qualifier(t, i);
+  return q == "::" || q == "std";
 }
 
 // Flow-sensitive escape hatch for getenv: `const char* x = getenv(...)`
@@ -96,25 +128,17 @@ bool getenv_confined(const AnalysisContext& ctx, std::size_t i) {
   return true;
 }
 
-}  // namespace
-
-void check_determinism(const AnalysisContext& ctx) {
-  const std::vector<Token>& t = ctx.unit.toks;
-
-  for (const Include& inc : ctx.unit.includes) {
-    if (inc.target == "random" || inc.target == "ctime" ||
-        inc.target == "time.h" || inc.target == "sys/time.h")
-      ctx.report(inc.line, "determinism",
-                 "#include <" + inc.target +
-                     "> pulls in nondeterministic sources; use the seeded "
-                     "simcore::rng engine");
-  }
-
+// Host-state sources over one token stream: the code (`code` true, where
+// the getenv confinement proof applies) or the #define bodies.
+void scan_host_state(const AnalysisContext& ctx, const std::vector<Token>& t,
+                     bool code) {
   for (std::size_t i = 0; i < t.size(); ++i) {
     if (t[i].kind == Tok::kIdent) {
-      if (banned_idents().count(t[i].text) != 0 &&
-          !prev_is_member_access(t, i)) {
-        if (t[i].text == "getenv" && getenv_confined(ctx, i)) continue;
+      if ((banned_idents().count(t[i].text) != 0 &&
+           !prev_is_member_access(t, i)) ||
+          (t[i].text == "random" && libc_random_call(t, i))) {
+        if (t[i].text == "getenv" && code && getenv_confined(ctx, i))
+          continue;
         ctx.report(t[i].line, "determinism",
                    "'" + t[i].text +
                        "' injects host state into the simulation; all "
@@ -179,6 +203,100 @@ void check_determinism(const AnalysisContext& ctx) {
       }
     }
   }
+}
+
+// Names a function declares with pointer type: parameters of its own and
+// its lambdas' parameter lists (`T* p` before `,` `)` or `=`), and body
+// locals whose declaration opens a statement or a for/if/while header.
+std::unordered_set<std::string> pointer_names(const std::vector<Token>& t,
+                                              const FunctionSpan& fn) {
+  std::unordered_set<std::string> names;
+  const auto params = [&t, &names](std::size_t open) {
+    const std::size_t close = match_forward(t, open);
+    for (std::size_t k = open + 1; k + 2 <= close && close < t.size(); ++k)
+      if (is_punct(t[k], "*") && t[k + 1].kind == Tok::kIdent &&
+          (is_punct(t[k + 2], ",") || is_punct(t[k + 2], ")") ||
+           is_punct(t[k + 2], "=")))
+        names.insert(t[k + 1].text);
+  };
+  params(fn.params);
+  for (std::size_t k = fn.begin; k + 2 < fn.end && k + 2 < t.size(); ++k) {
+    if (is_punct(t[k], "]") && is_punct(t[k + 1], "(")) params(k + 1);
+    if (!is_punct(t[k], "*") || t[k + 1].kind != Tok::kIdent) continue;
+    const Token& after = t[k + 2];
+    if (!(is_punct(after, "=") || is_punct(after, ";") ||
+          is_punct(after, "{") || is_punct(after, ":") ||
+          is_punct(after, ",")))
+      continue;
+    // Walk back over the type (`const vmm::Vcpu`) to what precedes it.
+    std::size_t j = k;
+    bool keyword = false;
+    while (j > fn.begin &&
+           (t[j - 1].kind == Tok::kIdent || is_punct(t[j - 1], "::"))) {
+      keyword = keyword || expression_keyword(t[j - 1].text);
+      --j;
+    }
+    if (j == k || keyword) continue;
+    const Token& before = t[j - 1];
+    const bool opens_statement = is_punct(before, ";") ||
+                                 is_punct(before, "{") || is_punct(before, "}");
+    const bool opens_header =
+        is_punct(before, "(") && j >= 2 && t[j - 2].kind == Tok::kIdent &&
+        (t[j - 2].text == "for" || t[j - 2].text == "if" ||
+         t[j - 2].text == "while" || t[j - 2].text == "switch");
+    if (opens_statement || opens_header) names.insert(t[k + 1].text);
+  }
+  return names;
+}
+
+// `p < q` (or >, <=, >=) on two names of pointer type orders by allocation
+// layout. Only bare names count: `p->key < q->key` compares members.
+void check_pointer_order(const AnalysisContext& ctx) {
+  const std::vector<Token>& t = ctx.unit.toks;
+  for (const FunctionSpan& fn : ctx.functions.spans()) {
+    const std::unordered_set<std::string> ptrs = pointer_names(t, fn);
+    if (ptrs.size() < 2) continue;
+    for (std::size_t i = fn.begin + 2; i + 2 < fn.end && i + 2 < t.size();
+         ++i) {
+      if (!(is_punct(t[i], "<") || is_punct(t[i], ">") ||
+            is_punct(t[i], "<=") || is_punct(t[i], ">=")))
+        continue;
+      const Token& lhs = t[i - 1];
+      const Token& rhs = t[i + 1];
+      if (lhs.kind != Tok::kIdent || rhs.kind != Tok::kIdent ||
+          ptrs.count(lhs.text) == 0 || ptrs.count(rhs.text) == 0)
+        continue;
+      const Token& l_pre = t[i - 2];
+      const Token& r_post = t[i + 2];
+      if (is_punct(l_pre, ".") || is_punct(l_pre, "->") ||
+          is_punct(l_pre, "::") || is_punct(l_pre, "*") ||
+          is_punct(l_pre, "&") || is_punct(r_post, ".") ||
+          is_punct(r_post, "->") || is_punct(r_post, "[") ||
+          is_punct(r_post, "(") || is_punct(r_post, "::"))
+        continue;
+      ctx.report(t[i].line, "determinism",
+                 "relational comparison of pointers `" + lhs.text + "` " +
+                     t[i].text + " `" + rhs.text +
+                     "` orders by allocation layout, which varies run to "
+                     "run; order by stable keys (VcpuKey) instead");
+    }
+  }
+}
+
+}  // namespace
+
+void check_determinism(const AnalysisContext& ctx) {
+  for (const Include& inc : ctx.unit.includes) {
+    if (inc.target == "random" || inc.target == "ctime" ||
+        inc.target == "time.h" || inc.target == "sys/time.h")
+      ctx.report(inc.line, "determinism",
+                 "#include <" + inc.target +
+                     "> pulls in nondeterministic sources; use the seeded "
+                     "simcore::rng engine");
+  }
+  scan_host_state(ctx, ctx.unit.toks, true);
+  scan_host_state(ctx, ctx.unit.macro_toks, false);
+  check_pointer_order(ctx);
 }
 
 }  // namespace asman_lint

@@ -12,11 +12,12 @@
 //                    (MutexLock / lock_guard / unique_lock / scoped_lock)
 //                    visible in the lambda body. No captured Hypervisor or
 //                    Simulator may be touched at all: those are confined to
-//                    the task that owns them (the clang lanes back this
-//                    with -Wthread-safety on the annotated types).
+//                    the task that owns them (the clang tsan lane backs
+//                    this with -Wthread-safety on the annotated types).
 //   rng-discipline - a worker may not draw from a captured RNG stream;
 //                    seeds are split per task BEFORE the fan-out and each
-//                    task seeds its own stream (see run_repeated).
+//                    task seeds its own stream (bench::BasicSweep: each
+//                    Scenario carries its own seed).
 //
 // The cross-TU half follows calls out of worker lambdas through the call
 // graph: any reachable write to a file-scope mutable static is a hidden
@@ -186,7 +187,8 @@ void check_thread_safety(const AnalysisContext& ctx) {
         ctx.report(t[j].line, "rng-discipline",
                    "pool worker draws from captured RNG `" + name +
                        "`: split seeds before the fan-out and give each "
-                       "task its own seeded stream (see run_repeated)");
+                       "task its own seeded stream (as bench::BasicSweep's "
+                       "per-Scenario seeds do)");
         continue;
       }
 

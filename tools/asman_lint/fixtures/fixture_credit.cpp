@@ -4,7 +4,7 @@
 //   - 1x unwidened kCreditPerSlot multiply (total_mint)
 //   - 2x in decay(): a float expression stored to a credit field, plus the
 //     static_cast<double> narrowing-out of a credit quantity
-//   - 1x narrowing cast of a credit quantity to int (percent)
+//   - 3x narrowing cast of a credit quantity to int/short (percent*)
 // decay() additionally trips `audit-seam` (a credit write outside the
 // audited accounting paths), which lint_test pins down too.
 #include <cstdint>
@@ -39,5 +39,9 @@ void decay(Vcpu& v) {
 int percent(const Vcpu& v) {
   return static_cast<int>(v.credit);
 }
+
+// planted: the same narrowing, spelled as a C-style and a functional cast.
+int percent_c_style(const Vcpu& v) { return (int)v.credit; }
+short percent_functional(const Vcpu& v) { return short(v.credit); }
 
 }  // namespace fixture

@@ -49,4 +49,18 @@ std::uint64_t layout_key(const Vcpu* v) {
   return reinterpret_cast<std::uintptr_t>(v);  // planted: pointer-to-int
 }
 
+long host_random() {
+  return ::random();  // planted: libc PRNG through the global qualifier
+}
+
+// planted: a wall-clock call laundered through a macro, flagged at the
+// #define (the expansion below carries no banned token of its own).
+#define WALL_NOW() ::time(nullptr)
+
+long long wall_via_macro() { return static_cast<long long>(WALL_NOW()); }
+
+bool pointer_order(const Vcpu* a, const Vcpu* b) {
+  return a < b;  // planted: ordering by pointer value
+}
+
 }  // namespace fixture

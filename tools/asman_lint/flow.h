@@ -8,7 +8,7 @@
 // "can a redistribution escape to the exit without passing audit_minted?")
 // instead of pattern questions. The CFG is statement-granular and built by
 // recursive descent over the same token stream the lexical checks read, so
-// the portable engine still needs nothing beyond the C++ toolchain.
+// the tool still needs nothing beyond the C++ toolchain.
 #pragma once
 
 #include <cstddef>

@@ -166,6 +166,16 @@ class Scanner {
       text.push_back(s_[i_]);
       ++i_;
     }
+    const std::size_t word = text.find_first_not_of(" \t", 1);
+    if (word != std::string::npos && text.compare(word, 6, "define") == 0) {
+      FileUnit body;
+      Scanner(text.substr(word + 6), body).run();
+      for (Token& tok : body.toks) {
+        tok.line = line;
+        u_.macro_toks.push_back(std::move(tok));
+      }
+      return;
+    }
     const std::size_t inc = text.find("include");
     if (inc != std::string::npos) {
       std::size_t a = text.find_first_of("<\"", inc);

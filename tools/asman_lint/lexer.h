@@ -10,7 +10,8 @@ namespace asman_lint {
 /// Lexes `source` into tokens. Handles line/block comments (harvesting
 /// `asman-lint: allow(...)` pragmas), string/char/raw-string literals,
 /// digit separators (100'000), float-literal classification, and
-/// preprocessor lines (skipped; `#include` targets recorded).
+/// preprocessor lines (skipped; `#include` targets recorded, `#define`
+/// tokens kept in FileUnit::macro_toks).
 FileUnit lex_file(std::string path, std::string display_path,
                   const std::string& source);
 

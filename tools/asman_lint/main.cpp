@@ -2,28 +2,20 @@
 // determinism, credit-accounting, state-machine and thread-safety
 // disciplines (docs/MODEL.md "Static guarantees").
 //
-//   asman_lint [--root DIR] [-p BUILD_DIR] [--prefix P]... [--check NAME]
-//              [--max-allows N] [--sarif FILE] [--list-checks] [-q]
-//              [files...]
+//   asman_lint [--root DIR] [--check NAME]... [--max-allows N]
+//              [--sarif FILE] [--list-checks] [files...]
 //
-// With explicit files, lints those. With -p, lints the first-party TUs out
-// of BUILD_DIR/compile_commands.json (plus in-scope headers). Otherwise
-// walks --root's src/, bench/ and examples/ trees (or the --prefix set).
-// Exit codes: 0 clean, 1 findings or suppression budget exceeded, 2
-// usage/IO error.
+// With explicit files, lints those. Otherwise walks --root's src/, bench/
+// and examples/ trees. Exit codes: 0 clean, 1 findings or suppression
+// budget exceeded, 2 usage/IO error.
 //
-// This binary is the portable lexical/structural engine and builds with
-// nothing beyond the C++ toolchain, so the `lint`-labeled tests run in
-// every tier-1 configuration. The clang libTooling engine (engine_clang.cpp)
-// is compiled in when -DASMAN_LINT_CLANG=ON finds a Clang dev install
-// (the pinned-LLVM CI lane does) and re-verifies the same disciplines with
-// full semantic information.
+// The analyzer is a lexical/structural engine that builds with nothing
+// beyond the C++ toolchain, so the `lint`-labeled tests run in every
+// tier-1 configuration.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -37,14 +29,16 @@
 
 namespace asman_lint {
 
-#ifdef ASMAN_LINT_HAVE_CLANG
-int run_clang_engine(const Options& options,
-                     const std::vector<std::string>& files);
-#endif
-
 namespace {
 
 namespace fs = std::filesystem;
+
+// The tree walk's scope. All first-party code is in scope: the simulator
+// itself plus the bench and example TUs (a nondeterministic bench harness
+// would invalidate every perf trajectory comparison just as surely as a
+// nondeterministic scheduler would invalidate replay). Tests are out of
+// scope: they seed violations through test seams on purpose.
+const char* const kScope[] = {"src/", "bench/", "examples/"};
 
 bool source_like(const fs::path& p) {
   const std::string ext = p.extension().string();
@@ -59,84 +53,40 @@ std::string display_path(const std::string& path, const std::string& root) {
   return rel.generic_string();
 }
 
-/// Minimal compile_commands.json reader: extracts every "file" value. The
-/// format is machine-generated by CMake, so a targeted scan (no general
-/// JSON parser) is dependable here.
-bool compile_db_files(const std::string& build_dir,
-                      std::vector<std::string>& out, std::string& error) {
-  const std::string db = build_dir + "/compile_commands.json";
-  std::ifstream in(db, std::ios::binary);
-  if (!in) {
-    error = "cannot open " + db;
-    return false;
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const std::string j = ss.str();
-  const std::string key = "\"file\"";
-  std::size_t at = 0;
-  while ((at = j.find(key, at)) != std::string::npos) {
-    std::size_t q1 = j.find('"', at + key.size() + 1);
-    if (q1 == std::string::npos) break;
-    ++q1;
-    std::string val;
-    std::size_t q2 = q1;
-    while (q2 < j.size() && j[q2] != '"') {
-      if (j[q2] == '\\' && q2 + 1 < j.size()) ++q2;
-      val.push_back(j[q2]);
-      ++q2;
-    }
-    out.push_back(val);
-    at = q2;
-  }
-  return true;
-}
-
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--root DIR] [-p BUILD_DIR] [--prefix P]... "
-               "[--check NAME]... [--list-checks] [--max-allows N] "
-               "[--sarif FILE] [--engine lex|ast] [-q] [files...]\n"
+               "usage: %s [--root DIR] [--check NAME]... [--list-checks] "
+               "[--max-allows N] [--sarif FILE] [files...]\n"
                "\n"
-               "  --root DIR       repo root (default: cwd)\n"
-               "  -p BUILD_DIR     lint the TUs in compile_commands.json\n"
-               "  --prefix P       scope the walk/DB to paths under P\n"
-               "                   (repeatable; default src/ bench/ examples/)\n"
+               "  --root DIR       repo root (default: cwd); without files,\n"
+               "                   lints its src/, bench/ and examples/\n"
                "  --check NAME     run only the named check (repeatable;\n"
                "                   see --list-checks)\n"
-               "  --max-allows N   suppression budget (default 2)\n"
-               "  --sarif FILE     also write SARIF 2.1.0 to FILE\n"
-               "  --engine lex|ast portable lexer engine (default) or the\n"
-               "                   clang AST engine (if compiled in)\n",
+               "  --max-allows N   suppression budget, a whole number >= 0\n"
+               "                   (default 2)\n"
+               "  --sarif FILE     also write SARIF 2.1.0 to FILE\n",
                argv0);
   return 2;
+}
+
+/// Parses a whole non-negative decimal integer; anything else is false.
+bool parse_count(const std::string& s, int& out) {
+  if (s.empty() || s[0] == '-') return false;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, out);
+  return ec == std::errc() && ptr == end;
 }
 
 }  // namespace
 
 int run(const Options& options) {
-  // Assemble the file list: explicit > compile DB > tree walk.
+  // Assemble the file list: explicit files, else the tree walk.
   std::vector<std::string> files = options.files;
   std::string err;
   const std::string root = options.root.empty() ? "." : options.root;
-  if (files.empty() && !options.compile_db.empty()) {
-    if (!compile_db_files(options.compile_db, files, err)) {
-      std::fprintf(stderr, "asman-lint: %s\n", err.c_str());
-      return 2;
-    }
-    // The DB lists TUs only; headers carry discipline-relevant code too.
-    for (const std::string& prefix : options.prefixes) {
-      std::error_code ec;
-      for (const auto& entry :
-           fs::recursive_directory_iterator(root + "/" + prefix, ec)) {
-        if (entry.is_regular_file() && source_like(entry.path()) &&
-            entry.path().extension() != ".cpp")
-          files.push_back(entry.path().string());
-      }
-    }
-  } else if (files.empty()) {
+  if (files.empty()) {
     bool walked_any = false;
-    for (const std::string& prefix : options.prefixes) {
+    for (const char* prefix : kScope) {
       std::error_code ec;
       for (const auto& entry :
            fs::recursive_directory_iterator(root + "/" + prefix, ec)) {
@@ -156,26 +106,17 @@ int run(const Options& options) {
 
   std::vector<Finding> findings;
   std::vector<std::string> all_functions;
-  bool scanned_any = false;
   std::vector<FileUnit> units;
   units.reserve(files.size());
   for (const std::string& f : files) {
-    const std::string disp = display_path(f, root);
-    // When the list came from the DB/walk, scope to first-party code under
-    // the configured prefixes (tests and third-party TUs are out of the
-    // discipline's scope; tests deliberately seed violations through test
-    // seams).
-    if (options.files.empty() && !under_any_prefix(disp, options))
-      continue;
     FileUnit unit;
-    if (!lex_path(f, disp, unit, err)) {
+    if (!lex_path(f, display_path(f, root), unit, err)) {
       std::fprintf(stderr, "asman-lint: %s\n", err.c_str());
       return 2;
     }
-    scanned_any = true;
     units.push_back(std::move(unit));
   }
-  if (!scanned_any) {
+  if (units.empty()) {
     std::fprintf(stderr, "asman-lint: no files in scope\n");
     return 2;
   }
@@ -260,9 +201,6 @@ int run(const Options& options) {
 int main(int argc, char** argv) {
   using asman_lint::Options;
   Options opt;
-  bool use_clang = false;
-  bool prefix_overridden = false;
-  (void)use_clang;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     auto next = [&](const char* flag) -> const char* {
@@ -276,18 +214,6 @@ int main(int argc, char** argv) {
       const char* v = next("--root");
       if (v == nullptr) return 2;
       opt.root = v;
-    } else if (a == "-p") {
-      const char* v = next("-p");
-      if (v == nullptr) return 2;
-      opt.compile_db = v;
-    } else if (a == "--prefix") {
-      const char* v = next("--prefix");
-      if (v == nullptr) return 2;
-      if (!prefix_overridden) {
-        opt.prefixes.clear();  // first --prefix replaces the default set
-        prefix_overridden = true;
-      }
-      opt.prefixes.push_back(v);
     } else if (a == "--sarif") {
       const char* v = next("--sarif");
       if (v == nullptr) return 2;
@@ -299,22 +225,8 @@ int main(int argc, char** argv) {
     } else if (a == "--max-allows") {
       const char* v = next("--max-allows");
       if (v == nullptr) return 2;
-      opt.max_allows = std::atoi(v);
-    } else if (a == "--engine") {
-      const char* v = next("--engine");
-      if (v == nullptr) return 2;
-      use_clang = std::strcmp(v, "ast") == 0;
-#ifndef ASMAN_LINT_HAVE_CLANG
-      if (use_clang) {
-        std::fprintf(stderr,
-                     "asman-lint: built without the clang engine; "
-                     "rerun with --engine lex or rebuild with "
-                     "-DASMAN_LINT_CLANG=ON\n");
-        return 2;
-      }
-#endif
-    } else if (a == "-q") {
-      opt.quiet = true;
+      if (!asman_lint::parse_count(v, opt.max_allows))
+        return asman_lint::usage(argv[0]);
     } else if (a == "--list-checks") {
       for (const char* c : asman_lint::kCheckNames) std::printf("%s\n", c);
       return 0;
@@ -334,8 +246,5 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-#ifdef ASMAN_LINT_HAVE_CLANG
-  if (use_clang) return asman_lint::run_clang_engine(opt, opt.files);
-#endif
   return asman_lint::run(opt);
 }

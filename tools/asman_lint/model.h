@@ -41,26 +41,14 @@ inline const char* const kCheckNames[] = {
 
 struct Options {
   std::string root;              // repo root (default: cwd)
-  std::string compile_db;        // -p BUILD_DIR (compile_commands.json)
   std::vector<std::string> files;
-  // Scope filters when walking --root / reading the compile DB. All
-  // first-party code is in scope: the simulator itself plus the bench and
-  // example TUs (a nondeterministic bench harness would invalidate every
-  // perf trajectory comparison just as surely as a nondeterministic
-  // scheduler would invalidate replay).
-  std::vector<std::string> prefixes{"src/", "bench/", "examples/"};
   std::vector<std::string> only_checks;  // --check NAME (repeatable)
   std::string sarif_path;        // --sarif FILE (empty: no SARIF output)
   // Suppression budget (CI-visible). The clean tree carries no ledgered
   // allows; actual + 2 keeps a new escape from hiding inside slack.
   int max_allows{2};
-  bool quiet{false};
-  bool list_checks{false};
 };
 
 bool check_enabled(const Options& opt, const char* name);
-
-/// True when `display` starts with any configured prefix (or none are).
-bool under_any_prefix(const std::string& display, const Options& opt);
 
 }  // namespace asman_lint

@@ -39,8 +39,8 @@ ReportStats print_report(const std::vector<Finding>& findings,
     for (const TraceStep& s : f.trace)
       std::fprintf(stderr, "    path: line %d: %s\n", s.line, s.note.c_str());
   }
-  // The suppression ledger is always printed (even under -q): allows are
-  // meant to be visible in CI output, that is the point of the budget.
+  // The suppression ledger is always printed: allows are meant to be
+  // visible in CI output, that is the point of the budget.
   for (const Finding& f : findings) {
     if (!f.allowed) continue;
     std::fprintf(stderr, "%s:%d: [%s] suppressed by allow(%s)%s%s\n",
@@ -48,12 +48,9 @@ ReportStats print_report(const std::vector<Finding>& findings,
                  f.allow_reason.empty() ? "" : " -- ",
                  f.allow_reason.c_str());
   }
-  if (!options.quiet || stats.errors > 0 || stats.suppressed > 0) {
-    std::fprintf(stderr,
-                 "asman-lint: %d error(s), %d suppression(s) "
-                 "(budget %d)\n",
-                 stats.errors, stats.suppressed, options.max_allows);
-  }
+  std::fprintf(stderr,
+               "asman-lint: %d error(s), %d suppression(s) (budget %d)\n",
+               stats.errors, stats.suppressed, options.max_allows);
   if (stats.suppressed > options.max_allows) {
     std::fprintf(stderr,
                  "asman-lint: suppression budget exceeded (%d > %d); prune "
@@ -67,13 +64,6 @@ bool check_enabled(const Options& opt, const char* name) {
   if (opt.only_checks.empty()) return true;
   return std::find(opt.only_checks.begin(), opt.only_checks.end(), name) !=
          opt.only_checks.end();
-}
-
-bool under_any_prefix(const std::string& display, const Options& opt) {
-  if (opt.prefixes.empty()) return true;
-  for (const std::string& p : opt.prefixes)
-    if (display.compare(0, p.size(), p) == 0) return true;
-  return false;
 }
 
 }  // namespace asman_lint

@@ -1,12 +1,11 @@
 // Token model for asman-lint's dependency-free C++ scanner.
 //
-// The portable engine does not build a real AST: it lexes each file into a
-// token stream (comments and preprocessor lines stripped, string/char
-// literals collapsed, `asman-lint: allow(...)` pragmas harvested) and runs
-// the project-discipline checks as structural patterns over that stream.
-// This keeps the tool buildable with nothing but the C++ toolchain; the
-// optional clang engine (engine_clang.cpp, -DASMAN_LINT_CLANG=ON) reuses
-// the same finding/report model with full semantic types.
+// asman-lint does not build a real AST: it lexes each file into a token
+// stream (comments and preprocessor lines stripped, string/char literals
+// collapsed, `asman-lint: allow(...)` pragmas harvested, `#define` bodies
+// kept aside) and runs the project-discipline checks as structural
+// patterns over that stream. This keeps the tool buildable with nothing
+// but the C++ toolchain.
 #pragma once
 
 #include <string>
@@ -50,6 +49,10 @@ struct FileUnit {
   std::string path;          // path as reported in findings
   std::string display_path;  // normalized (repo-relative when possible)
   std::vector<Token> toks;
+  /// Tokens of every `#define` (name, parameters and replacement), each
+  /// carrying its directive's line: a macro can launder a banned call
+  /// past the code stream above.
+  std::vector<Token> macro_toks;
   std::vector<AllowPragma> allows;
   std::vector<Include> includes;
 };

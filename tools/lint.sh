@@ -10,11 +10,11 @@
 #      (tools/asman_lint): determinism, ordered-iteration, integer-credit,
 #      audit-seam, credit-flow, state-machine, thread-safety,
 #      rng-discipline and value-range (the interval-domain overflow proof
-#      seeded from src/core/bounds_spec.h). Uses the binary built in
-#      <build-dir>; skipped with a
-#      note when it has not been built yet (configure alone does not build
-#      it). --sarif <path> forwards to the binary and writes a SARIF 2.1.0
-#      report (this is what CI uploads to code scanning), and requires the
+#      seeded from src/core/bounds_spec.h) over src/, bench/ and
+#      examples/. Uses the binary built in <build-dir>; skipped with a note
+#      when it has not been built yet (configure alone does not build it).
+#      --sarif <path> forwards to the binary and writes a SARIF 2.1.0
+#      report (the format CI uploads to code scanning), and requires the
 #      binary to exist.
 #
 #   2. clang-tidy — over the whole compile database. --fix applies
@@ -33,7 +33,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,28p' "tools/lint.sh" | sed 's/^# \{0,1\}//'
+  # The header comment, line 2 up to the first line that is not a comment.
+  sed -n '2,/^[^#]/s/^# \{0,1\}//p' "tools/lint.sh"
 }
 
 FIX=0
@@ -73,11 +74,10 @@ fi
 
 STATUS=0
 
-# Pass 1: asman-lint tree scan (portable engine; the clang AST engine runs
-# in the dedicated lint-static CI lane where pinned LLVM is installed).
+# Pass 1: asman-lint tree scan (src/, bench/ and examples/).
 ASMAN_LINT="$BUILD_DIR/tools/asman_lint/asman_lint"
 if [ -x "$ASMAN_LINT" ]; then
-  LINT_ARGS=(--root . -p "$BUILD_DIR")
+  LINT_ARGS=(--root .)
   [ -n "$SARIF_OUT" ] && LINT_ARGS+=(--sarif "$SARIF_OUT")
   echo "lint.sh: asman-lint tree scan (${ASMAN_LINT})" >&2
   "$ASMAN_LINT" "${LINT_ARGS[@]}" || STATUS=$?
@@ -110,13 +110,11 @@ fi
 # files not yet committed (e.g. a freshly added src/vmm TU) so pre-commit
 # runs lint what is about to land, not just what already did. asman-lint's
 # fixtures are excluded (they plant violations on purpose and are never
-# compiled), as is engine_clang.cpp (only in the database when the clang
-# AST engine was configured in).
+# compiled).
 mapfile -t FILES < <(git ls-files --cached --others --exclude-standard \
                                   'src/*.cpp' 'tests/*.cpp' 'bench/*.cpp' \
                                   'examples/*.cpp' 'tools/asman_lint/*.cpp' \
                                   ':!tools/asman_lint/fixtures/*' \
-                                  ':!tools/asman_lint/engine_clang.cpp' \
                                   | sort -u)
 
 echo "lint.sh: $TIDY over ${#FILES[@]} files (database: $BUILD_DIR)" >&2
