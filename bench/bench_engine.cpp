@@ -43,6 +43,28 @@ void BM_EventQueueCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueCancel);
 
+// The hold model: the queue stays `depth` deep while each iteration pops
+// the earliest event and schedules one successor at now + 1 + rng % 1e6,
+// the shape of a simulation's steady state. The workloads of
+// perfbench/ peak at 40 to 891 pending events.
+void BM_EventQueueHold(benchmark::State& state) {
+  constexpr std::uint64_t kSpread = 1'000'000;
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  sim::SplitMix64 rng(42);
+  sim::EventQueue q;
+  std::uint64_t fired = 0;
+  for (std::size_t i = 0; i < depth; ++i)
+    q.schedule(sim::Cycles{rng.next() % kSpread}, [&fired] { ++fired; });
+  for (auto _ : state) {
+    const sim::Cycles now = q.pop_and_run();
+    q.schedule(sim::Cycles{now.v + 1 + rng.next() % kSpread},
+               [&fired] { ++fired; });
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueHold)->Arg(40)->Arg(1024);
+
 void BM_RngU64(benchmark::State& state) {
   sim::Rng rng(42);
   std::uint64_t acc = 0;

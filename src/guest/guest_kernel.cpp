@@ -179,13 +179,14 @@ void GuestKernel::deactivate(Tid t) {
   // kSpin: wall-clock waiting continues; nothing to pause.
 }
 
-void GuestKernel::burn(Tid t, Cycles len, bool kernel, Cont done) {
+template <typename F>
+void GuestKernel::burn(Tid t, Cycles len, bool kernel, F&& done) {
   Thread& th = *threads_[t];
   assert(th.act.kind == ActKind::kNone && "thread already has an activity");
   th.act.kind = ActKind::kBurn;
   th.act.kernel = kernel;
   th.act.remaining = len;
-  th.act.done = std::move(done);
+  th.act.done = std::forward<F>(done);
   th.act.ev = {};
   if (is_executing(t)) activate(t);
 }

@@ -245,7 +245,10 @@ class GuestKernel final : public vmm::GuestPort {
   Tid executing_on(std::uint32_t v) const;
   void activate(Tid t);
   void deactivate(Tid t);
-  void burn(Tid t, Cycles len, bool kernel, Cont done);
+  /// Burn `len` cycles on `t`, then run `done`, which is built directly
+  /// in the thread's activity. Defined in guest_kernel.cpp, its only user.
+  template <typename F>
+  void burn(Tid t, Cycles len, bool kernel, F&& done);
   void burn_complete(Tid t);
   /// Cancel a thread's pending burn (barrier satisfy path); the thread must
   /// be in a kBurn activity. Its `done` is replaced by `instead`.

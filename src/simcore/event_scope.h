@@ -9,6 +9,7 @@
 // idempotent on fired events).
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "simcore/simulator.h"
@@ -18,16 +19,15 @@ namespace asman::sim {
 class EventScope {
  public:
   /// Schedule `cb` after `delay` on `s`, tracked by this scope.
-  EventId after(Simulator& s, Cycles delay, EventQueue::Callback cb) {
-    const EventId id = s.after(delay, std::move(cb));
-    ids_.push_back(id);
-    compact(s);
-    return id;
+  template <typename F>
+  EventId after(Simulator& s, Cycles delay, F&& cb) {
+    return at(s, s.now() + delay, std::forward<F>(cb));
   }
 
   /// Schedule `cb` at absolute `when` on `s`, tracked by this scope.
-  EventId at(Simulator& s, Cycles when, EventQueue::Callback cb) {
-    const EventId id = s.at(when, std::move(cb));
+  template <typename F>
+  EventId at(Simulator& s, Cycles when, F&& cb) {
+    const EventId id = s.at(when, std::forward<F>(cb));
     ids_.push_back(id);
     compact(s);
     return id;

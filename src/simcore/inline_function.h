@@ -35,14 +35,20 @@ class InlineFunction<R(Args...)> {
     requires(!std::is_same_v<std::remove_cvref_t<F>, InlineFunction> &&
              std::is_invocable_r_v<R, std::decay_t<F>&, Args...>)
   InlineFunction(F&& f) {
-    using Fn = std::decay_t<F>;
-    if constexpr (fits_inline<Fn>()) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      ops_ = &kInlineOps<Fn>;
-    } else {
-      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
-      ops_ = &kHeapOps<Fn>;
-    }
+    emplace(std::forward<F>(f));
+  }
+
+  /// Destroy the current target, then build `f`'s decayed copy directly in
+  /// this object's buffer: no intermediate InlineFunction is made and
+  /// moved from. `f` must not live inside the current target. If the
+  /// construction throws, *this is left empty.
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, InlineFunction> &&
+             std::is_invocable_r_v<R, std::decay_t<F>&, Args...>)
+  InlineFunction& operator=(F&& f) {
+    reset();
+    emplace(std::forward<F>(f));
+    return *this;
   }
 
   InlineFunction(InlineFunction&& o) noexcept { take(o); }
@@ -131,6 +137,19 @@ class InlineFunction<R(Args...)> {
   static constexpr Ops kHeapOps{&invoke_heap<Fn>, nullptr, &destroy_heap<Fn>,
                                 true};
 
+  /// Build the target in the empty buffer; ops_ is set only once the
+  /// construction has succeeded.
+  template <typename F>
+  void emplace(F&& f) {
+    using Fn = std::decay_t<F>;
+    if constexpr (fits_inline<Fn>()) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+      ops_ = &kInlineOps<Fn>;
+    } else {
+      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
+      ops_ = &kHeapOps<Fn>;
+    }
+  }
   void take(InlineFunction& o) noexcept {
     ops_ = o.ops_;
     if (ops_ == nullptr) return;

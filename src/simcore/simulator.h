@@ -33,15 +33,18 @@ class ASMAN_CAPABILITY("simulator") Simulator {
   /// Current simulated time.
   Cycles now() const { return now_; }
 
-  /// Schedule `cb` to run after `delay` cycles.
-  EventId after(Cycles delay, EventQueue::Callback cb) {
-    return at(now_ + delay, std::move(cb));
+  /// Schedule `cb` to run after `delay` cycles. Like at(), it forwards
+  /// `cb` so that the queue builds it in place.
+  template <typename F>
+  EventId after(Cycles delay, F&& cb) {
+    return at(now_ + delay, std::forward<F>(cb));
   }
 
   /// Schedule `cb` at absolute time `when` (must be >= now()).
-  EventId at(Cycles when, EventQueue::Callback cb) {
+  template <typename F>
+  EventId at(Cycles when, F&& cb) {
     assert(when >= now_ && "cannot schedule into the past");
-    return queue_.schedule(when, std::move(cb));
+    return queue_.schedule(when, std::forward<F>(cb));
   }
 
   /// Cancel a pending event; safe to call with an already-fired id.

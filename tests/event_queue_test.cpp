@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "simcore/event_scope.h"
@@ -143,6 +144,71 @@ TEST(EventQueue, FiredCallbackIsDestroyedAfterItRuns) {
   q.pop_and_run();
   EXPECT_EQ(*token, 1);
   EXPECT_EQ(token.use_count(), 1);
+}
+
+/// A callable whose copy constructor throws.
+struct ThrowOnCopy {
+  ThrowOnCopy() = default;
+  ThrowOnCopy(const ThrowOnCopy&) { throw std::runtime_error("copy"); }
+  ThrowOnCopy(ThrowOnCopy&&) noexcept = default;
+  ThrowOnCopy& operator=(const ThrowOnCopy&) = delete;
+  ThrowOnCopy& operator=(ThrowOnCopy&&) = delete;
+  ~ThrowOnCopy() = default;
+  void operator()() const {}
+};
+
+TEST(EventQueue, ThrowingCallableLeavesTheQueueAsItWas) {
+  EventQueue q;
+  std::vector<int> order;
+  const ThrowOnCopy bad;
+  // Out of free slots: the failed schedule must leave the slot it grew
+  // free and use no seq.
+  const EventId first = q.schedule(Cycles{5}, [&] { order.push_back(1); });
+  EXPECT_THROW(q.schedule(Cycles{6}, bad), std::runtime_error);
+  EXPECT_EQ(q.size(), 1u);
+  const EventId second = q.schedule(Cycles{7}, [&] { order.push_back(2); });
+  EXPECT_EQ(second.seq, first.seq + 1);
+  EXPECT_EQ(second.slot, first.slot + 1);
+  // A slot off the free list: it must go back there.
+  const EventId doomed = q.schedule(Cycles{8}, [] {});
+  ASSERT_TRUE(q.cancel(doomed));
+  EXPECT_THROW(q.schedule(Cycles{9}, bad), std::runtime_error);
+  EXPECT_EQ(q.size(), 2u);
+  const EventId third = q.schedule(Cycles{9}, [&] { order.push_back(3); });
+  EXPECT_EQ(third.seq, doomed.seq + 1);
+  EXPECT_EQ(third.slot, doomed.slot);
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+/// Bumps a shared counter on every move construction.
+struct MoveCounter {
+  explicit MoveCounter(int* moves) : moves_(moves) {}
+  MoveCounter(MoveCounter&& o) noexcept : moves_(o.moves_) { ++*moves_; }
+  MoveCounter(const MoveCounter&) = delete;
+  MoveCounter& operator=(const MoveCounter&) = delete;
+  MoveCounter& operator=(MoveCounter&&) = delete;
+  ~MoveCounter() = default;
+  int* moves_;
+};
+
+TEST(EventQueue, AfterBuildsTheClosureInItsSlot) {
+  Simulator s;
+  // Grow the slot table first, so that no table reallocation moves the
+  // closure below.
+  for (int i = 0; i < 8; ++i) s.after(Cycles{1}, [] {});
+  s.run_all();
+  int moves = 0;
+  int moves_when_run = -1;
+  s.after(Cycles{5}, [c = MoveCounter(&moves), &moves_when_run] {
+    moves_when_run = *c.moves_;
+  });
+  // Into the slot, and nowhere on the way there.
+  EXPECT_LE(moves, 1);
+  s.run_all();
+  // Plus out of the slot before it runs.
+  ASSERT_GE(moves_when_run, 0) << "the closure did not run";
+  EXPECT_LE(moves_when_run, 2);
 }
 
 class EventQueueRandomized : public ::testing::TestWithParam<std::uint64_t> {

@@ -82,17 +82,31 @@ TEST(InlineFunction, EmptyStates) {
 }
 
 TEST(InlineFunction, MoveAssignOverALiveCallable) {
-  int live_a = 0;
-  int live_b = 0;
-  int ran = 0;
-  InlineFunction<void()> f = [t = Tracked(&live_a), &ran] { ran = 1; };
-  InlineFunction<void()> g = [t = Tracked(&live_b), &ran] { ran = 2; };
-  f = std::move(g);
-  EXPECT_EQ(live_a, 0);  // the old target is gone
-  EXPECT_EQ(live_b, 1);
-  EXPECT_FALSE(g);  // NOLINT(bugprone-use-after-move): moved-from is empty
-  f();
-  EXPECT_EQ(ran, 2);
+  // The new target comes from another InlineFunction, or from a closure
+  // that operator=(F&&) builds in place.
+  for (const bool in_place : {false, true}) {
+    SCOPED_TRACE(in_place ? "closure built in place" : "InlineFunction");
+    int live_a = 0;
+    int live_b = 0;
+    int ran = 0;
+    {
+      InlineFunction<void()> f = [t = Tracked(&live_a), &ran] { ran = 1; };
+      if (in_place) {
+        f = [t = Tracked(&live_b), &ran] { ran = 2; };
+      } else {
+        InlineFunction<void()> g = [t = Tracked(&live_b), &ran] { ran = 2; };
+        f = std::move(g);
+        // NOLINTNEXTLINE(bugprone-use-after-move): moved-from is empty
+        EXPECT_FALSE(g);
+      }
+      EXPECT_EQ(live_a, 0);  // the old target is gone
+      EXPECT_EQ(live_b, 1);
+      f();
+      EXPECT_EQ(ran, 2);
+    }
+    EXPECT_EQ(live_a, 0);  // destroyed exactly once
+    EXPECT_EQ(live_b, 0);
+  }
 }
 
 }  // namespace
