@@ -41,6 +41,39 @@ std::string key_str(vmm::VcpuKey k) {
   return buf;
 }
 
+/// Queue-partition finding for a VCPU whose reference counts do not fit
+/// its state.
+std::string misreferenced(const vmm::Vcpu& c, std::size_t queued,
+                          std::size_t running) {
+  const std::string q = std::to_string(queued);
+  const std::string r = std::to_string(running);
+  switch (c.state) {
+    case vmm::VcpuState::kRunnable:
+      return key_str(c.key) + " runnable but queued on " + q +
+             " queue(s), current on " + r + " PCPU(s)";
+    case vmm::VcpuState::kRunning:
+      return key_str(c.key) + " running but current on " + r +
+             " PCPU(s), queued on " + q + " queue(s)";
+    case vmm::VcpuState::kBlocked:
+    case vmm::VcpuState::kDestroyed:
+      return key_str(c.key) +
+             (c.state == vmm::VcpuState::kBlocked ? " blocked" : " destroyed") +
+             " but still referenced (queued " + q + ", running " + r + ")";
+  }
+  return key_str(c.key);
+}
+
+/// check_now flags its findings invariant by invariant in this order, each
+/// invariant's in walk order: first offenders and fatal aborts are stable.
+constexpr Invariant kScanReportOrder[] = {
+    Invariant::kCreditBounds,
+    Invariant::kQueuePartition,
+    Invariant::kGangCoherence,
+    Invariant::kCycleConservation,
+    Invariant::kPressureConservation,
+    Invariant::kStateMachine,
+};
+
 }  // namespace
 
 bool audit_env_enabled() { return env_truthy("ASMAN_AUDIT"); }
@@ -52,7 +85,7 @@ Auditor::Auditor(sim::Simulator& simulation, vmm::Hypervisor& hv,
   if (cfg_.stride == 0) cfg_.stride = 1;
   if (audit_fatal_env()) cfg_.fatal = true;
   clock_ = [this] { return sim_.now(); };
-  snapshot_states();
+  extend_shadow();
   hv_.set_audit_sink(this);
 }
 
@@ -100,44 +133,208 @@ void Auditor::snapshot_pools() {
   }
 }
 
-void Auditor::snapshot_states() {
-  shadow_.assign(hv_.num_vms(), {});
-  for (vmm::VmId id = 0; id < hv_.num_vms(); ++id) {
-    const vmm::Vm& v = hv_.vm(id);
-    shadow_[id].reserve(v.num_vcpus());
-    for (const vmm::Vcpu& c : v.vcpus) shadow_[id].push_back(c.state);
+void Auditor::extend_shadow() {
+  while (shadow_.size() < hv_.num_vms()) {
+    const vmm::Vm& v = hv_.vm(static_cast<vmm::VmId>(shadow_.size()));
+    std::vector<vmm::VcpuState>& row = shadow_.emplace_back();
+    row.reserve(v.num_vcpus());
+    for (const vmm::Vcpu& c : v.vcpus) row.push_back(c.state);
   }
 }
 
 void Auditor::check_now() {
   ++report_.full_scans;
-  std::vector<Violation> found;
-  report_.entry(Invariant::kCreditBounds).checks +=
-      check_credit_bounds(hv_, found);
-  report_.entry(Invariant::kQueuePartition).checks +=
-      check_queue_partition(hv_, found);
-  report_.entry(Invariant::kGangCoherence).checks +=
-      check_gang_coherence(hv_, found);
-  report_.entry(Invariant::kCycleConservation).checks +=
-      check_cycle_conservation(hv_, found);
-  report_.entry(Invariant::kPressureConservation).checks +=
-      check_pressure_conservation(hv_, found);
-  // Shadow consistency: the hypervisor's actual lifecycle states must match
-  // what the legal transition stream implies.
-  for (vmm::VmId id = 0; id < hv_.num_vms() && id < shadow_.size(); ++id) {
-    const vmm::Vm& v = hv_.vm(id);
-    for (std::uint32_t i = 0; i < v.num_vcpus() && i < shadow_[id].size();
-         ++i) {
-      ++report_.entry(Invariant::kStateMachine).checks;
-      if (v.vcpus[i].state != shadow_[id][i])
-        found.push_back(
-            {Invariant::kStateMachine,
-             key_str(v.vcpus[i].key) + " is " + state_name(v.vcpus[i].state) +
-                 " but the transition stream says " +
-                 state_name(shadow_[id][i])});
-    }
+  const vmm::Hypervisor& hv = hv_;
+  const std::uint32_t num_pcpus = hv.machine().num_pcpus;
+  const std::size_t num_vms = hv.num_vms();
+  found_.clear();
+
+  // Index the VCPUs: per-VM offsets into the flat reference counts. The VM
+  // side of the machine-wide cycle ledger rides along.
+  vcpu_base_.resize(num_vms + 1);
+  std::size_t num_vcpus = 0;
+  std::uint64_t vm_online = 0;
+  for (vmm::VmId id = 0; id < num_vms; ++id) {
+    const vmm::Vm& v = hv.vm(id);
+    vcpu_base_[id] = num_vcpus;
+    num_vcpus += v.num_vcpus();
+    vm_online += v.total_online.v;
   }
-  for (Violation& viol : found) flag(viol.kind, std::move(viol.what));
+  vcpu_base_[num_vms] = num_vcpus;
+  refs_.assign(num_vcpus, VcpuRefs{});
+
+  // Pass 1, the PCPUs: count every queue entry and current, and check each
+  // against the PCPU that holds it.
+  std::uint64_t ref_checks = 0;
+  const auto check_ref = [&](const vmm::Vcpu* c, hw::PcpuId p, bool current) {
+    ++ref_checks;
+    // It counts toward a VCPU only if it points at that VCPU's own record: a
+    // stray pointer (or a record with a rewritten key) matches none, and the
+    // VCPU it should have been shows up unreferenced in pass 2.
+    const vmm::VcpuKey k = c->key;
+    if (k.vm < num_vms) {
+      const std::size_t slot = vcpu_base_[k.vm] + k.idx;
+      if (slot < vcpu_base_[k.vm + 1] && &hv.vm(k.vm).vcpus[k.idx] == c)
+        ++(current ? refs_[slot].running : refs_[slot].queued);
+    }
+    const char* held = current ? " current on P" : " queued on P";
+    if (c->state != (current ? vmm::VcpuState::kRunning
+                             : vmm::VcpuState::kRunnable))
+      found_.push_back({Invariant::kQueuePartition,
+                        key_str(c->key) + held + std::to_string(p) +
+                            (current ? " but not kRunning"
+                                     : " but not kRunnable")});
+    if (c->where != p)
+      found_.push_back({Invariant::kQueuePartition,
+                        key_str(c->key) + held + std::to_string(p) +
+                            " but where=P" + std::to_string(c->where)});
+  };
+  std::uint64_t pcpu_busy = 0;
+  for (hw::PcpuId p = 0; p < num_pcpus; ++p) {
+    for (const vmm::Vcpu* c : hv.runqueue(p).entries()) check_ref(c, p, false);
+    if (const vmm::Vcpu* cur = hv.running_on(p)) check_ref(cur, p, true);
+    pcpu_busy += hv.pcpu_busy_total(p).v;
+  }
+
+  // Machine-wide cycle ledger: VM-side online time and PCPU-side busy time
+  // are maintained at the same burn instants, so they agree exactly at
+  // every event boundary — an in-flight span is absent from both sides.
+  // Per-VM totals survive destruction (tombstone statistics), so the
+  // equality holds across the whole lifecycle including churn.
+  if (vm_online != pcpu_busy)
+    found_.push_back({Invariant::kCycleConservation,
+                      "consumed-cycle ledger split: VMs consumed " +
+                          std::to_string(vm_online) +
+                          " cycles but PCPUs were busy " +
+                          std::to_string(pcpu_busy)});
+
+  // Pass 2, one walk over VMs and their VCPUs for every per-VM and
+  // per-VCPU check.
+  gang_at_.resize(num_pcpus);
+  const vmm::Credit cap = hv.credit_cap();
+  const std::uint64_t slot = hv.machine().slot_cycles().v;
+  const bool exact_accounting =
+      hv.resilience().accounting == vmm::AccountingMode::kExact;
+  std::uint64_t gang_checks = 0;
+  std::uint64_t shadow_checks = 0;
+  std::uint64_t accounted = 0;
+  std::uint64_t degraded = 0;
+  std::uint64_t effective = 0;
+  for (vmm::VmId id = 0; id < num_vms; ++id) {
+    const vmm::Vm& v = hv.vm(id);
+    // Placement is only promised when a gang can fit (Algorithm 3 gives up
+    // when a VM has more VCPUs than the machine has PCPUs).
+    const bool gang = hv.gang_scheduled(id) && v.num_vcpus() <= num_pcpus;
+    if (gang) {
+      ++gang_checks;
+      ++gang_epoch_;
+    }
+    const std::size_t shadowed = id < shadow_.size() ? shadow_[id].size() : 0;
+    std::size_t i = 0;
+    for (const vmm::Vcpu& c : v.vcpus) {
+      if (c.credit > cap || c.credit < -cap)
+        found_.push_back({Invariant::kCreditBounds,
+                          key_str(c.key) + " credit " +
+                              std::to_string(c.credit) + " outside [-" +
+                              std::to_string(cap) + ", " +
+                              std::to_string(cap) + "]"});
+
+      // A runnable VCPU sits in exactly one queue, a running one is current
+      // on exactly one PCPU, any other is referenced by neither.
+      const VcpuRefs& refs = refs_[vcpu_base_[id] + i];
+      if (refs.queued != (c.state == vmm::VcpuState::kRunnable ? 1u : 0u) ||
+          refs.running != (c.state == vmm::VcpuState::kRunning ? 1u : 0u))
+        found_.push_back({Invariant::kQueuePartition,
+                          misreferenced(c, refs.queued, refs.running)});
+      if (c.where >= num_pcpus) {
+        // Never index by it: report it and leave it out of gang placement.
+        found_.push_back({Invariant::kQueuePartition,
+                          key_str(c.key) + " where=P" +
+                              std::to_string(c.where) + " outside the " +
+                              std::to_string(num_pcpus) + " PCPUs"});
+      } else if (gang) {
+        GangMark& mark = gang_at_[c.where];
+        if (mark.epoch == gang_epoch_)
+          found_.push_back({Invariant::kGangCoherence,
+                            v.name + ": " + key_str(c.key) + " and " +
+                                key_str(mark.holder->key) +
+                                " both placed on P" +
+                                std::to_string(c.where)});
+        mark = {gang_epoch_, &c};
+      }
+
+      // Shadow consistency: the hypervisor's actual lifecycle states must
+      // match what the legal transition stream implies.
+      if (i < shadowed) {
+        ++shadow_checks;
+        const vmm::VcpuState expect = shadow_[id][i];
+        if (c.state != expect)
+          found_.push_back({Invariant::kStateMachine,
+                            key_str(c.key) + " is " + state_name(c.state) +
+                                " but the transition stream says " +
+                                state_name(expect)});
+      }
+      ++i;
+    }
+
+    if (exact_accounting) {
+      // Tickless accounting bills every burned span in full, at the same
+      // instants: attribution must track consumption exactly.
+      if (v.cycles_attributed != v.total_online)
+        found_.push_back({Invariant::kCycleConservation,
+                          v.name + " attributed " +
+                              std::to_string(v.cycles_attributed.v) +
+                              " != consumed " +
+                              std::to_string(v.total_online.v) +
+                              " under exact accounting"});
+    } else if (v.cycles_attributed.v % slot != 0) {
+      // Sampled accounting only ever bills whole slots.
+      found_.push_back({Invariant::kCycleConservation,
+                        v.name + " attributed " +
+                            std::to_string(v.cycles_attributed.v) +
+                            " cycles, not a whole-slot multiple of " +
+                            std::to_string(slot)});
+    }
+
+    // Pressure ledger, integer-exact: tombstones keep their final ledgers,
+    // so the per-VM sums and the machine totals — maintained at the same
+    // apply_contention instants — can only diverge if someone wrote the
+    // ledger outside the audited seam. (The partition half is event-scoped
+    // to engine passes: on_contention.)
+    if (v.pressure_effective + v.pressure_degraded != v.pressure_accounted)
+      found_.push_back({Invariant::kPressureConservation,
+                        v.name + " pressure ledger split: effective " +
+                            std::to_string(v.pressure_effective) +
+                            " + degraded " +
+                            std::to_string(v.pressure_degraded) +
+                            " != accounted " +
+                            std::to_string(v.pressure_accounted)});
+    accounted += v.pressure_accounted;
+    degraded += v.pressure_degraded;
+    effective += v.pressure_effective;
+  }
+  if (accounted != hv.pressure_accounted_total() ||
+      degraded != hv.pressure_degraded_total() ||
+      effective != hv.pressure_effective_total())
+    found_.push_back({Invariant::kPressureConservation,
+                      "machine pressure totals diverge from per-VM sums: "
+                      "accounted " +
+                          std::to_string(hv.pressure_accounted_total()) +
+                          "/" + std::to_string(accounted) + ", degraded " +
+                          std::to_string(hv.pressure_degraded_total()) +
+                          "/" + std::to_string(degraded) + ", effective " +
+                          std::to_string(hv.pressure_effective_total()) +
+                          "/" + std::to_string(effective)});
+
+  report_.entry(Invariant::kCreditBounds).checks += num_vcpus;
+  report_.entry(Invariant::kQueuePartition).checks += ref_checks + num_vcpus;
+  report_.entry(Invariant::kGangCoherence).checks += gang_checks;
+  report_.entry(Invariant::kCycleConservation).checks += 1 + num_vms;
+  report_.entry(Invariant::kPressureConservation).checks += num_vms + 1;
+  report_.entry(Invariant::kStateMachine).checks += shadow_checks;
+  for (const Invariant inv : kScanReportOrder)
+    for (Violation& viol : found_)
+      if (viol.kind == inv) flag(inv, std::move(viol.what));
 }
 
 void Auditor::on_sched_event(vmm::AuditPoint p) {
@@ -240,14 +437,7 @@ void Auditor::on_vm_created(vmm::VmId id) {
   observe_time();
   // Extend the shadow with the new VM's rows before the kLifecycle scan
   // compares them (its VCPUs are kRunnable and already queued).
-  while (shadow_.size() < hv_.num_vms()) {
-    const auto nid = static_cast<vmm::VmId>(shadow_.size());
-    const vmm::Vm& v = hv_.vm(nid);
-    std::vector<vmm::VcpuState> row;
-    row.reserve(v.num_vcpus());
-    for (const vmm::Vcpu& c : v.vcpus) row.push_back(c.state);
-    shadow_.push_back(std::move(row));
-  }
+  extend_shadow();
   (void)id;
 }
 
@@ -316,26 +506,30 @@ void Auditor::on_contention() {
   }
   // (b) Independent recomputation from authoritative placement: the
   // published matrices must be reproducible from public state alone.
-  std::vector<hw::memsys::VmLoad> loads(hv.num_vms());
+  // A home outside the machine is the full scan's queue-partition finding;
+  // it is left out here rather than indexed past the topology.
+  loads_.resize(hv.num_vms());
   for (vmm::VmId id = 0; id < hv.num_vms(); ++id) {
+    hw::memsys::VmLoad& load = loads_[id];
+    load.clear();
     const vmm::Vm& v = hv.vm(id);
     if (!v.alive) continue;
     const hw::memsys::MemFootprint& fp = hv.vm_footprint(id);
     if (fp.zero()) continue;
-    loads[id].fp = &fp;
+    load.fp = &fp;
     for (const vmm::Vcpu& c : v.vcpus) {
-      loads[id].vcpu_llc.push_back(topo.llc_of(c.where));
-      loads[id].vcpu_socket.push_back(topo.socket_of(c.where));
+      if (c.where >= hv.machine().num_pcpus) continue;
+      load.vcpu_llc.push_back(topo.llc_of(c.where));
+      load.vcpu_socket.push_back(topo.socket_of(c.where));
     }
   }
-  hw::memsys::ContentionPass mine;
   hw::memsys::compute_contention(topo, cap,
-                                 hv.machine().socket_mem_bw_bytes_per_s, loads,
-                                 mine);
+                                 hv.machine().socket_mem_bw_bytes_per_s, loads_,
+                                 recomputed_);
   ++e.checks;
-  if (mine.llc_demand != pub.llc_demand ||
-      mine.vm_llc_demand != pub.vm_llc_demand ||
-      mine.vm_llc_granted != pub.vm_llc_granted)
+  if (recomputed_.llc_demand != pub.llc_demand ||
+      recomputed_.vm_llc_demand != pub.vm_llc_demand ||
+      recomputed_.vm_llc_granted != pub.vm_llc_granted)
     flag(Invariant::kPressureConservation,
          "published occupancy partition does not match independent "
          "recomputation from authoritative placement");

@@ -4,9 +4,9 @@
 // scheduling-event boundary, verifies the invariant catalog of
 // audit/invariants.h: the cheap stateful checks (credit ledger across an
 // accounting pass, the VCPU state-machine shadow, monotonic event time)
-// run on every callback; the O(VCPUs) full-state scans (queue partition,
-// gang coherence, credit bounds) run on a configurable stride so hot runs
-// can amortize them. Violations accumulate in an AuditReport; under
+// run on every callback; the full-state scan, one allocation-free pass over
+// every PCPU and VCPU, runs on a configurable stride so hot runs can
+// amortize it. Violations accumulate in an AuditReport; under
 // `fatal` (or the ASMAN_AUDIT_FATAL environment variable) the first
 // violation prints the report and aborts, pinning the offending event in
 // a debugger or core dump.
@@ -15,6 +15,7 @@
 // (AuditorConfig, ScenarioConfig::audit, or ASMAN_AUDIT=1 at run time).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -22,6 +23,7 @@
 
 #include "audit/invariants.h"
 #include "audit/report.h"
+#include "hw/memsys/contention.h"
 #include "simcore/simulator.h"
 #include "vmm/audit_sink.h"
 #include "vmm/hypervisor.h"
@@ -29,7 +31,7 @@
 namespace asman::audit {
 
 struct AuditorConfig {
-  /// Run the full-state scans on every stride-th scheduling event
+  /// Run the full-state scan on every stride-th scheduling event
   /// (1 = every event). Ledger/state-machine/time checks always run.
   std::uint32_t stride{1};
   /// Print the report and abort() on the first violation. Forced on when
@@ -56,7 +58,7 @@ class Auditor final : public vmm::AuditSink {
 
   const AuditReport& report() const { return report_; }
 
-  /// Run every full-state invariant scan immediately.
+  /// Run the full-state invariant scan immediately.
   void check_now();
 
   /// Replace the time source (defaults to the simulation clock). Test seam
@@ -77,7 +79,9 @@ class Auditor final : public vmm::AuditSink {
  private:
   void observe_time();
   void snapshot_pools();
-  void snapshot_states();
+  /// Append a shadow row, copied from the live states, for every VM the
+  /// shadow does not cover yet.
+  void extend_shadow();
   void flag(Invariant inv, std::string what);
 
   sim::Simulator& sim_;
@@ -94,6 +98,27 @@ class Auditor final : public vmm::AuditSink {
   /// on_state_change — divergence from the hypervisor's actual state means
   /// a state was mutated outside the legal transition paths.
   std::vector<std::vector<vmm::VcpuState>> shadow_;
+
+  // Scratch of check_now and on_contention, reused so a scan allocates
+  // nothing once its buffers have grown to the host's size.
+  /// Run-queue / current references to one VCPU record; size_t like the
+  /// queues themselves, so a count cannot wrap.
+  struct VcpuRefs {
+    std::size_t queued{0};
+    std::size_t running{0};
+  };
+  std::vector<VcpuRefs> refs_;  // indexed vcpu_base_[vm] + idx
+  std::vector<std::size_t> vcpu_base_;
+  /// Per PCPU: the gang walk (gang_epoch_) that last placed a member there.
+  struct GangMark {
+    std::uint64_t epoch{0};
+    const vmm::Vcpu* holder{nullptr};
+  };
+  std::vector<GangMark> gang_at_;
+  std::uint64_t gang_epoch_{0};
+  std::vector<Violation> found_;  // flagged once the scan completes
+  std::vector<hw::memsys::VmLoad> loads_;
+  hw::memsys::ContentionPass recomputed_;
 };
 
 }  // namespace asman::audit

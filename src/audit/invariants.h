@@ -2,10 +2,9 @@
 //
 // Each invariant is a property of the hypervisor's externally observable
 // state that must hold at every scheduling-event boundary (docs/MODEL.md
-// "Invariants & verification"). The full-state scans here are stateless
-// and operate purely on the hypervisor's public introspection surface; the
-// stateful checks (credit ledger across an accounting pass, the VCPU
-// state-machine shadow, time monotonicity) live in audit::Auditor.
+// "Invariants & verification"). Every check reads only the hypervisor's
+// public introspection surface; all of them except the event-scoped
+// topology-placement check below live in audit::Auditor.
 #pragma once
 
 #include <cstddef>
@@ -82,23 +81,12 @@ struct Violation {
   std::string what;
 };
 
-// Full-state scans. Each appends violations to `out` and returns the
-// number of individual checks it performed (for coverage accounting).
-std::uint64_t check_credit_bounds(const vmm::Hypervisor& hv,
-                                  std::vector<Violation>& out);
-std::uint64_t check_queue_partition(const vmm::Hypervisor& hv,
-                                    std::vector<Violation>& out);
-std::uint64_t check_gang_coherence(const vmm::Hypervisor& hv,
-                                   std::vector<Violation>& out);
 // Event-scoped: meaningful only at relocation instants (the auditor calls
-// it from on_relocated for the relocated VM, and over all VMs in the
-// post-relocation full scan a seeded test drives directly).
+// it from on_relocated for the relocated VM). Appends violations to `out`
+// and returns the number of checks performed (for coverage accounting).
+// The full-state invariants are checked by Auditor::check_now's fused scan.
 std::uint64_t check_topology_placement(const vmm::Hypervisor& hv,
                                        vmm::VmId vm,
                                        std::vector<Violation>& out);
-std::uint64_t check_cycle_conservation(const vmm::Hypervisor& hv,
-                                       std::vector<Violation>& out);
-std::uint64_t check_pressure_conservation(const vmm::Hypervisor& hv,
-                                          std::vector<Violation>& out);
 
 }  // namespace asman::audit

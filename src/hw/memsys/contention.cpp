@@ -10,14 +10,18 @@ void compute_contention(const Topology& topo, std::uint64_t llc_bytes,
   const std::uint32_t n_llcs = topo.num_llcs();
   const std::uint32_t n_sockets = topo.num_sockets();
   const std::size_t n_vms = vms.size();
-  out.clear();
   out.llc_demand.assign(n_llcs, 0);
   out.llc_granted.assign(n_llcs, 0);
   out.socket_bw_demand.assign(n_sockets, 0);
   out.socket_bw_ppm.assign(n_sockets, 0);
-  out.vm_llc_demand.assign(n_vms, std::vector<std::uint64_t>(n_llcs, 0));
-  out.vm_llc_granted.assign(n_vms, std::vector<std::uint64_t>(n_llcs, 0));
-  out.vm_llc_extra_miss.assign(n_vms, std::vector<std::uint32_t>(n_llcs, 0));
+  // [vm][llc] matrices are refilled in place: rows keep their capacity.
+  const auto zero_fill = [n_vms, n_llcs](auto& matrix) {
+    matrix.resize(n_vms);
+    for (auto& row : matrix) row.assign(n_llcs, 0);
+  };
+  zero_fill(out.vm_llc_demand);
+  zero_fill(out.vm_llc_granted);
+  zero_fill(out.vm_llc_extra_miss);
 
   // Demand: every VCPU parks its working-set share on its home LLC.
   for (std::size_t v = 0; v < n_vms; ++v) {
@@ -47,7 +51,8 @@ void compute_contention(const Topology& topo, std::uint64_t llc_bytes,
     }
     out.llc_granted[l] = llc_bytes;
     std::uint64_t handed = 0;
-    std::vector<std::pair<std::uint64_t, std::size_t>> rem;  // (remainder, vm)
+    std::vector<std::pair<std::uint64_t, std::size_t>>& rem = out.remainders;
+    rem.clear();
     for (std::size_t v = 0; v < n_vms; ++v) {
       const std::uint64_t d = out.vm_llc_demand[v][l];
       if (d == 0) continue;

@@ -24,7 +24,9 @@
 // shared-spec idiom as vmm/state_spec.h.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/bounds_spec.h"
@@ -62,6 +64,12 @@ struct VmLoad {
   const MemFootprint* fp{nullptr};
   std::vector<std::uint32_t> vcpu_llc;
   std::vector<std::uint32_t> vcpu_socket;
+
+  void clear() {  // keeps capacity, so a reused load allocates nothing
+    fp = nullptr;
+    vcpu_llc.clear();
+    vcpu_socket.clear();
+  }
 };
 
 /// The engine's published result for one accounting period.
@@ -77,16 +85,9 @@ struct ContentionPass {
   std::vector<std::vector<std::uint64_t>> vm_llc_granted;
   // Extra misses (permille) for a VCPU of [vm] homed on [llc].
   std::vector<std::vector<std::uint32_t>> vm_llc_extra_miss;
-
-  void clear() {
-    llc_demand.clear();
-    llc_granted.clear();
-    socket_bw_demand.clear();
-    socket_bw_ppm.clear();
-    vm_llc_demand.clear();
-    vm_llc_granted.clear();
-    vm_llc_extra_miss.clear();
-  }
+  // Not part of the result: compute_contention's largest-remainder
+  // (remainder, vm) scratch, kept with the pass so refills reuse it.
+  std::vector<std::pair<std::uint64_t, std::size_t>> remainders;
 };
 
 /// Working-set share VCPU `idx` of an `n`-VCPU VM parks on its home LLC:
@@ -104,7 +105,9 @@ inline std::uint64_t vcpu_ws_share(std::uint64_t ws, std::size_t n,
 /// Compute one period's occupancy partition and bandwidth pressure.
 /// `socket_bw_bytes_per_s == 0` models infinite bandwidth (the bandwidth
 /// term stays zero); `llc_bytes` must be > 0 for the call to make sense
-/// (the hypervisor's gate guarantees it).
+/// (the hypervisor's gate guarantees it). `out` is overwritten in place:
+/// its buffers are resized and zero-filled, never freed, so a caller that
+/// keeps one pass across periods allocates only when the host grows.
 void compute_contention(const Topology& topo, std::uint64_t llc_bytes,
                         std::uint64_t socket_bw_bytes_per_s,
                         const std::vector<VmLoad>& vms, ContentionPass& out);

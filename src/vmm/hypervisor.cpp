@@ -668,12 +668,13 @@ void Hypervisor::do_accounting() {
   // include every VM's weight, so there the full set is used.
   const Cycles min_active{machine_.accounting_cycles().v / 100};
   std::uint64_t total_weight = 0;
-  std::vector<bool> active(vms_.size(), true);
+  std::vector<bool>& active = acct_active_;
+  active.assign(vms_.size(), true);
   // Jain fairness inputs for the period just closing: weighted consumption
   // of every VM that wanted or got CPU (an idle VM is not a fairness
   // participant; a starved runnable one very much is).
-  std::vector<double> shares;
-  shares.reserve(vms_.size());
+  std::vector<double>& shares = acct_shares_;
+  shares.clear();
   for (std::size_t i = 0; i < vms_.size(); ++i) {
     Vm& v = *vms_[i];
     if (!v.alive) {  // tombstone: earns nothing, holds nothing

@@ -814,6 +814,8 @@ class Hypervisor : public HypervisorPort {
   /// the cached demand view the steal gate and placement spread consult
   /// between periods.
   hw::memsys::ContentionPass pass_;
+  /// apply_contention's engine input, one VmLoad per VmId, reused.
+  std::vector<hw::memsys::VmLoad> contention_loads_;
   std::uint64_t pressure_accounted_total_{0};
   std::uint64_t pressure_degraded_total_{0};
   std::uint64_t pressure_effective_total_{0};
@@ -844,6 +846,9 @@ class Hypervisor : public HypervisorPort {
   std::uint64_t vm_migrations_in_{0};
   std::uint64_t overload_sheds_{0};
   std::uint64_t overload_restores_{0};
+  /// do_accounting's per-VM scratch (active set, Jain shares), reused.
+  std::vector<bool> acct_active_;
+  std::vector<double> acct_shares_;
   /// Per-accounting-period Jain fairness aggregates (see fairness_min()).
   double fairness_min_{1.0};
   double fairness_sum_{0.0};

@@ -71,13 +71,15 @@ void Hypervisor::apply_contention() {
   // tombstones contribute nothing but keep indices aligned, so the auditor
   // can recompute the identical matrix from the same public state. Blocked
   // VCPUs keep their wake homes in the load (their data stays resident).
-  std::vector<hw::memsys::VmLoad> loads(vms_.size());
+  std::vector<hw::memsys::VmLoad>& loads = contention_loads_;
+  loads.resize(vms_.size());
   for (std::size_t i = 0; i < vms_.size(); ++i) {
+    hw::memsys::VmLoad& load = loads[i];
+    load.clear();
     const Vm& m = *vms_[i];
     if (!m.alive) continue;
     const hw::memsys::MemFootprint& fp = vm_footprint(m.id);
     if (fp.zero()) continue;
-    hw::memsys::VmLoad& load = loads[i];
     load.fp = &footprints_[m.id];
     load.vcpu_llc.reserve(m.vcpus.size());
     load.vcpu_socket.reserve(m.vcpus.size());

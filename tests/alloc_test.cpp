@@ -14,6 +14,9 @@
 #include <string>
 
 #include "core/schedulers.h"
+#include "experiments/chaos.h"
+#include "experiments/churn.h"
+#include "experiments/contention.h"
 #include "experiments/paper.h"
 #include "simcore/simulator.h"
 
@@ -48,6 +51,38 @@ namespace {
 /// Steady-state budget. Events outnumber the remaining allocations (run
 /// queue deque blocks, wake lists, result vectors) by far more than 10:1.
 constexpr double kMaxAllocsPerEvent = 0.1;
+
+/// Budget of an audited host under chaos and churn. The auditor's scans and
+/// the contention engine reuse their buffers, so what remains is the
+/// lifecycle itself: VMs created and resized mid-run, and violation-free
+/// fault handling.
+constexpr double kMaxAuditedAllocsPerEvent = 0.02;
+
+/// Runs `sc` and checks its heap allocations per event against `budget`.
+/// Set-up (VM, guest and workload construction, result collection) is a
+/// fixed cost; a zero-horizon run of the same scenario measures it so the
+/// budget judges the per-event path alone.
+void expect_steady_allocs_within(const Scenario& sc, double budget) {
+  Scenario zero = sc;
+  zero.horizon = sim::Cycles{0};
+  std::uint64_t a0 = g_allocs;
+  const RunResult setup = run_scenario(zero);
+  const std::uint64_t setup_allocs = g_allocs - a0;
+  a0 = g_allocs;
+  const RunResult full = run_scenario(sc);
+  const std::uint64_t full_allocs = g_allocs - a0;
+
+  ASSERT_GT(full.events, setup.events + 10'000);
+  EXPECT_EQ(full.audit_violations, 0u) << full.audit_summary;
+  const double per_event =
+      static_cast<double>(full_allocs - setup_allocs) /
+      static_cast<double>(full.events - setup.events);
+  ::testing::Test::RecordProperty("allocs_per_event",
+                                  std::to_string(per_event));
+  EXPECT_LE(per_event, budget)
+      << (full_allocs - setup_allocs) << " allocations over "
+      << (full.events - setup.events) << " events";
+}
 
 TEST(Allocations, ConstructingASimulatorAllocatesNothing) {
   const std::uint64_t before = g_allocs;
@@ -89,26 +124,7 @@ TEST_P(Fig07Allocations, SteadyStateStaysUnderBudget) {
   const Fig07Point pt = GetParam();
   const Scenario sc = single_vm_scenario(
       pt.sched, pt.weight, npb_factory(workloads::NpbBenchmark::kLU));
-  // Set-up (VM, guest and workload construction, result collection) is a
-  // fixed cost; a zero-horizon run measures it so the budget judges the
-  // per-event path alone.
-  Scenario zero = sc;
-  zero.horizon = sim::Cycles{0};
-  std::uint64_t a0 = g_allocs;
-  const RunResult setup = run_scenario(zero);
-  const std::uint64_t setup_allocs = g_allocs - a0;
-  a0 = g_allocs;
-  const RunResult full = run_scenario(sc);
-  const std::uint64_t full_allocs = g_allocs - a0;
-
-  ASSERT_GT(full.events, setup.events + 10'000);
-  const double per_event =
-      static_cast<double>(full_allocs - setup_allocs) /
-      static_cast<double>(full.events - setup.events);
-  RecordProperty("allocs_per_event", std::to_string(per_event));
-  EXPECT_LE(per_event, kMaxAllocsPerEvent)
-      << (full_allocs - setup_allocs) << " allocations over "
-      << (full.events - setup.events) << " events";
+  expect_steady_allocs_within(sc, kMaxAllocsPerEvent);
 }
 
 std::string point_name(const ::testing::TestParamInfo<Fig07Point>& info) {
@@ -126,6 +142,21 @@ std::vector<Fig07Point> fig07_points() {
 
 INSTANTIATE_TEST_SUITE_P(Fig07, Fig07Allocations,
                          ::testing::ValuesIn(fig07_points()), point_name);
+
+TEST(Allocations, AuditedChaosChurnHostStaysUnderBudget) {
+  // The contention host under every chaos fault class, plus the churn VM
+  // and create/destroy/resize schedule of the churn scenario on the same
+  // seed, with every scheduling event fully audited.
+  constexpr std::uint64_t kSeed = 1;
+  Scenario sc = contention_scenario(core::SchedulerKind::kAsman, kSeed);
+  apply_chaos(sc, ChaosClass::kEverything);
+  const Scenario churn = churn_scenario(core::SchedulerKind::kAsman, kSeed);
+  sc.vms.push_back(churn.vms.back());
+  sc.churn = churn.churn;
+  sc.audit = true;
+  sc.audit_stride = 1;
+  expect_steady_allocs_within(sc, kMaxAuditedAllocsPerEvent);
+}
 
 }  // namespace
 }  // namespace asman::experiments

@@ -119,6 +119,82 @@ TEST(Auditor, DetectsVcpuDuplicatedAcrossRunQueues) {
   EXPECT_GE(violations(r.auditor, Invariant::kQueuePartition), 1u);
 }
 
+TEST(Auditor, DetectsVcpuQueuedTwiceOnItsOwnPcpu) {
+  Rig r;
+  r.hv.start();
+  r.sim.run_until(seconds(0.1));
+  Vcpu* dup = nullptr;
+  for (hw::PcpuId p = 0; p < r.hv.machine().num_pcpus && !dup; ++p)
+    for (Vcpu* v : r.hv.runqueue(p).entries()) {
+      dup = v;
+      break;
+    }
+  ASSERT_NE(dup, nullptr) << "expected at least one queued VCPU";
+  // Both entries sit on the queue `where` names and the VCPU is runnable,
+  // so every per-entry check passes: only the reference count (2) can see
+  // the duplicate.
+  r.hv.mutable_runqueue(dup->where).push(dup);
+  r.auditor.check_now();
+  EXPECT_EQ(violations(r.auditor, Invariant::kQueuePartition), 1u);
+  EXPECT_EQ(r.auditor.report().entry(Invariant::kQueuePartition).first_offender,
+            "v" + std::to_string(dup->key.vm) + "." +
+                std::to_string(dup->key.idx) +
+                " runnable but queued on 2 queue(s), current on 0 PCPU(s)");
+  EXPECT_EQ(r.auditor.report().total_violations(), 1u)
+      << r.auditor.report().summary();
+  ASSERT_TRUE(r.hv.mutable_runqueue(dup->where).remove(dup));
+}
+
+TEST(Auditor, DetectsBlockedVcpuHomedOutsideTheMachine) {
+  Rig r;
+  r.hv.start();
+  r.sim.run_until(seconds(0.1));
+  ASSERT_FALSE(r.hv.gang_scheduled(r.v0));
+  r.hv.vcpu_block(r.v0, 1);
+  Vcpu& c = r.hv.vm(r.v0).vcpus[1];
+  ASSERT_EQ(c.state, VcpuState::kBlocked);
+  const AuditReport start = r.auditor.report();
+  r.auditor.check_now();
+  const AuditReport clean = r.auditor.report();
+  ASSERT_TRUE(clean.clean()) << clean.summary();
+  // A blocked VCPU sits in no queue, so no reference names its home; only
+  // the range check can notice that `where` points past the last PCPU.
+  const std::uint32_t n = r.hv.machine().num_pcpus;
+  c.where = n + 3;
+  r.auditor.check_now();
+  const AuditReport& after = r.auditor.report();
+  EXPECT_EQ(violations(r.auditor, Invariant::kQueuePartition), 1u);
+  EXPECT_EQ(after.total_violations(), 1u) << after.summary();
+  EXPECT_EQ(after.entry(Invariant::kQueuePartition).first_offender,
+            "v0.1 where=P" + std::to_string(n + 3) + " outside the " +
+                std::to_string(n) + " PCPUs");
+  // The finding rides on the VCPU's existing check: each invariant's count
+  // moves by exactly what the clean scan added.
+  for (std::size_t i = 0; i < kNumInvariants; ++i) {
+    const auto inv = static_cast<Invariant>(i);
+    EXPECT_EQ(after.entry(inv).checks - clean.entry(inv).checks,
+              clean.entry(inv).checks - start.entry(inv).checks)
+        << to_string(inv);
+  }
+}
+
+TEST(Auditor, DetectsGangMemberHomedOutsideTheMachine) {
+  Rig r;
+  r.hv.start();
+  r.sim.run_until(seconds(0.1));
+  r.hv.do_vcrd_op(r.v1, vmm::Vcrd::kHigh);
+  ASSERT_TRUE(r.hv.gang_scheduled(r.v1));
+  r.hv.vcpu_block(r.v1, 2);
+  Vcpu& c = r.hv.vm(r.v1).vcpus[2];
+  ASSERT_EQ(c.state, VcpuState::kBlocked);
+  // The gang walk places members by `where`; an out-of-range home must be
+  // reported, never used as a PCPU index.
+  c.where = r.hv.machine().num_pcpus + 3;
+  r.auditor.check_now();
+  EXPECT_EQ(violations(r.auditor, Invariant::kQueuePartition), 1u);
+  EXPECT_EQ(violations(r.auditor, Invariant::kGangCoherence), 0u);
+}
+
 TEST(Auditor, DetectsOrphanedRunnableVcpu) {
   Rig r;
   r.hv.start();
@@ -203,6 +279,30 @@ TEST(Auditor, DetectsAttributionGapUnderExactAccounting) {
   m.cycles_attributed = sim::Cycles{m.total_online.v / 2};
   r.auditor.check_now();
   EXPECT_GE(violations(r.auditor, Invariant::kCycleConservation), 1u);
+}
+
+TEST(Auditor, OneScanReportsEveryBrokenInvariant) {
+  Rig r;
+  r.hv.start();
+  r.sim.run_until(seconds(0.1));
+  const vmm::Credit cap = r.hv.credit_cap();
+  r.hv.vm(r.v1).vcpus[0].credit = 10 * cap;
+  r.hv.vm(r.v1).total_online += sim::Cycles{12345};
+  std::uint64_t busy = 0;
+  for (hw::PcpuId p = 0; p < r.hv.machine().num_pcpus; ++p)
+    busy += r.hv.pcpu_busy_total(p).v;
+  r.auditor.check_now();
+  const AuditReport& rep = r.auditor.report();
+  EXPECT_EQ(rep.total_violations(), 2u) << rep.summary();
+  EXPECT_EQ(rep.entry(Invariant::kCreditBounds).first_offender,
+            "v1.0 credit " + std::to_string(10 * cap) + " outside [-" +
+                std::to_string(cap) + ", " + std::to_string(cap) + "]");
+  EXPECT_EQ(rep.entry(Invariant::kCycleConservation).first_offender,
+            "consumed-cycle ledger split: VMs consumed " +
+                std::to_string(busy + 12345) + " cycles but PCPUs were busy " +
+                std::to_string(busy));
+  EXPECT_EQ(rep.entry(Invariant::kCreditBounds).first_at, r.sim.now());
+  EXPECT_EQ(rep.entry(Invariant::kCycleConservation).first_at, r.sim.now());
 }
 
 TEST(Auditor, DetectsIllegalStateTransition) {
@@ -494,6 +594,25 @@ TEST(ContentionSeeded, DetectsAGrantExceedingDemand) {
   EXPECT_GE(conservation_violations(r.auditor), 1u);
 }
 
+TEST(ContentionSeeded, RecomputationNeverIndexesAHomeOutsideTheMachine) {
+  // The recomputation leaves a VCPU homed past the last PCPU out of the
+  // engine input instead of reading the topology at that index; under the
+  // sanitizer presets such a read aborts here.
+  PressureRig r;
+  r.sim.run_until(seconds(0.3));
+  ASSERT_GT(r.hv.pressure_periods(), 0u);
+  r.hv.vcpu_block(r.v1, 2);
+  Vcpu& c = r.hv.vm(r.v1).vcpus[2];
+  ASSERT_EQ(c.state, VcpuState::kBlocked);
+  c.where = r.hv.machine().num_pcpus + 3;
+  const std::uint64_t before =
+      r.auditor.report().entry(Invariant::kPressureConservation).checks;
+  r.auditor.on_contention();
+  // Partition check, one per LLC, the recomputation, one per live VCPU.
+  EXPECT_EQ(r.auditor.report().entry(Invariant::kPressureConservation).checks,
+            before + 1 + r.hv.topology().num_llcs() + 1 + 5);
+}
+
 using AuditorDeathTest = ::testing::Test;
 
 TEST(AuditorDeathTest, FatalModeAbortsOnFirstViolation) {
@@ -509,6 +628,25 @@ TEST(AuditorDeathTest, FatalModeAbortsOnFirstViolation) {
         r.auditor.check_now();
       },
       "ASMAN_AUDIT_FATAL: invariant credit-bounds violated");
+}
+
+TEST(AuditorDeathTest, FatalModeAbortsOnCreditBoundsBeforeTheCycleLedger) {
+  // The scan meets the cycle ledger before any credit, but findings are
+  // flagged invariant by invariant: credit bounds come first.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        AuditorConfig cfg;
+        cfg.fatal = true;
+        Rig r(cfg);
+        r.hv.start();
+        r.sim.run_until(seconds(0.05));
+        r.hv.vm(r.v1).vcpus[0].credit = 10 * r.hv.credit_cap();
+        r.hv.vm(r.v1).total_online += sim::Cycles{12345};
+        r.auditor.check_now();
+      },
+      "ASMAN_AUDIT_FATAL: invariant credit-bounds violated at [0-9]+: v1.0 "
+      "credit");
 }
 
 }  // namespace
