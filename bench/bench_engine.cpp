@@ -65,6 +65,37 @@ void BM_EventQueueHold(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueHold)->Arg(40)->Arg(1024);
 
+// cluster_storm's shape: `ticks` periodic timers staggered across one
+// period, each re-armed one period ahead when it fires, above 600 keys far
+// in the future (the storm's fleet operations, all armed at t = 0).
+// TickLane re-arms in a delay lane; TickHeap is its heap-only twin.
+template <bool kInLane>
+void tick_model(benchmark::State& state) {
+  constexpr std::uint64_t kPeriod = 23'300'000;  // 10 ms at 2.33 GHz
+  constexpr std::uint64_t kFar = std::uint64_t{1} << 62;
+  const auto ticks = static_cast<std::uint64_t>(state.range(0));
+  sim::EventQueue q;
+  std::uint64_t fired = 0;
+  for (std::uint64_t i = 0; i < 600; ++i)
+    q.schedule(sim::Cycles{kFar + i}, [&fired] { ++fired; });
+  for (std::uint64_t i = 0; i < ticks; ++i)
+    q.schedule(sim::Cycles{kPeriod * (i + 1) / ticks}, [&fired] { ++fired; });
+  const sim::Lane lane = kInLane ? q.lane(sim::Cycles{kPeriod}) : sim::Lane{};
+  for (auto _ : state) {
+    const sim::Cycles next = q.pop_and_run() + sim::Cycles{kPeriod};
+    if constexpr (kInLane)
+      q.schedule(lane, next, [&fired] { ++fired; });
+    else
+      q.schedule(next, [&fired] { ++fired; });
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(state.iterations());
+}
+void BM_EventQueueTickLane(benchmark::State& state) { tick_model<true>(state); }
+void BM_EventQueueTickHeap(benchmark::State& state) { tick_model<false>(state); }
+BENCHMARK(BM_EventQueueTickLane)->Arg(256);
+BENCHMARK(BM_EventQueueTickHeap)->Arg(256);
+
 void BM_RngU64(benchmark::State& state) {
   sim::Rng rng(42);
   std::uint64_t acc = 0;

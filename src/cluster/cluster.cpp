@@ -170,6 +170,7 @@ void Cluster::start() {
     }
   }
   started_ = true;
+  heartbeat_lane_ = sim_.lane(recovery_.heartbeat_period);
   arm_heartbeat();
   audit_cluster_event();
 }
@@ -481,7 +482,7 @@ void Cluster::degrade_host(HostId h, Cycles duration) {
 // --- heartbeat & credit bookkeeping ---
 
 void Cluster::arm_heartbeat() {
-  sim_.after(recovery_.heartbeat_period, [this] { heartbeat(); });
+  sim_.after(heartbeat_lane_, [this] { heartbeat(); });
 }
 
 void Cluster::heartbeat() {

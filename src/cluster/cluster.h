@@ -297,6 +297,7 @@ class Cluster {
   std::vector<faults::HostFaultSpec> host_faults_;
   PhaseHook phase_hook_;
   bool started_{false};
+  sim::Lane heartbeat_lane_;  // the simulator's lane for heartbeat_period
 
   std::uint64_t migrations_started_{0};
   std::uint64_t migrations_committed_{0};

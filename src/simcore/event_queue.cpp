@@ -32,9 +32,11 @@ void sift_up(K* h, std::size_t hole, const K& k) {
 
 /// Fill the vacant root of the n-entry heap `h` with `k` top-down: move
 /// the earlier child up while it precedes `k`. A key that is due soon
-/// stops near the root.
+/// stops near the root. Forced inline: a call per pop/push fusion costs
+/// more than the loop when the key stops at the root.
 template <typename K>
-void fill_root_top_down(K* h, std::size_t n, const K& k) {
+[[gnu::always_inline]] inline void fill_root_top_down(K* h, std::size_t n,
+                                                      const K& k) {
   const Order ko = order(k);
   std::size_t hole = 0;
   for (std::size_t c = 1; c < n; c = 2 * hole + 1) {
@@ -79,10 +81,30 @@ void EventQueue::grow_slots() {
   free_slots_.push_back(static_cast<std::uint32_t>(slots_.size() - 1));
 }
 
-EventId EventQueue::enqueue(Cycles at, std::uint32_t slot) {
-  const EventId id{next_seq_++, slot};
-  slots_[slot].seq = id.seq;
-  const Key k{at, id.seq, slot};
+void EventQueue::Ring::grow() {
+  std::vector<Key> keys(keys_.empty() ? 16 : 2 * keys_.size());
+  for (std::size_t i = 0; i < count_; ++i)
+    keys[i] = keys_[(head_ + i) & mask()];
+  keys_.swap(keys);
+  head_ = 0;
+}
+
+Lane EventQueue::lane(Cycles delay) {
+  std::size_t i = 0;
+  while (i < lanes_.size() && lanes_[i].delay != delay) ++i;
+  if (i == lanes_.size()) lanes_.push_back({delay, Ring{}});
+  return Lane{static_cast<std::uint32_t>(i + 1)};
+}
+
+inline EventQueue::Key EventQueue::claim(Cycles at, std::uint32_t slot,
+                                         std::uint32_t lane) {
+  const Key k{at, next_seq_++, slot, lane};
+  slots_[slot].seq = k.seq;
+  ++live_count_;
+  return k;
+}
+
+inline void EventQueue::push_key(const Key& k) {
   if (top_vacant_) {
     top_vacant_ = false;
     fill_root_top_down(heap_.data(), heap_.size(), k);
@@ -90,8 +112,24 @@ EventId EventQueue::enqueue(Cycles at, std::uint32_t slot) {
     heap_.push_back(k);
     sift_up(heap_.data(), heap_.size() - 1, k);
   }
-  ++live_count_;
-  return id;
+}
+
+EventId EventQueue::enqueue(Cycles at, std::uint32_t slot) {
+  const Key k = claim(at, slot, 0);
+  push_key(k);
+  return {k.seq, slot};
+}
+
+EventId EventQueue::enqueue(Lane lane, Cycles at, std::uint32_t slot) {
+  Ring& ring = lanes_[lane.tag_ - 1].ring;
+  assert((ring.empty() || ring.back().at <= at) &&
+         "a lane's keys must come due in the order they were armed");
+  const Key k = claim(at, slot, lane.tag_);
+  // Only the lane's front competes in the heap; a later key waits its
+  // turn in the ring.
+  if (ring.empty()) push_key(k);
+  ring.push_back(k);
+  return {k.seq, slot};
 }
 
 void EventQueue::release(std::uint32_t slot) {
@@ -107,6 +145,19 @@ bool EventQueue::cancel(EventId id) {
   return true;
 }
 
+bool EventQueue::advance_lane(std::uint32_t lane) const {
+  Ring& ring = lanes_[lane - 1].ring;
+  ring.pop_front();
+  if (ring.empty()) return false;
+  fill_root_top_down(heap_.data(), heap_.size(), ring.front());
+  return true;
+}
+
+void EventQueue::drop_top() const {
+  const std::uint32_t lane = heap_.front().lane;
+  if (lane == 0 || !advance_lane(lane)) fill_root_from_back(heap_);
+}
+
 void EventQueue::settle() const {
   if (top_vacant_) {
     top_vacant_ = false;
@@ -114,7 +165,7 @@ void EventQueue::settle() const {
   }
   while (!heap_.empty() &&
          slots_[heap_.front().slot].seq != heap_.front().seq)
-    fill_root_from_back(heap_);
+    drop_top();
 }
 
 Cycles EventQueue::next_time() const {
@@ -126,7 +177,10 @@ Cycles EventQueue::pop_and_run() {
   settle();
   assert(!heap_.empty());
   const Key top = heap_.front();
+  // The top stays vacant for the next key scheduled, unless the popped key
+  // was a lane's front and the lane's next key takes the top at once.
   top_vacant_ = true;
+  if (top.lane != 0) top_vacant_ = !advance_lane(top.lane);
   // Move the callback out and free the slot before running it: the
   // callback may schedule (growing slots_) or cancel its own stale id.
   Callback cb = std::move(slots_[top.slot].cb);

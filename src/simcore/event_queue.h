@@ -24,6 +24,17 @@
 // the next next_time() or pop, the last key fills it with Floyd's
 // bottom-up sift instead, as std::pop_heap does. Keys compare as one
 // 128-bit (at, seq) number, so choosing the earlier child is branch-free.
+//
+// Periodic timers skip the heap. Events armed with one fixed delay from a
+// clock that never runs backwards come due in the order they were armed,
+// so a lane, a FIFO ring of keys for one delay, holds them in (at, seq)
+// order already. Only a lane's front competes in the heap, tagged with its
+// lane: popping it puts the lane's next key into the vacated top at once
+// (it is due soon, so the top-down fill stops near the root), and the
+// timer's re-arm appends to the lane's tail in O(1), with no sift. A
+// cancelled lane key stays in its ring and is dropped when it surfaces as
+// the lane's front. Lanes are explicit: lane(d) finds or makes the lane
+// for delay d, and only schedule(Lane, ...) arms in one.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +55,19 @@ struct EventId {
   friend constexpr bool operator==(EventId, EventId) = default;
 };
 
+/// Names one delay lane of an EventQueue. Only EventQueue::lane() makes a
+/// valid one, so no delay or integer can be mistaken for a lane.
+class Lane {
+ public:
+  constexpr Lane() = default;  // names no lane
+  friend constexpr bool operator==(Lane, Lane) = default;
+
+ private:
+  friend class EventQueue;
+  constexpr explicit Lane(std::uint32_t tag) : tag_(tag) {}
+  std::uint32_t tag_{0};  // 1 + the lane's index; 0 for none
+};
+
 class EventQueue {
  public:
   using Callback = InlineFunction<void()>;
@@ -54,11 +78,21 @@ class EventQueue {
   /// the last popped event time (checked by the Simulator layer).
   template <typename F>
   EventId schedule(Cycles at, F&& cb) {
-    if (free_slots_.empty()) grow_slots();
-    const std::uint32_t slot = free_slots_.back();
-    slots_[slot].cb = std::forward<F>(cb);
-    free_slots_.pop_back();
-    return enqueue(at, slot);
+    return enqueue(at, claim_slot(std::forward<F>(cb)));
+  }
+
+  /// The lane for events armed `delay` after the clock, made on first
+  /// use. Every caller that passes the same delay gets the same lane.
+  Lane lane(Cycles delay);
+  /// The delay `lane` was made for.
+  Cycles delay(Lane lane) const { return lanes_[lane.tag_ - 1].delay; }
+
+  /// As schedule(at, cb), but queued in `lane`. Precondition (asserted):
+  /// `at` is no earlier than that of the lane's last pending key, which
+  /// holds when every key is the clock plus the lane's delay.
+  template <typename F>
+  EventId schedule(Lane lane, Cycles at, F&& cb) {
+    return enqueue(lane, at, claim_slot(std::forward<F>(cb)));
   }
 
   /// Cancel a previously scheduled event and destroy its callback. Returns
@@ -87,21 +121,77 @@ class EventQueue {
     Cycles at;
     std::uint64_t seq;
     std::uint32_t slot;
+    std::uint32_t lane{0};  // the Lane tag of a lane's key; 0 in no lane
   };
   struct Slot {
     std::uint64_t seq{0};  // seq of the pending event held; 0 when free
     Callback cb;
   };
+  /// A FIFO of keys whose capacity is zero or a power of two; it doubles
+  /// when full.
+  class Ring {
+   public:
+    bool empty() const { return count_ == 0; }
+    const Key& front() const { return keys_[head_]; }
+    const Key& back() const { return keys_[(head_ + count_ - 1) & mask()]; }
+    void push_back(const Key& k) {
+      if (count_ == keys_.size()) grow();
+      keys_[(head_ + count_) & mask()] = k;
+      ++count_;
+    }
+    void pop_front() {
+      head_ = (head_ + 1) & mask();
+      --count_;
+    }
 
+   private:
+    std::size_t mask() const { return keys_.size() - 1; }
+    void grow();
+    std::vector<Key> keys_;
+    std::size_t head_{0};
+    std::size_t count_{0};
+  };
+  struct LaneRec {
+    Cycles delay;
+    Ring ring;
+  };
+
+  /// Build `cb` in a free slot and return the slot, still unclaimed.
+  template <typename F>
+  std::uint32_t claim_slot(F&& cb) {
+    if (free_slots_.empty()) grow_slots();
+    const std::uint32_t slot = free_slots_.back();
+    slots_[slot].cb = std::forward<F>(cb);
+    free_slots_.pop_back();
+    return slot;
+  }
   /// Append one free slot to the table.
   void grow_slots();
-  /// Claim `slot`, whose callback is built, for a new event at `at`.
+  /// Give the event in `slot`, whose callback is built, its seq and key.
+  Key claim(Cycles at, std::uint32_t slot, std::uint32_t lane);
+  /// Put `k` into the heap, filling a vacant top if there is one.
+  void push_key(const Key& k);
+  /// Claim `slot` for a new event at `at`, in the heap or in `lane`.
   EventId enqueue(Cycles at, std::uint32_t slot);
+  EventId enqueue(Lane lane, Cycles at, std::uint32_t slot);
   void release(std::uint32_t slot);
+  /// The top key, the front of lane tag `lane` (not 0), has left the heap:
+  /// drop it from its lane and fill the top with the lane's next key.
+  /// Returns false, leaving the top vacant, when the lane has no next key.
+  /// Callers test the tag first, so a heap key's pop makes no call.
+  bool advance_lane(std::uint32_t lane) const;
+  /// Drop the top key, whose event fired or was cancelled: refill the top
+  /// from its lane, else with the heap's last key. Kept out of line, so
+  /// that settle()'s common case, a live top, stays small where inlined.
+  [[gnu::noinline]] void drop_top() const;
   /// Fill a vacant top, then pop keys of fired or cancelled events off it,
   /// so that heap_.front() is the earliest pending event (if any).
   void settle() const;
 
+  /// Made on first use by lane(), so an unused queue allocates nothing.
+  /// First, so that the members every event touches stay contiguous with
+  /// the Simulator's clock after them.
+  mutable std::vector<LaneRec> lanes_;
   mutable std::vector<Key> heap_;
   /// heap_.front() holds no key: its event was popped and no key has
   /// filled the entry since.

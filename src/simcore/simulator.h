@@ -40,6 +40,18 @@ class ASMAN_CAPABILITY("simulator") Simulator {
     return at(now_ + delay, std::forward<F>(cb));
   }
 
+  /// The lane for timers that re-arm `delay` ahead of the clock, made on
+  /// first use; owners that pass the same delay share it (EventQueue).
+  Lane lane(Cycles delay) { return queue_.lane(delay); }
+
+  /// Schedule `cb` to run after `lane`'s delay, queued in that lane. It
+  /// fires exactly when and in the order after(delay, cb) would fire it.
+  template <typename F>
+  EventId after(Lane lane, F&& cb) {
+    return queue_.schedule(lane, now_ + queue_.delay(lane),
+                           std::forward<F>(cb));
+  }
+
   /// Schedule `cb` at absolute time `when` (must be >= now()).
   template <typename F>
   EventId at(Cycles when, F&& cb) {

@@ -150,12 +150,15 @@ void Hypervisor::start() {
   in_scheduler_ = false;
   // Per-PCPU ticks, staggered across the slot like real Xen's independent
   // per-PCPU timers; the stagger is what lets a capped VM's VCPUs park and
-  // unpark at different instants.
+  // unpark at different instants. The first ticks' delays differ, so they
+  // go through the heap; each tick then re-arms in the slot lane.
+  tick_lane_ = sim_.lane(slot_len_);
+  accounting_lane_ = sim_.lane(machine_.accounting_cycles());
   for (PcpuId p = 0; p < machine_.num_pcpus; ++p) {
     const Cycles phase{slot_len_.v * (p + 1) / machine_.num_pcpus};
     sim_.after(phase, [this, p] { pcpu_tick(p); });
   }
-  sim_.after(machine_.accounting_cycles(), [this] { accounting_event(); });
+  sim_.after(accounting_lane_, [this] { accounting_event(); });
   audit_event(AuditPoint::kStart);
 }
 
@@ -1208,10 +1211,13 @@ void Hypervisor::pcpu_tick(PcpuId p) {
   in_scheduler_ = false;
   audit_event(AuditPoint::kTick);
   // Timer-tick jitter (fault injection): the hook shifts the next tick of
-  // this PCPU; with no hook the cadence is the exact slot length.
-  Cycles next = slot_len_;
-  if (fault_hook_) next = next + fault_hook_->tick_jitter(p);
-  sim_.after(next, [this, p] { pcpu_tick(p); });
+  // this PCPU; with no hook, or no jitter drawn, the cadence is the exact
+  // slot length and the tick re-arms in the slot lane.
+  const Cycles jitter = fault_hook_ ? fault_hook_->tick_jitter(p) : Cycles{0};
+  if (jitter.v == 0)
+    sim_.after(tick_lane_, [this, p] { pcpu_tick(p); });
+  else
+    sim_.after(slot_len_ + jitter, [this, p] { pcpu_tick(p); });
 }
 
 void Hypervisor::accounting_event() {
@@ -1226,7 +1232,7 @@ void Hypervisor::accounting_event() {
   dispatch_start_ = (dispatch_start_ + 1) % machine_.num_pcpus;
   in_scheduler_ = false;
   audit_event(AuditPoint::kAccountingEnd);
-  sim_.after(machine_.accounting_cycles(), [this] { accounting_event(); });
+  sim_.after(accounting_lane_, [this] { accounting_event(); });
 }
 
 // --- hypercalls --------------------------------------------------------------

@@ -853,6 +853,11 @@ class Hypervisor : public HypervisorPort {
   double fairness_min_{1.0};
   double fairness_sum_{0.0};
   std::uint64_t fairness_periods_{0};
+  /// The simulator's delay lanes for the self-re-arming timers, found at
+  /// start(): a tick without jitter re-arms one slot ahead, accounting one
+  /// accounting period ahead.
+  sim::Lane tick_lane_;
+  sim::Lane accounting_lane_;
 };
 
 /// The stock Xen Credit scheduler: proportional share, load balancing, no

@@ -113,6 +113,35 @@ TEST(Allocations, SchedulingAndRunningReuseQueueStorage) {
   EXPECT_EQ(fired, 128u);
 }
 
+/// A periodic timer: re-arms itself one lane delay ahead every time.
+struct LaneTimer {
+  sim::Simulator* s;
+  sim::Lane lane;
+  std::uint64_t* fired;
+  void operator()() const {
+    ++*fired;
+    s->after(lane, *this);
+  }
+};
+
+TEST(Allocations, LaneRearmsReuseQueueStorage) {
+  constexpr std::uint64_t kTimers = 256;
+  sim::Simulator s;
+  const sim::Lane lane = s.lane(sim::Cycles{kTimers});
+  std::uint64_t fired = 0;
+  // Staggered first firings, then a steady state of kTimers pending lane
+  // re-arms. Warm up for four periods, so the lane's ring has grown to
+  // its peak, then measure 36 more.
+  for (std::uint64_t i = 0; i < kTimers; ++i)
+    s.after(sim::Cycles{i + 1}, LaneTimer{&s, lane, &fired});
+  s.run_until(sim::Cycles{kTimers * 4});
+  const std::uint64_t before = g_allocs;
+  s.run_until(sim::Cycles{kTimers * 40});
+  EXPECT_EQ(g_allocs - before, 0u);
+  EXPECT_EQ(s.pending_events(), kTimers);
+  EXPECT_EQ(fired, kTimers * 40);
+}
+
 struct Fig07Point {
   core::SchedulerKind sched;
   std::uint32_t weight;

@@ -3,8 +3,18 @@
 // (ordered multimap). Fired callbacks act too: they schedule, cancel and call
 // next_time() from inside the pop, while the heap's top entry is vacant,
 // and the reference mirrors each action.
+//
+// Cases with delay lanes add lane traffic: events armed in one to three
+// lanes (delay 0 among them, and delays whose keys tie with heap keys),
+// cancels of lane fronts and of keys in the middle of a ring, lanes
+// drained to empty and refilled, rings grown well past their first
+// capacity while wrapping, and lane callbacks that re-arm in their own
+// lane. The reference knows nothing of lanes: a lane event is an event at
+// now + delay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <map>
 #include <ostream>
 #include <set>
@@ -49,10 +59,25 @@ class Reference {
     for (const auto& item : items_) times.insert(item.first.first);
     return times.size();
   }
+  bool contains(std::uint64_t id) const {
+    return std::any_of(items_.begin(), items_.end(),
+                       [id](const auto& item) { return item.second == id; });
+  }
 
  private:
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> items_;
   std::uint64_t next_{1};
+};
+
+/// What the lane traffic of one run reached; a lane case checks that the
+/// fuzz hit every path it is there for.
+struct LaneCoverage {
+  std::size_t armed{0};          // lane events armed
+  std::size_t max_depth{0};      // most pending events in one lane
+  std::size_t refills{0};        // lanes armed again after draining to empty
+  std::size_t front_cancels{0};  // cancels of a lane's earliest event
+  std::size_t middle_cancels{0};  // cancels behind a lane's front
+  std::size_t self_rearms{0};    // lane callbacks re-arming in their lane
 };
 
 /// Drives an EventQueue and the reference in lockstep. EventQueue seq
@@ -60,29 +85,73 @@ class Reference {
 /// in the same order.
 class Harness {
  public:
-  Harness(std::uint64_t seed, std::uint64_t horizon)
-      : rng_(seed), horizon_(horizon) {}
+  Harness(std::uint64_t seed, std::uint64_t horizon,
+          const std::vector<std::uint64_t>& lane_delays)
+      : rng_(seed), horizon_(horizon) {
+    for (const std::uint64_t d : lane_delays)
+      lanes_.push_back({q_.lane(Cycles{d}), d, {}, false});
+  }
 
   Rng& rng() { return rng_; }
   bool empty() const { return ref_.empty(); }
   std::size_t pending() const { return ref_.size(); }
   std::size_t distinct_times() const { return ref_.distinct_times(); }
+  std::size_t lanes() const { return lanes_.size(); }
+  const LaneCoverage& coverage() const { return cov_; }
 
   /// Schedule one event in [now, now + horizon) on both.
   void schedule() {
     const Cycles at{now_.v + rng_.next_below(horizon_)};
     const std::uint64_t n = ref_.schedule(at);
-    const EventId id = q_.schedule(at, [this, n] { fired(n); });
+    const EventId id = q_.schedule(at, [this, n] { fired(n, kNoLane); });
     EXPECT_EQ(id.seq, n);
     live_.push_back(id);
   }
 
+  /// Schedule one event at now + delay in lane `li` on the queue, and at
+  /// the same time on the reference.
+  void schedule_in_lane(std::size_t li) {
+    LaneTraffic& l = lanes_[li];
+    if (depth(li) == 0 && l.used) ++cov_.refills;
+    l.used = true;
+    const Cycles at{now_.v + l.delay};
+    const std::uint64_t n = ref_.schedule(at);
+    const EventId id = q_.schedule(l.lane, at, [this, n, li] { fired(n, li); });
+    EXPECT_EQ(id.seq, n);
+    live_.push_back(id);
+    l.armed.push_back(id);
+    ++cov_.armed;
+    cov_.max_depth = std::max(cov_.max_depth, depth(li));
+  }
+
+  /// Schedule on the heap or in a random lane; with no lanes it draws
+  /// nothing, so the heap-only cases replay their pre-lane streams.
+  void schedule_random() {
+    const auto r = lanes_.empty() ? 0 : rng_.next_below(lanes_.size() + 1);
+    if (r == lanes_.size())
+      schedule();
+    else
+      schedule_in_lane(r);
+  }
+
   void cancel_random() {
     if (live_.empty()) return;
-    const auto idx = rng_.next_below(live_.size());
-    const EventId id = live_[idx];
-    EXPECT_EQ(q_.cancel(id), ref_.cancel(id.seq));
-    live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(idx));
+    cancel_at(rng_.next_below(live_.size()));
+  }
+
+  /// Cancel lane `li`'s earliest pending event.
+  void cancel_lane_front(std::size_t li) {
+    if (depth(li) == 0) return;
+    ++cov_.front_cancels;
+    cancel_id(lanes_[li].armed.front());
+  }
+
+  /// Cancel a pending event of lane `li` other than its earliest.
+  void cancel_lane_middle(std::size_t li) {
+    if (depth(li) < 2) return;
+    const std::vector<EventId>& armed = lanes_[li].armed;
+    ++cov_.middle_cancels;
+    cancel_id(armed[1 + rng_.next_below(armed.size() - 1)]);
   }
 
   void check_counts() const {
@@ -112,8 +181,40 @@ class Harness {
   }
 
  private:
-  /// A callback: up to four actions, at most two of them schedules.
-  void fired(std::uint64_t n) {
+  static constexpr std::size_t kNoLane = ~std::size_t{0};
+
+  struct LaneTraffic {
+    Lane lane;
+    std::uint64_t delay;
+    std::vector<EventId> armed;  // pending events in arming order, pruned
+    bool used;                   // armed at least once
+  };
+
+  /// Pending events of lane `li`, after dropping fired and cancelled ones.
+  std::size_t depth(std::size_t li) {
+    std::vector<EventId>& armed = lanes_[li].armed;
+    armed.erase(std::remove_if(armed.begin(), armed.end(),
+                               [this](EventId id) {
+                                 return !ref_.contains(id.seq);
+                               }),
+                armed.end());
+    return armed.size();
+  }
+
+  void cancel_at(std::size_t idx) {
+    const EventId id = live_[idx];
+    EXPECT_EQ(q_.cancel(id), ref_.cancel(id.seq));
+    live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(idx));
+  }
+  void cancel_id(EventId id) {
+    const auto it = std::find(live_.begin(), live_.end(), id);
+    ASSERT_NE(it, live_.end());
+    cancel_at(static_cast<std::size_t>(it - live_.begin()));
+  }
+
+  /// A callback: up to four actions, at most two of them schedules. A lane
+  /// event may also re-arm in its own lane, as a periodic timer does.
+  void fired(std::uint64_t n, std::size_t li) {
     EXPECT_EQ(n, expected_);
     fired_ = n;
     int schedules = 0;
@@ -122,7 +223,7 @@ class Harness {
         case 0:
           if (schedules < 2) {
             ++schedules;
-            schedule();
+            schedule_random();
           }
           break;
         case 1:
@@ -134,6 +235,10 @@ class Harness {
           break;
       }
     }
+    if (li != kNoLane && rng_.next_below(2) == 0) {
+      ++cov_.self_rearms;
+      schedule_in_lane(li);
+    }
   }
 
   Rng rng_;
@@ -141,6 +246,8 @@ class Harness {
   EventQueue q_;
   Reference ref_;
   std::vector<EventId> live_;
+  std::vector<LaneTraffic> lanes_;
+  LaneCoverage cov_;
   Cycles now_{0};
   std::uint64_t expected_{0};
   std::uint64_t fired_{0};
@@ -150,6 +257,7 @@ struct ModelCase {
   std::uint64_t seed;
   std::uint64_t horizon;  // new events land in [now, now + horizon)
   std::size_t fill;       // events scheduled before the random operations
+  std::vector<std::uint64_t> lane_delays{};  // one lane per delay
 };
 
 // Names each case by its seed alone; ctest lists the cases by these names.
@@ -160,8 +268,8 @@ std::ostream& operator<<(std::ostream& os, const ModelCase& c) {
 class EventQueueModel : public ::testing::TestWithParam<ModelCase> {};
 
 TEST_P(EventQueueModel, MatchesReferenceUnderRandomOps) {
-  const ModelCase c = GetParam();
-  Harness h(c.seed, c.horizon);
+  const ModelCase& c = GetParam();
+  Harness h(c.seed, c.horizon, c.lane_delays);
   for (std::size_t i = 0; i < c.fill; ++i) h.schedule();
   if (c.fill > 0) {
     // Every pending event lies in [now, now + horizon), so the heap stays
@@ -171,12 +279,33 @@ TEST_P(EventQueueModel, MatchesReferenceUnderRandomOps) {
   }
   for (int step = 0; step < 5000 && !HasFailure(); ++step) {
     const auto r = h.rng().next_below(100);
-    if (r < 55) {
-      h.schedule();
-    } else if (r < 80) {
-      h.cancel_random();
-    } else if (!h.empty()) {
-      h.pop();
+    if (h.lanes() == 0) {
+      if (r < 55) {
+        h.schedule();
+      } else if (r < 80) {
+        h.cancel_random();
+      } else if (!h.empty()) {
+        h.pop();
+      }
+    } else {
+      // Phases of 400 steps alternate between filling (pops are rare) and
+      // draining (pops outnumber schedules), so that lanes run dry, refill
+      // and grow their rings while earlier keys leave them.
+      const bool draining = (step / 400) % 2 == 1;
+      const std::size_t li = h.rng().next_below(h.lanes());
+      if (r < 20) {
+        h.schedule();
+      } else if (r < (draining ? 30u : 55u)) {
+        h.schedule_in_lane(li);
+      } else if (r < 62) {
+        h.cancel_random();
+      } else if (r < 68) {
+        h.cancel_lane_front(li);
+      } else if (r < 72) {
+        h.cancel_lane_middle(li);
+      } else if (!h.empty() && (draining || r < 80)) {
+        h.pop();
+      }
     }
     h.check_counts();
     if (h.rng().next_below(2) == 0) h.check_next_time();
@@ -185,6 +314,17 @@ TEST_P(EventQueueModel, MatchesReferenceUnderRandomOps) {
   while (!h.empty() && !HasFailure()) h.pop();
   h.check_counts();
   h.check_next_time();
+  if (h.lanes() > 0) {
+    const LaneCoverage& cov = h.coverage();
+    EXPECT_GT(cov.refills, 0u);
+    EXPECT_GT(cov.front_cancels, 0u);
+    EXPECT_GT(cov.middle_cancels, 0u);
+    EXPECT_GT(cov.self_rearms, 0u);
+    // Well past a ring's first capacity, and over many times its largest
+    // capacity, so the ring grew while its keys wrapped around.
+    EXPECT_GT(cov.max_depth, 64u);
+    EXPECT_GT(cov.armed, 8 * cov.max_depth);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -195,7 +335,14 @@ INSTANTIATE_TEST_SUITE_P(
                       ModelCase{21, 1000, 0}, ModelCase{34, 1000, 0},
                       // A deep heap of seq ties: 1,200+ events on at most
                       // 16 distinct timestamps.
-                      ModelCase{55, 16, 1200}));
+                      ModelCase{55, 16, 1200},
+                      // Lane traffic. One lane of delay 0: every key ties
+                      // with the event that armed it.
+                      ModelCase{89, 1000, 0, {0}},
+                      // Lane keys tie with heap keys at equal times.
+                      ModelCase{144, 16, 0, {0, 7}},
+                      ModelCase{233, 1000, 0, {0, 250, 5000}},
+                      ModelCase{377, 64, 300, {3, 40, 64}}));
 
 }  // namespace
 }  // namespace asman::sim

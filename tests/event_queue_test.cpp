@@ -211,6 +211,68 @@ TEST(EventQueue, AfterBuildsTheClosureInItsSlot) {
   EXPECT_LE(moves_when_run, 2);
 }
 
+TEST(EventQueueLanes, LaneAndHeapKeysAtOneTimeFireInSeqOrder) {
+  Simulator s;
+  const Lane lane = s.lane(Cycles{10});
+  std::vector<int> order;
+  // All four come due at t = 10; a lane's front competes with the heap's
+  // keys by (at, seq), so they fire in arming order.
+  s.after(lane, [&] { order.push_back(1); });
+  s.after(Cycles{10}, [&] { order.push_back(2); });
+  s.after(lane, [&] { order.push_back(3); });
+  s.at(Cycles{10}, [&] { order.push_back(4); });
+  s.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(EventQueueLanes, OwnersOfOneDelayShareItsLane) {
+  Simulator s;
+  const Lane first_owner = s.lane(Cycles{30});
+  const Lane second_owner = s.lane(Cycles{30});
+  const Lane other = s.lane(Cycles{40});
+  EXPECT_EQ(first_owner, second_owner);
+  EXPECT_NE(first_owner, other);
+  std::vector<Cycles> fired;
+  s.after(first_owner, [&] { fired.push_back(s.now()); });
+  s.after(Cycles{5}, [&] {
+    s.after(second_owner, [&] { fired.push_back(s.now()); });
+  });
+  s.after(other, [&] { fired.push_back(s.now()); });
+  s.run_all();
+  EXPECT_EQ(fired, (std::vector<Cycles>{Cycles{30}, Cycles{35}, Cycles{40}}));
+}
+
+TEST(EventQueueLanes, CancelledLaneFrontLetsItsSuccessorSurface) {
+  EventQueue q;
+  const Lane lane = q.lane(Cycles{5});
+  std::vector<int> order;
+  const EventId front = q.schedule(lane, Cycles{5}, [&] { order.push_back(1); });
+  const EventId next = q.schedule(lane, Cycles{6}, [&] { order.push_back(2); });
+  const EventId last = q.schedule(lane, Cycles{8}, [&] { order.push_back(3); });
+  q.schedule(Cycles{7}, [&] { order.push_back(4); });
+  ASSERT_TRUE(q.cancel(front));
+  EXPECT_FALSE(q.pending(front));
+  EXPECT_TRUE(q.pending(next));
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.next_time(), Cycles{6});
+  EXPECT_EQ(q.pop_and_run(), Cycles{6});
+  EXPECT_FALSE(q.pending(next));
+  EXPECT_TRUE(q.pending(last));
+  EXPECT_EQ(q.size(), 2u);
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(order, (std::vector<int>{2, 4, 3}));
+  EXPECT_EQ(q.next_time(), Cycles::max());
+}
+
+#ifndef NDEBUG
+TEST(EventQueueLanesDeathTest, KeyDueBeforeTheLanesLastIsAsserted) {
+  EventQueue q;
+  const Lane lane = q.lane(Cycles{5});
+  q.schedule(lane, Cycles{9}, [] {});
+  EXPECT_DEATH(q.schedule(lane, Cycles{8}, [] {}), "order they were armed");
+}
+#endif
+
 class EventQueueRandomized : public ::testing::TestWithParam<std::uint64_t> {
 };
 
