@@ -44,7 +44,7 @@ std::uint64_t check_topology_placement(const vmm::Hypervisor& hv,
   if (!hv.gang_scheduled(id) || v.num_vcpus() > hv.online_pcpus()) return 0;
   // The minimal-packing computation is the scheduler's own
   // (gang_socket_set, via placement_spans_excess_sockets), so the checker
-  // flags exactly the placements relocate_vm_topo would never produce.
+  // flags exactly the placements relocate_vm would never produce.
   if (hv.placement_spans_excess_sockets(id)) {
     std::vector<bool> used(hv.topology().num_sockets(), false);
     std::uint32_t spanned = 0;

@@ -17,6 +17,14 @@ std::string key_str(VcpuKey k) {
   std::snprintf(buf, sizeof buf, "v%u.%u", k.vm, k.idx);
   return buf;
 }
+
+/// Fixed limiter windows, in slots: the BOOST limiter counts grants over
+/// kBoostWindowSlots and denies BOOST for kBoostPenaltySlots after an
+/// overflow; the VCRD plausibility clamp counts yield hints over
+/// kVcrdCheckSlots.
+constexpr std::uint64_t kBoostWindowSlots = 5;
+constexpr std::uint64_t kBoostPenaltySlots = 12;
+constexpr std::uint64_t kVcrdCheckSlots = 5;
 }  // namespace
 
 const char* to_string(AuditPoint p) {
@@ -108,12 +116,6 @@ void Hypervisor::start() {
     resilience_.flap_window = Cycles{slot_len_.v * 5};
   if (resilience_.demote_backoff.v == 0)
     resilience_.demote_backoff = Cycles{slot_len_.v * 12};
-  if (resilience_.boost_window.v == 0)
-    resilience_.boost_window = Cycles{slot_len_.v * 5};
-  if (resilience_.boost_penalty.v == 0)
-    resilience_.boost_penalty = Cycles{slot_len_.v * 12};
-  if (resilience_.vcrd_check_window.v == 0)
-    resilience_.vcrd_check_window = Cycles{slot_len_.v * 5};
   if (admission_.restore_backoff.v == 0)
     admission_.restore_backoff = Cycles{slot_len_.v * 12};
   resilience_.ipi_max_retries = core::clamp_to_bounds(
@@ -201,42 +203,6 @@ void Hypervisor::set_fault_hook(FaultHook* hook) {
   if (hook) faults_armed_ = true;
 }
 
-std::uint64_t Hypervisor::vcrd_demotions() const {
-  std::uint64_t n = 0;
-  for (const auto& v : vms_) n += v->demotions;
-  return n;
-}
-
-std::uint64_t Hypervisor::stale_vcrd_drops() const {
-  std::uint64_t n = 0;
-  for (const auto& v : vms_) n += v->stale_vcrd_drops;
-  return n;
-}
-
-std::uint64_t Hypervisor::boost_grants() const {
-  std::uint64_t n = 0;
-  for (const auto& v : vms_) n += v->boost_grants;
-  return n;
-}
-
-std::uint64_t Hypervisor::boost_denials() const {
-  std::uint64_t n = 0;
-  for (const auto& v : vms_) n += v->boost_denials;
-  return n;
-}
-
-std::uint64_t Hypervisor::dodged_samples() const {
-  std::uint64_t n = 0;
-  for (const auto& v : vms_) n += v->dodged_samples;
-  return n;
-}
-
-std::uint64_t Hypervisor::implausible_vcrds() const {
-  std::uint64_t n = 0;
-  for (const auto& v : vms_) n += v->implausible_vcrds;
-  return n;
-}
-
 std::uint64_t Hypervisor::theft_cycles_total() const {
   std::uint64_t n = 0;
   for (const auto& v : vms_)
@@ -263,14 +229,8 @@ void Hypervisor::demote_vm(Vm& v, const char* why) {
 }
 
 void Hypervisor::note_flap(Vm& v) {
-  const Cycles now = sim_.now();
-  if (v.flap_count == 0 ||
-      now - v.flap_window_start > resilience_.flap_window) {
-    v.flap_window_start = now;
-    v.flap_count = 0;
-  }
-  ++v.flap_count;
-  if (resilience_.flap_limit > 0 && v.flap_count > resilience_.flap_limit &&
+  const std::uint64_t flaps = v.flaps.bump(sim_.now(), resilience_.flap_window);
+  if (resilience_.flap_limit > 0 && flaps > resilience_.flap_limit &&
       !v.degraded)
     demote_vm(v, "VCRD flap rate limit");
 }
@@ -285,15 +245,11 @@ bool Hypervisor::grant_boost(Vm& m) {
     ++m.boost_denials;
     return false;
   }
-  // Same sliding-window shape as note_flap: count grants in the current
-  // window; overflow opens the penalty window.
-  if (m.boost_count == 0 ||
-      now - m.boost_window_start > resilience_.boost_window) {
-    m.boost_window_start = now;
-    m.boost_count = 0;
-  }
-  if (++m.boost_count > resilience_.boost_limit) {
-    m.boost_penalty_until = now + resilience_.boost_penalty;
+  // Count grants in the current window like note_flap; overflow opens the
+  // penalty window.
+  if (m.boosts.bump(now, slot_len_ * kBoostWindowSlots) >
+      resilience_.boost_limit) {
+    m.boost_penalty_until = now + slot_len_ * kBoostPenaltySlots;
     ++m.boost_denials;
     note_trace(sim::TraceCat::kMonitor, [&] {
       return m.name + " BOOST rate limit hit (abuse suspected)";
@@ -311,22 +267,14 @@ void Hypervisor::vcpu_yield_hint(VmId id, std::uint32_t vidx) {
   // but never yielded is lying).
   (void)vidx;
   if (halted_ || id >= vms_.size() || !vms_[id]->alive) return;
-  Vm& v = *vms_[id];
-  ++v.yield_hints;
-  const Cycles now = sim_.now();
-  if (v.yields_in_window == 0 ||
-      now - v.yield_window_start > resilience_.vcrd_check_window) {
-    v.yield_window_start = now;
-    v.yields_in_window = 0;
-  }
-  ++v.yields_in_window;
+  vms_[id]->yields.bump(sim_.now(), slot_len_ * kVcrdCheckSlots);
 }
 
 void Hypervisor::degradation_tick(Vm& v) {
   const Cycles now = sim_.now();
   if (v.degraded && now >= v.degraded_until) {
     v.degraded = false;
-    v.flap_count = 0;
+    v.flaps = {};
     v.watchdog_streak = 0;
     note_trace(sim::TraceCat::kMonitor, [&] {
       return v.name + " degraded state lifted";
@@ -335,9 +283,7 @@ void Hypervisor::degradation_tick(Vm& v) {
     // onto shared homes; a gang must regain coscheduling with a coherent
     // placement or the next launch would double-book a PCPU. (Excess-socket
     // drift is repacked too under topology-aware placement.)
-    if (cosched_eligible(v) &&
-        (gang_homes_collide(v) || gang_spans_excess_sockets(v)))
-      relocate_vm(v);
+    respread_gang(v);
   }
   if (resilience_.vcrd_ttl.v > 0 && v.vcrd == Vcrd::kHigh &&
       now - v.vcrd_last_report > resilience_.vcrd_ttl) {
@@ -474,6 +420,12 @@ bool Hypervisor::gang_homes_collide(const Vm& v) const {
   return false;
 }
 
+void Hypervisor::respread_gang(Vm& v) {
+  if (cosched_eligible(v) &&
+      (gang_homes_collide(v) || gang_spans_excess_sockets(v)))
+    relocate_vm(v);
+}
+
 // --- topology cost model & socket packing ------------------------------------
 
 Cycles Hypervisor::would_be_penalty(const Vcpu& v, PcpuId to) const {
@@ -530,7 +482,7 @@ void Hypervisor::note_migration(Vcpu& v, PcpuId from, PcpuId to) {
 std::vector<bool> Hypervisor::gang_socket_set(const Vm& v) const {
   // Sockets pinned by running members, greedily extended (largest spare
   // online-unclaimed capacity, tie lowest socket id) until the non-running
-  // members fit. Both relocate_vm_topo and the audit invariant derive
+  // members fit. Both relocate_vm and the audit invariant derive
   // "minimal" from this one function, so they can never disagree.
   std::vector<bool> claimed(machine_.num_pcpus, false);
   std::vector<bool> allowed(topo_.num_sockets(), false);
@@ -794,7 +746,6 @@ void Hypervisor::go_online(PcpuId p, Vcpu* v) {
   v->where = p;
   v->online_since = sim_.now();
   v->slice_start = sim_.now();
-  ++v->dispatches;
   ++context_switches_;
   note_trace(sim::TraceCat::kSched, [&] {
     return key_str(v->key) + " online on P" + std::to_string(p);
@@ -828,6 +779,24 @@ Vcpu* Hypervisor::unmap_current(PcpuId p) {
 void Hypervisor::go_offline(PcpuId p) {
   Vcpu* v = unmap_current(p);
   enqueue(p, v);
+}
+
+void Hypervisor::rehome(Vcpu& v, PcpuId to) {
+  note_migration(v, v.where, to);
+  v.where = to;
+  ++migrations_;
+}
+
+void Hypervisor::move_home(Vcpu& v, PcpuId to) {
+  if (v.state != VcpuState::kRunnable) {
+    v.where = to;  // a blocked VCPU just gets a new wake-up home
+    return;
+  }
+  const bool removed = dequeue(v.where, &v);
+  assert(removed);
+  (void)removed;
+  enqueue(to, &v);
+  rehome(v, to);
 }
 
 bool Hypervisor::is_schedulable(const Vcpu& v) const {
@@ -923,10 +892,7 @@ Vcpu* Hypervisor::steal_for(PcpuId p, bool allow_over) {
   }
   if (best) {
     dequeue(src, best);
-    note_migration(*best, best->where, p);
-    best->where = p;
-    ++best->migrations;
-    ++migrations_;
+    rehome(*best, p);
   }
   return best;
 }
@@ -1026,10 +992,26 @@ void Hypervisor::dispatch(PcpuId p) {
   }
 }
 
+void Hypervisor::redispatch(PcpuId p) {
+  dispatch(p);
+  PcpuRec& pc = pcpus_[p];
+  if (pc.current == nullptr && !pc.idle_marked) {
+    pc.idle_marked = true;
+    pc.idle_since = sim_.now();
+  }
+}
+
+void Hypervisor::dispatch_idle(PcpuId first) {
+  for (PcpuId i = 0; i < machine_.num_pcpus; ++i) {
+    const PcpuId p = (first + i) % machine_.num_pcpus;
+    if (pcpus_[p].online && pcpus_[p].current == nullptr) dispatch(p);
+  }
+}
+
 void Hypervisor::refresh_cosched_boost(Vcpu& v, bool weak) {
   v.cosched_boost = true;
   v.cosched_weak = weak;
-  if (v.cosched_clear_ev.valid()) sim_.cancel(v.cosched_clear_ev);
+  cancel_timer(v.cosched_clear_ev);
   v.cosched_clear_ev = sim_.after(slot_len_, [this, &v] {
     v.cosched_boost = false;
     v.cosched_clear_ev = {};
@@ -1049,13 +1031,9 @@ void Hypervisor::preempt_current(PcpuId p) {
 void Hypervisor::co_stop(Vm& v) {
   if (in_co_stop_) return;
   in_co_stop_ = true;
-  ++co_stops_;
   note_trace(sim::TraceCat::kCosched, [&] { return v.name + " co-stop"; });
   for (Vcpu& w : v.vcpus) {
-    if (w.cosched_clear_ev.valid()) {
-      sim_.cancel(w.cosched_clear_ev);
-      w.cosched_clear_ev = {};
-    }
+    cancel_timer(w.cosched_clear_ev);
     w.cosched_boost = false;
     w.cosched_weak = false;
   }
@@ -1066,11 +1044,7 @@ void Hypervisor::co_stop(Vm& v) {
     if (w.state != VcpuState::kRunning) continue;
     const PcpuId p = w.where;
     go_offline(p);
-    dispatch(p);
-    if (pcpus_[p].current == nullptr && !pcpus_[p].idle_marked) {
-      pcpus_[p].idle_marked = true;
-      pcpus_[p].idle_since = sim_.now();
-    }
+    redispatch(p);
   }
   in_co_stop_ = false;
 }
@@ -1086,7 +1060,6 @@ void Hypervisor::launch_cosched(PcpuId from, Vcpu& head) {
   // but must not displace UNDER VCPUs of other VMs.
   const bool strong =
       head.credit >= 0 || (head.cosched_boost && !head.cosched_weak);
-  ++(strong ? strong_launches_ : weak_launches_);
   note_trace(sim::TraceCat::kCosched, [&] {
     return "cosched launch " + gang.name + " from P" + std::to_string(from) +
            (strong ? " (strong)" : " (weak)");
@@ -1225,10 +1198,7 @@ void Hypervisor::accounting_event() {
   in_scheduler_ = true;
   do_accounting();
   // Newly topped-up (unparked) VCPUs may be waiting while PCPUs idle.
-  for (PcpuId i = 0; i < machine_.num_pcpus; ++i) {
-    const PcpuId p = (dispatch_start_ + i) % machine_.num_pcpus;
-    if (pcpus_[p].online && pcpus_[p].current == nullptr) dispatch(p);
-  }
+  dispatch_idle(dispatch_start_);
   dispatch_start_ = (dispatch_start_ + 1) % machine_.num_pcpus;
   in_scheduler_ = false;
   audit_event(AuditPoint::kAccountingEnd);
@@ -1262,9 +1232,7 @@ void Hypervisor::do_vcrd_op(VmId id, Vcrd vcrd) {
   // guests yield every spin_yield_period and clear the floor easily.
   if (vcrd == Vcrd::kHigh && resilience_.vcrd_min_yields > 0) {
     const std::uint64_t recent =
-        sim_.now() - v.yield_window_start <= resilience_.vcrd_check_window
-            ? v.yields_in_window
-            : 0;
+        v.yields.recent(sim_.now(), slot_len_ * kVcrdCheckSlots);
     if (recent < resilience_.vcrd_min_yields) {
       ++v.implausible_vcrds;
       note_trace(sim::TraceCat::kMonitor, [&] {
@@ -1316,11 +1284,7 @@ void Hypervisor::vcpu_block(VmId id, std::uint32_t vidx) {
       in_scheduler_ = true;
       Vcpu* u = unmap_current(p);
       set_state(*u, VcpuState::kBlocked);
-      dispatch(p);
-      if (pcpus_[p].current == nullptr && !pcpus_[p].idle_marked) {
-        pcpus_[p].idle_marked = true;
-        pcpus_[p].idle_since = sim_.now();
-      }
+      redispatch(p);
       in_scheduler_ = false;
       audit_event(AuditPoint::kBlock);
       return;
@@ -1363,15 +1327,9 @@ void Hypervisor::vcpu_kick(VmId id, std::uint32_t vidx) {
   // armed) rate-limited per VM: sleep/wake oscillation cannot farm
   // unbounded wake-priority (arXiv 1103.0759's BOOST abuse).
   v.wake_boost = v.credit > 0 && grant_boost(vm(id));
-  if (!pcpus_[v.where].online) {
-    // The wake home went offline while this VCPU was blocked; re-home it
-    // lazily now (credit travels with the VCPU).
-    const PcpuId stale = v.where;
-    v.where = pick_online_home(id, stale);
-    ++v.migrations;
-    ++migrations_;
-    note_migration(v, stale, v.where);
-  }
+  // The wake home went offline while this VCPU was blocked; re-home it
+  // lazily now (credit travels with the VCPU).
+  if (!pcpus_[v.where].online) rehome(v, pick_online_home(id, v.where));
   const PcpuId home = v.where;
   enqueue(home, &v);
   in_scheduler_ = true;
@@ -1390,71 +1348,31 @@ void Hypervisor::vcpu_kick(VmId id, std::uint32_t vidx) {
 // --- Algorithm 3 lines 8-16 ---------------------------------------------------
 
 void Hypervisor::relocate_vm(Vm& v) {
-  if (topo_place_active()) {
-    relocate_vm_topo(v);
-    note_trace(sim::TraceCat::kCosched, [&] { return v.name + " relocated"; });
-    audit_relocated(v.id);
-    return;
-  }
+  // Under topology-aware placement non-running members may only land inside
+  // the greedily-minimal socket set, so a HIGH-VCRD gang packs within a
+  // socket when it fits instead of spreading across the machine. An empty
+  // set (flat placement) allows every socket and allocates nothing.
+  const std::vector<bool> allowed =
+      topo_place_active() ? gang_socket_set(v) : std::vector<bool>{};
+  const auto usable = [&](PcpuId p) {
+    return pcpus_[p].online &&
+           (allowed.empty() || allowed[topo_.socket_of(p)]);
+  };
   std::vector<bool> claimed(machine_.num_pcpus, false);
   // Running VCPUs pin their PCPU.
   for (const Vcpu& c : v.vcpus)
     if (c.state == VcpuState::kRunning) claimed[c.where] = true;
   for (Vcpu& c : v.vcpus) {
     if (c.state == VcpuState::kRunning) continue;
-    if (!claimed[c.where] && pcpus_[c.where].online) {
+    if (!claimed[c.where] && usable(c.where)) {
       claimed[c.where] = true;
       continue;
     }
-    // Choose the least-loaded unclaimed online PCPU (lowest id breaks ties).
+    // Choose the least-loaded unclaimed usable PCPU (lowest id breaks ties).
     PcpuId dest = machine_.num_pcpus;
     std::size_t best_load = 0;
     for (PcpuId p = 0; p < machine_.num_pcpus; ++p) {
-      if (claimed[p] || !pcpus_[p].online) continue;
-      const std::size_t load = pcpus_[p].runq.size();
-      if (dest == machine_.num_pcpus || load < best_load) {
-        dest = p;
-        best_load = load;
-      }
-    }
-    if (dest == machine_.num_pcpus) break;  // more VCPUs than PCPUs
-    if (c.state == VcpuState::kRunnable) {
-      const bool removed = dequeue(c.where, &c);
-      assert(removed);
-      (void)removed;
-      enqueue(dest, &c);
-      ++c.migrations;
-      ++migrations_;
-      note_migration(c, c.where, dest);
-    }
-    c.where = dest;  // blocked VCPUs just get a new wake-up home
-    claimed[dest] = true;
-  }
-  note_trace(sim::TraceCat::kCosched, [&] { return v.name + " relocated"; });
-  audit_relocated(v.id);
-}
-
-void Hypervisor::relocate_vm_topo(Vm& v) {
-  // Same contract as the flat path — pairwise-distinct online PCPUs,
-  // running members pinned — but non-running members may only land inside
-  // the greedily-minimal socket set, so a HIGH-VCRD gang packs within a
-  // socket when it fits instead of spreading across the machine.
-  const std::vector<bool> allowed = gang_socket_set(v);
-  std::vector<bool> claimed(machine_.num_pcpus, false);
-  for (const Vcpu& c : v.vcpus)
-    if (c.state == VcpuState::kRunning) claimed[c.where] = true;
-  for (Vcpu& c : v.vcpus) {
-    if (c.state == VcpuState::kRunning) continue;
-    if (!claimed[c.where] && pcpus_[c.where].online &&
-        allowed[topo_.socket_of(c.where)]) {
-      claimed[c.where] = true;
-      continue;
-    }
-    PcpuId dest = machine_.num_pcpus;
-    std::size_t best_load = 0;
-    for (PcpuId p = 0; p < machine_.num_pcpus; ++p) {
-      if (claimed[p] || !pcpus_[p].online) continue;
-      if (!allowed[topo_.socket_of(p)]) continue;
+      if (claimed[p] || !usable(p)) continue;
       const std::size_t load = pcpus_[p].runq.size();
       if (dest == machine_.num_pcpus || load < best_load) {
         dest = p;
@@ -1462,18 +1380,11 @@ void Hypervisor::relocate_vm_topo(Vm& v) {
       }
     }
     if (dest == machine_.num_pcpus) break;  // more VCPUs than capacity
-    if (c.state == VcpuState::kRunnable) {
-      const bool removed = dequeue(c.where, &c);
-      assert(removed);
-      (void)removed;
-      enqueue(dest, &c);
-      ++c.migrations;
-      ++migrations_;
-      note_migration(c, c.where, dest);
-    }
-    c.where = dest;
+    move_home(c, dest);
     claimed[dest] = true;
   }
+  note_trace(sim::TraceCat::kCosched, [&] { return v.name + " relocated"; });
+  audit_relocated(v.id);
 }
 
 // --- fault-injection entry points --------------------------------------------
@@ -1512,12 +1423,8 @@ void Hypervisor::fault_pcpu_offline(PcpuId p) {
     dequeue(p, w);
     // Near the dying PCPU: under topology-aware placement evacuees prefer
     // the sibling LLC/socket so their caches stay as warm as possible.
-    const PcpuId dest = pick_online_home(w->key.vm, p);
-    note_migration(*w, w->where, dest);
-    w->where = dest;
-    enqueue(dest, w);
-    ++w->migrations;
-    ++migrations_;
+    rehome(*w, pick_online_home(w->key.vm, p));
+    enqueue(w->where, w);
     ++evacuated_vcpus_;
   }
   if (!pc.idle_marked) {
@@ -1530,8 +1437,7 @@ void Hypervisor::fault_pcpu_offline(PcpuId p) {
       wants_cosched(*victim))
     co_stop(*victim);
   // Idle online PCPUs pick up the evacuees right away.
-  for (PcpuId q = 0; q < machine_.num_pcpus; ++q)
-    if (pcpus_[q].online && pcpus_[q].current == nullptr) dispatch(q);
+  dispatch_idle(0);
   in_scheduler_ = false;
   audit_event(AuditPoint::kHotplug);
 }
@@ -1551,12 +1457,7 @@ void Hypervisor::fault_pcpu_online(PcpuId p) {
   // shared homes; now that they fit again, spread them back out before any
   // launch (or audit pass) sees a double-booked PCPU. Under topology-aware
   // placement a gang squeezed across extra sockets repacks too.
-  for (const auto& vp : vms_) {
-    Vm& v = *vp;
-    if (cosched_eligible(v) &&
-        (gang_homes_collide(v) || gang_spans_excess_sockets(v)))
-      relocate_vm(v);
-  }
+  for (const auto& vp : vms_) respread_gang(*vp);
   dispatch(p);  // steal work immediately instead of idling until its tick
   in_scheduler_ = false;
   audit_event(AuditPoint::kHotplug);
@@ -1573,39 +1474,16 @@ void Hypervisor::fault_crash_vcpu(VmId vm_id, std::uint32_t vidx) {
   note_trace(sim::TraceCat::kSched, [&] {
     return key_str(v.key) + " crashed";
   });
-  if (v.cosched_clear_ev.valid()) {
-    sim_.cancel(v.cosched_clear_ev);
-    v.cosched_clear_ev = {};
-  }
-  v.cosched_boost = false;
-  v.cosched_weak = false;
-  v.wake_boost = false;
   in_scheduler_ = true;
-  switch (v.state) {
-    case VcpuState::kRunning: {
-      const PcpuId p = v.where;
-      Vcpu* u = unmap_current(p);
-      set_state(*u, VcpuState::kBlocked);
-      if (strictness_ == Strictness::kStrict && !in_co_stop_ &&
-          cosched_eligible(owner))
-        co_stop(owner);
-      dispatch(p);
-      if (pcpus_[p].current == nullptr && !pcpus_[p].idle_marked) {
-        pcpus_[p].idle_marked = true;
-        pcpus_[p].idle_since = sim_.now();
-      }
-      break;
-    }
-    case VcpuState::kRunnable: {
-      const bool removed = dequeue(v.where, &v);
-      assert(removed);
-      (void)removed;
-      set_state(v, VcpuState::kBlocked);
-      break;
-    }
-    case VcpuState::kBlocked:
-    case VcpuState::kDestroyed:  // unreachable: alive-guarded above
-      break;  // already blocked; the crashed flag pins it there
+  // Park it (already blocked: the crashed flag pins it there); a member
+  // crashed while running releases its strict gang and frees its PCPU.
+  std::vector<PcpuId> freed;
+  park_vcpu(v, freed);
+  if (!freed.empty()) {
+    if (strictness_ == Strictness::kStrict && !in_co_stop_ &&
+        cosched_eligible(owner))
+      co_stop(owner);
+    redispatch(freed.front());
   }
   in_scheduler_ = false;
   audit_event(AuditPoint::kFault);

@@ -102,22 +102,16 @@ struct ResilienceConfig {
   /// hypervisor's seeded RNG, so runs stay bit-reproducible per seed.
   bool sample_offset_jitter{false};
   /// BOOST-abuse rate limiter: more than this many wake boosts granted to
-  /// one VM inside one boost_window opens a boost_penalty-long window in
+  /// one VM inside one 5-slot window opens a 12-slot penalty window in
   /// which the VM's wakes get no BOOST priority (0 = limiter off; grants
-  /// are still metered). Rides the flap-limiter's window machinery.
+  /// are still metered). Counts with the flap limiter's RateWindow.
   std::uint32_t boost_limit{0};
-  /// Boost-limiter window length (0 = 5 slots).
-  Cycles boost_window{0};
-  /// Boost-denial penalty window after an overflow (0 = 12 slots).
-  Cycles boost_penalty{0};
   /// VCRD plausibility clamp: a HIGH claim is rejected (counted in
   /// Vm::implausible_vcrds, no TTL refresh, no state change) unless the VM
   /// produced at least this many yield hints — the hardware-observable
   /// spin evidence core::HwAdaptiveScheduler also consumes — inside the
-  /// current vcrd_check_window (0 = clamp off).
+  /// current 5-slot window (0 = clamp off).
   std::uint32_t vcrd_min_yields{0};
-  /// Plausibility-clamp observation window (0 = 5 slots).
-  Cycles vcrd_check_window{0};
 };
 
 /// Portable VM image a live migration carries between hosts: identity,
@@ -214,8 +208,6 @@ class Hypervisor : public HypervisorPort {
   /// no un-halt. Idempotent.
   void halt();
   bool halted() const { return halted_; }
-  /// True for a live VM currently paused by pause_vm.
-  bool vm_paused(VmId id) const { return vm(id).paused; }
 
   // --- migration / halt counters (cluster RunResult surface) ---
   std::uint64_t vm_migrations_out() const { return vm_migrations_out_; }
@@ -380,9 +372,6 @@ class Hypervisor : public HypervisorPort {
   }
 
   // --- memory-pressure counters & views (RunResult surface) ---
-  /// True when the contention engine runs: multi-domain topology, finite
-  /// LLC capacity, and at least one declared nonzero footprint.
-  bool pressure_engine_active() const { return pressure_cost_active(); }
   /// The engine's published occupancy/bandwidth result for the most recent
   /// accounting period (empty while the engine is inert).
   const hw::memsys::ContentionPass& pressure_last() const { return pass_; }
@@ -432,9 +421,6 @@ class Hypervisor : public HypervisorPort {
     return gang_spans_excess_sockets(vm(id));
   }
   std::uint64_t cosched_events() const { return cosched_events_; }
-  std::uint64_t strong_launches() const { return strong_launches_; }
-  std::uint64_t weak_launches() const { return weak_launches_; }
-  std::uint64_t co_stops() const { return co_stops_; }
   std::uint64_t context_switches() const { return context_switches_; }
   const hw::IpiBus& ipi_bus() const { return ipi_; }
   hw::IpiBus& ipi_bus() { return ipi_; }
@@ -460,16 +446,20 @@ class Hypervisor : public HypervisorPort {
   std::uint64_t hypercall_rejects() const { return hypercall_rejects_; }
   std::uint64_t ignored_kicks() const { return ignored_kicks_; }
   /// Total flap/watchdog demotions and TTL drops across all VMs.
-  std::uint64_t vcrd_demotions() const;
-  std::uint64_t stale_vcrd_drops() const;
+  std::uint64_t vcrd_demotions() const { return sum_vms(&Vm::demotions); }
+  std::uint64_t stale_vcrd_drops() const {
+    return sum_vms(&Vm::stale_vcrd_drops);
+  }
 
   // --- adversarial-tenancy metrics (RunResult surface) ---
   /// Sums over all VMs (tombstones included — theft by a destroyed VM
   /// still happened).
-  std::uint64_t boost_grants() const;
-  std::uint64_t boost_denials() const;
-  std::uint64_t dodged_samples() const;
-  std::uint64_t implausible_vcrds() const;
+  std::uint64_t boost_grants() const { return sum_vms(&Vm::boost_grants); }
+  std::uint64_t boost_denials() const { return sum_vms(&Vm::boost_denials); }
+  std::uint64_t dodged_samples() const { return sum_vms(&Vm::dodged_samples); }
+  std::uint64_t implausible_vcrds() const {
+    return sum_vms(&Vm::implausible_vcrds);
+  }
   /// Total cycles consumed beyond what accounting attributed, across VMs.
   std::uint64_t theft_cycles_total() const;
   /// Cycles this PCPU spent non-idle (the conservation ledger's machine
@@ -516,7 +506,9 @@ class Hypervisor : public HypervisorPort {
   /// Algorithm 3 lines 8-16: place the VM's VCPUs into run queues of
   /// pairwise distinct PCPUs so a later gang dispatch can bring them all
   /// online simultaneously. Running VCPUs pin their PCPU; queued and
-  /// blocked ones are moved as needed.
+  /// blocked ones are moved as needed. Under topology-aware placement the
+  /// moved members land only inside gang_socket_set's minimal socket set,
+  /// so a gang packs within one socket when it fits.
   void relocate_vm(Vm& v);
 
   sim::Simulator& sim_;
@@ -570,13 +562,20 @@ class Hypervisor : public HypervisorPort {
   void attribute(Vcpu& v, Cycles span);
   /// BOOST rate limiter (wake path): meter the grant and, when
   /// ResilienceConfig::boost_limit is armed and the VM overflowed its
-  /// window, deny BOOST for the penalty window. Mirrors note_flap's
-  /// sliding-window shape.
+  /// window, deny BOOST for the penalty window. Counts in a RateWindow,
+  /// like note_flap.
   bool grant_boost(Vm& m);
   /// Deschedule the current VCPU of `p` (burn, notify guest, requeue).
   void go_offline(PcpuId p);
   /// Like go_offline but leaves the VCPU unqueued (block path).
   Vcpu* unmap_current(PcpuId p);
+  /// Move `v`'s home to `to`: the topology cost model's hop (note_migration)
+  /// plus the host migration count. Queue membership is the caller's job.
+  void rehome(Vcpu& v, PcpuId to);
+  /// Relocation step for a member that is not running: a queued VCPU moves
+  /// to `to`'s run queue and is rehomed; a blocked one only gets `to` as
+  /// its new wake-up home (no migration is counted).
+  void move_home(Vcpu& v, PcpuId to);
   /// Map `v` (currently queued on some PCPU) onto `p`.
   void go_online(PcpuId p, Vcpu* v);
   /// Audited choke points (docs/MODEL.md "Static guarantees"): every
@@ -589,6 +588,11 @@ class Hypervisor : public HypervisorPort {
   bool dequeue(PcpuId p, Vcpu* v);
   /// Pick and map work for `p` per Algorithm 4; may steal or go idle.
   void dispatch(PcpuId p);
+  /// Dispatch `p`, whose current VCPU just left, and open its idle span if
+  /// nothing was picked.
+  void redispatch(PcpuId p);
+  /// Dispatch every online PCPU with nothing mapped, starting at `first`.
+  void dispatch_idle(PcpuId first);
   /// Find the best migratable VCPU for an idle `p` from other run queues.
   Vcpu* steal_for(PcpuId p, bool allow_over);
   /// Algorithm 4 lines 5-7: IPI the PCPUs holding siblings of `head`.
@@ -630,15 +634,13 @@ class Hypervisor : public HypervisorPort {
   /// Warm-cache penalty `v` would pay for landing on `to` right now
   /// (Cycles{0} when cold, same-LLC, or the cost model is inactive).
   Cycles would_be_penalty(const Vcpu& v, PcpuId to) const;
-  /// Topology-aware flavour of relocate_vm: running members pin their
-  /// sockets; the remaining members pack into a greedily-minimal socket
-  /// set (largest spare capacity first) on pairwise-distinct PCPUs.
-  void relocate_vm_topo(Vm& v);
-  /// The socket set relocate_vm_topo may use (shared with the audit
-  /// invariant so scheduler and checker agree on "minimal").
+  /// The socket set relocate_vm may use under topology-aware placement:
+  /// sockets pinned by running members, greedily extended (largest spare
+  /// capacity first) until the rest fit. Shared with the audit invariant
+  /// so scheduler and checker agree on "minimal".
   std::vector<bool> gang_socket_set(const Vm& v) const;
-  /// True when the gang occupies more sockets than relocate_vm_topo's
-  /// minimal packing would use (relocation trigger + audit invariant).
+  /// True when the gang occupies more sockets than relocate_vm's minimal
+  /// packing would use (relocation trigger + audit invariant).
   bool gang_spans_excess_sockets(const Vm& v) const;
 
   // --- memory-system contention (docs/MODEL.md §2.8, pressure-gated) ---------
@@ -664,8 +666,8 @@ class Hypervisor : public HypervisorPort {
   /// audited relocation seams.
   void maybe_rebalance_pressure();
   /// Re-home every movable VCPU of `v` onto PCPUs of `socket` (running
-  /// members stay; queued/blocked members move through dequeue/enqueue +
-  /// note_migration, exactly like relocate_vm_topo). Returns true when any
+  /// members stay; queued/blocked members move through move_home, exactly
+  /// like relocate_vm). Returns true when any
   /// member actually moved; fires audit_relocated.
   bool rebalance_vm_to_socket(Vm& v, std::uint32_t socket);
   /// Working-set bytes `v` would park on the LLC of `p` (the steal gate's
@@ -681,6 +683,10 @@ class Hypervisor : public HypervisorPort {
   /// True when two members share a home or a home went offline — placement
   /// a gang must not launch with. Only meaningful for cosched VMs.
   bool gang_homes_collide(const Vm& v) const;
+  /// Re-spread a gang that lost its coherent placement (shared or offline
+  /// homes, or excess sockets) before its next launch: relocate_vm, only
+  /// while it is gang-scheduled.
+  void respread_gang(Vm& v);
   /// Record a LOW->HIGH transition in the flap window; demote on overflow.
   void note_flap(Vm& v);
   void demote_vm(Vm& v, const char* why);
@@ -702,27 +708,42 @@ class Hypervisor : public HypervisorPort {
   bool admission_enabled() const {
     return admission_.max_vcpus_per_pcpu > 0.0;
   }
+  /// Admission check for `n` more VCPUs of `weight`: false, counted in
+  /// admission_rejects(), when they would push the load per online PCPU
+  /// past the cap. `load` receives the prospective load for the caller's
+  /// trace.
+  bool admit(std::uint32_t n, std::uint32_t weight, double& load);
   /// Pick a home for a fresh VCPU: round-robin over online PCPUs, offset
   /// like boot-time placement so sibling VCPUs spread out. `self` is the
   /// VM under construction (create_vm builds it before it joins vms_, so
   /// the pressure spread reads already-placed sibling homes from it).
   PcpuId place_new_vcpu(VmId id, std::uint32_t vidx, const Vm& self) const;
-  /// Retire one VCPU record: cancel boosts, drain it from its queue (or
-  /// unmap it, burning/charging as usual), emit the audited ->Destroyed
-  /// transition. Appends the freed PCPU to `freed` when it was running.
+  /// Take one VCPU off the machine: cancel its boosts, then unmap it
+  /// (burn/charge as usual; its PCPU is appended to `freed`) or take it
+  /// out of its run queue. Leaves it kRunnable and unqueued, or untouched
+  /// when blocked or destroyed.
+  void evict_vcpu(Vcpu& w, std::vector<PcpuId>& freed);
+  /// Retire one VCPU record: evict it, emit the audited ->Destroyed
+  /// transition and zero its credit and pause latch.
   void drain_vcpu(Vcpu& w, std::vector<PcpuId>& freed);
+  /// Retire a live VM (destroy_vm, migrate_out): dead first, watchdog
+  /// cancelled, HIGH interval closed, every VCPU drained into a kDestroyed
+  /// tombstone, the freed PCPUs re-dispatched.
+  void retire_vm(Vm& v);
   /// Seed a freshly migrated-in VM's credit from the carried pool:
   /// truncating equal split per VCPU, clamped to +/-credit_cap (the same
   /// shape as Algorithm 3's re-split, so credit-bounds and the next
   /// accounting pass hold). Returns the total actually credited. An
   /// audited credit writer: asman-lint's audit-seam whitelist names it.
   __int128 seed_credit(VmId id, __int128 pool);
-  /// Park one VCPU in kBlocked through the audited paths (pause/halt
-  /// machinery): cancels its boosts, unmaps or dequeues as needed.
-  /// Appends the freed PCPU to `freed` when it was running.
+  /// Park one VCPU in kBlocked through the audited paths (pause, halt and
+  /// crash machinery): evict it, then block it.
   void park_vcpu(Vcpu& w, std::vector<PcpuId>& freed);
-  /// Re-dispatch `freed` plus any idle online PCPU (post-lifecycle-op).
+  /// Re-dispatch every online PCPU in `freed` that is still empty.
   void redispatch_freed(const std::vector<PcpuId>& freed);
+  /// Let idle PCPUs pick up new VCPUs (dispatch_idle) one event later, so
+  /// the caller can attach_guest first.
+  void defer_dispatch_idle();
   /// Overload governor: shed coscheduling when load crosses the shed
   /// threshold (called when load rises)...
   void maybe_shed_overload();
@@ -754,6 +775,17 @@ class Hypervisor : public HypervisorPort {
   }
   void audit_contention() {
     if (audit_) audit_->on_contention();
+  }
+  /// Cancel a pending one-shot timer and forget its id (no-op when none).
+  void cancel_timer(sim::EventId& ev) {
+    if (ev.valid()) sim_.cancel(ev);
+    ev = {};
+  }
+  /// Sum of one per-VM counter over every VM, tombstones included.
+  std::uint64_t sum_vms(std::uint64_t Vm::*field) const {
+    std::uint64_t n = 0;
+    for (const auto& v : vms_) n += (*v).*field;
+    return n;
   }
 
   hw::MachineConfig machine_;
@@ -826,9 +858,6 @@ class Hypervisor : public HypervisorPort {
   /// Balancer hysteresis: last period (pressure_periods_ value) a swap
   /// fired; the cooldown keeps home assignments from ping-ponging.
   std::uint64_t last_pressure_rebalance_period_{0};
-  std::uint64_t strong_launches_{0};
-  std::uint64_t weak_launches_{0};
-  std::uint64_t co_stops_{0};
   std::uint64_t cosched_events_{0};
   std::uint64_t context_switches_{0};
   std::uint64_t ipi_retries_{0};

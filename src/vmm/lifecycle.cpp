@@ -45,6 +45,15 @@ double Hypervisor::prospective_load(double extra) const {
 
 double Hypervisor::weighted_vcpu_load() const { return prospective_load(0.0); }
 
+bool Hypervisor::admit(std::uint32_t n, std::uint32_t weight, double& load) {
+  if (!admission_enabled()) return true;
+  load = prospective_load(static_cast<double>(n) *
+                          (static_cast<double>(weight) / kReferenceWeight));
+  if (load <= admission_.max_vcpus_per_pcpu) return true;
+  ++admission_rejects_;
+  return false;
+}
+
 PcpuId Hypervisor::place_new_vcpu(VmId id, std::uint32_t vidx,
                                   const Vm& self) const {
   const std::uint32_t n = machine_.num_pcpus;
@@ -134,24 +143,18 @@ VmId Hypervisor::create_vm(std::string name, std::uint32_t weight,
     });
     return kInvalidVmId;
   }
-  if (admission_enabled()) {
-    const double extra =
-        static_cast<double>(n_vcpus) *
-        (static_cast<double>(weight) / kReferenceWeight);
-    const double load = prospective_load(extra);
-    if (load > admission_.max_vcpus_per_pcpu) {
-      ++admission_rejects_;
-      note_trace(sim::TraceCat::kSched, [&] {
-        char buf[128];
-        std::snprintf(buf, sizeof buf,
-                      "admission reject: %s (+%u VCPUs would load %.2f/%.2f "
-                      "per PCPU)",
-                      name.c_str(), n_vcpus, load,
-                      admission_.max_vcpus_per_pcpu);
-        return std::string(buf);
-      });
-      return kInvalidVmId;
-    }
+  double load = 0.0;
+  if (!admit(n_vcpus, weight, load)) {
+    note_trace(sim::TraceCat::kSched, [&] {
+      char buf[128];
+      std::snprintf(buf, sizeof buf,
+                    "admission reject: %s (+%u VCPUs would load %.2f/%.2f "
+                    "per PCPU)",
+                    name.c_str(), n_vcpus, load,
+                    admission_.max_vcpus_per_pcpu);
+      return std::string(buf);
+    });
+    return kInvalidVmId;
   }
   const VmId id = static_cast<VmId>(vms_.size());
   auto v = std::make_unique<Vm>();
@@ -179,88 +182,72 @@ VmId Hypervisor::create_vm(std::string name, std::uint32_t weight,
     });
     audit_created(id);
     maybe_shed_overload();
-    // Let idle PCPUs pick the new VCPUs up right away — deferred one
-    // event so the caller can attach_guest first (go_online must find the
-    // guest port wired); busy PCPUs collect them at their next tick.
-    sim_.after(Cycles{0}, [this] {
-      in_scheduler_ = true;
-      for (PcpuId q = 0; q < machine_.num_pcpus; ++q)
-        if (pcpus_[q].online && pcpus_[q].current == nullptr) dispatch(q);
-      in_scheduler_ = false;
-    });
+    defer_dispatch_idle();  // idle PCPUs pick the new VCPUs up right away
     audit_event(AuditPoint::kLifecycle);
   }
   return id;
 }
 
-void Hypervisor::drain_vcpu(Vcpu& w, std::vector<PcpuId>& freed) {
-  if (w.cosched_clear_ev.valid()) {
-    sim_.cancel(w.cosched_clear_ev);
-    w.cosched_clear_ev = {};
-  }
+void Hypervisor::defer_dispatch_idle() {
+  // Deferred one event so the caller can attach_guest first (go_online
+  // must find the guest port wired); busy PCPUs collect the new VCPUs at
+  // their next tick.
+  sim_.after(Cycles{0}, [this] {
+    in_scheduler_ = true;
+    dispatch_idle(0);
+    in_scheduler_ = false;
+  });
+}
+
+void Hypervisor::evict_vcpu(Vcpu& w, std::vector<PcpuId>& freed) {
+  cancel_timer(w.cosched_clear_ev);
   w.cosched_boost = false;
   w.cosched_weak = false;
   w.wake_boost = false;
-  switch (w.state) {
-    case VcpuState::kRunning: {
-      // Burn/charge through the normal unmap path (the guest sees its
-      // offline callback), then tombstone from kRunnable.
-      const PcpuId p = w.where;
-      Vcpu* u = unmap_current(p);
-      set_state(*u, VcpuState::kDestroyed);
-      freed.push_back(p);
-      break;
-    }
-    case VcpuState::kRunnable: {
-      const bool removed = dequeue(w.where, &w);
-      assert(removed);
-      (void)removed;
-      set_state(w, VcpuState::kDestroyed);
-      break;
-    }
-    case VcpuState::kBlocked:
-      set_state(w, VcpuState::kDestroyed);
-      break;
-    case VcpuState::kDestroyed:
-      break;
+  if (w.state == VcpuState::kRunning) {
+    // Burn/charge through the normal unmap path (the guest sees its
+    // offline callback); the VCPU is left kRunnable.
+    freed.push_back(w.where);
+    unmap_current(w.where);
+  } else if (w.state == VcpuState::kRunnable) {
+    const bool removed = dequeue(w.where, &w);
+    assert(removed);
+    (void)removed;
   }
+}
+
+void Hypervisor::drain_vcpu(Vcpu& w, std::vector<PcpuId>& freed) {
+  evict_vcpu(w, freed);
+  if (w.state == VcpuState::kRunnable) set_state(w, VcpuState::kDestroyed);
+  if (w.state == VcpuState::kBlocked) set_state(w, VcpuState::kDestroyed);
+  assert(w.state == VcpuState::kDestroyed);
   // Residual credit leaves with the VCPU: a tombstone holds no stake in
-  // the next redistribution (the mint is split among live VMs only).
+  // the next redistribution (the mint is split among live VMs only), and
+  // no latched wake.
   w.credit = 0;
+  w.paused_pending = false;
 }
 
 void Hypervisor::redispatch_freed(const std::vector<PcpuId>& freed) {
-  for (const PcpuId p : freed) {
-    if (!pcpus_[p].online) continue;
-    if (pcpus_[p].current == nullptr) dispatch(p);
-    if (pcpus_[p].current == nullptr && !pcpus_[p].idle_marked) {
-      pcpus_[p].idle_marked = true;
-      pcpus_[p].idle_since = sim_.now();
-    }
-  }
+  for (const PcpuId p : freed)
+    if (pcpus_[p].online && pcpus_[p].current == nullptr) redispatch(p);
 }
 
-bool Hypervisor::destroy_vm(VmId id) {
-  if (id >= vms_.size() || !vms_[id]->alive) return false;
-  Vm& v = *vms_[id];
+void Hypervisor::retire_vm(Vm& v) {
   // Dead first: from here on no dispatch, steal, IPI or hypercall path
   // touches this VM (cosched_eligible and the hypercall guards all check
   // `alive` before anything else).
   v.alive = false;
+  v.paused = false;
   v.destroyed_at = sim_.now();
-  ++vm_destroys_;
-  note_trace(sim::TraceCat::kSched, [&] { return v.name + " destroyed"; });
   const bool was = in_scheduler_;
   in_scheduler_ = true;
-  if (v.watchdog_ev.valid()) {
-    sim_.cancel(v.watchdog_ev);
-    v.watchdog_ev = {};
-  }
+  cancel_timer(v.watchdog_ev);
   if (v.vcrd == Vcrd::kHigh) {  // close the HIGH interval for statistics
     v.vcrd_high_time += sim_.now() - v.vcrd_high_since;
     v.vcrd = Vcrd::kLow;
   }
-  // Mid-gang destruction aborts the gang cleanly: each member's boost is
+  // Mid-gang retirement aborts the gang cleanly: each member's boost is
   // cancelled and it is drained through the audited transition paths —
   // running members unmap (burn/charge as usual), queued members leave
   // their run queues, blocked members tombstone in place.
@@ -271,6 +258,14 @@ bool Hypervisor::destroy_vm(VmId id) {
   maybe_restore_overload();  // load fell; the shed backoff still gates
   in_scheduler_ = was;
   audit_event(AuditPoint::kLifecycle);
+}
+
+bool Hypervisor::destroy_vm(VmId id) {
+  if (id >= vms_.size() || !vms_[id]->alive) return false;
+  Vm& v = *vms_[id];
+  ++vm_destroys_;
+  note_trace(sim::TraceCat::kSched, [&] { return v.name + " destroyed"; });
+  retire_vm(v);
   return true;
 }
 
@@ -281,24 +276,18 @@ bool Hypervisor::resize_vm(VmId id, std::uint32_t n_vcpus) {
   if (n_vcpus == n_old) return true;
   const bool was = in_scheduler_;
   if (n_vcpus > n_old) {
-    if (admission_enabled()) {
-      const double extra =
-          static_cast<double>(n_vcpus - n_old) *
-          (static_cast<double>(v.weight) / kReferenceWeight);
-      const double load = prospective_load(extra);
-      if (load > admission_.max_vcpus_per_pcpu) {
-        ++admission_rejects_;
-        note_trace(sim::TraceCat::kSched, [&] {
-          char buf[128];
-          std::snprintf(buf, sizeof buf,
-                        "admission reject: resize %s to %u VCPUs (load "
-                        "%.2f/%.2f per PCPU)",
-                        v.name.c_str(), n_vcpus, load,
-                        admission_.max_vcpus_per_pcpu);
-          return std::string(buf);
-        });
-        return false;
-      }
+    double load = 0.0;
+    if (!admit(n_vcpus - n_old, v.weight, load)) {
+      note_trace(sim::TraceCat::kSched, [&] {
+        char buf[128];
+        std::snprintf(buf, sizeof buf,
+                      "admission reject: resize %s to %u VCPUs (load "
+                      "%.2f/%.2f per PCPU)",
+                      v.name.c_str(), n_vcpus, load,
+                      admission_.max_vcpus_per_pcpu);
+        return std::string(buf);
+      });
+      return false;
     }
     in_scheduler_ = true;
     // Grow: fresh runnable VCPUs with zero credit (the VM's pool is
@@ -315,16 +304,8 @@ bool Hypervisor::resize_vm(VmId id, std::uint32_t n_vcpus) {
     maybe_shed_overload();
     // A grown gang may now collide with itself (or, topology-aware, spill
     // across more sockets than it needs); re-spread before launch.
-    if (cosched_eligible(v) &&
-        (gang_homes_collide(v) || gang_spans_excess_sockets(v)))
-      relocate_vm(v);
-    if (started_)
-      sim_.after(Cycles{0}, [this] {
-        in_scheduler_ = true;
-        for (PcpuId q = 0; q < machine_.num_pcpus; ++q)
-          if (pcpus_[q].online && pcpus_[q].current == nullptr) dispatch(q);
-        in_scheduler_ = false;
-      });
+    respread_gang(v);
+    if (started_) defer_dispatch_idle();
   } else {
     in_scheduler_ = true;
     // Shrink: drain the top indices through the audited paths, then pop
@@ -338,9 +319,7 @@ bool Hypervisor::resize_vm(VmId id, std::uint32_t n_vcpus) {
     // Mid-gang shrink: survivors must hold pairwise-distinct PCPUs before
     // the next launch (the drained members may have pinned shared homes) —
     // and a smaller gang may now fit fewer sockets.
-    if (cosched_eligible(v) &&
-        (gang_homes_collide(v) || gang_spans_excess_sockets(v)))
-      relocate_vm(v);
+    respread_gang(v);
     redispatch_freed(freed);
     maybe_restore_overload();
   }
@@ -378,10 +357,7 @@ void Hypervisor::maybe_shed_overload() {
   for (auto& vp : vms_) {
     Vm& v = *vp;
     if (!v.alive) continue;
-    if (v.watchdog_ev.valid()) {
-      sim_.cancel(v.watchdog_ev);
-      v.watchdog_ev = {};
-    }
+    cancel_timer(v.watchdog_ev);
     if (wants_cosched(v) && !v.degraded) co_stop(v);
   }
   in_scheduler_ = was;
@@ -406,12 +382,7 @@ void Hypervisor::maybe_restore_overload() {
   // While shed, gang members drifted onto shared homes under stock rules;
   // regaining eligibility with a colliding placement would double-book a
   // PCPU at the next launch (excess-socket drift is repacked too).
-  for (auto& vp : vms_) {
-    Vm& v = *vp;
-    if (cosched_eligible(v) &&
-        (gang_homes_collide(v) || gang_spans_excess_sockets(v)))
-      relocate_vm(v);
-  }
+  for (auto& vp : vms_) respread_gang(*vp);
 }
 
 }  // namespace asman::vmm

@@ -26,34 +26,8 @@
 namespace asman::vmm {
 
 void Hypervisor::park_vcpu(Vcpu& w, std::vector<PcpuId>& freed) {
-  if (w.cosched_clear_ev.valid()) {
-    sim_.cancel(w.cosched_clear_ev);
-    w.cosched_clear_ev = {};
-  }
-  w.cosched_boost = false;
-  w.cosched_weak = false;
-  w.wake_boost = false;
-  switch (w.state) {
-    case VcpuState::kRunning: {
-      // Burn/charge through the normal unmap path (the guest sees its
-      // offline callback), then park from kRunnable.
-      const PcpuId p = w.where;
-      Vcpu* u = unmap_current(p);
-      set_state(*u, VcpuState::kBlocked);
-      freed.push_back(p);
-      break;
-    }
-    case VcpuState::kRunnable: {
-      const bool removed = dequeue(w.where, &w);
-      assert(removed);
-      (void)removed;
-      set_state(w, VcpuState::kBlocked);
-      break;
-    }
-    case VcpuState::kBlocked:
-    case VcpuState::kDestroyed:
-      break;
-  }
+  evict_vcpu(w, freed);  // a running VCPU parks from kRunnable
+  if (w.state == VcpuState::kRunnable) set_state(w, VcpuState::kBlocked);
 }
 
 bool Hypervisor::pause_vm(VmId id) {
@@ -63,10 +37,7 @@ bool Hypervisor::pause_vm(VmId id) {
   v.paused = true;
   const bool was = in_scheduler_;
   in_scheduler_ = true;
-  if (v.watchdog_ev.valid()) {
-    sim_.cancel(v.watchdog_ev);
-    v.watchdog_ev = {};
-  }
+  cancel_timer(v.watchdog_ev);
   std::vector<PcpuId> freed;
   for (Vcpu& w : v.vcpus) {
     const bool held_work =
@@ -92,24 +63,15 @@ bool Hypervisor::resume_vm(VmId id) {
     const bool wake = w.paused_pending && !w.crashed;
     w.paused_pending = false;
     if (!wake || w.state != VcpuState::kBlocked) continue;
-    if (!pcpus_[w.where].online) {
-      // The home went offline during the pause; re-home like a wake does
-      // (credit travels with the VCPU).
-      const PcpuId stale = w.where;
-      w.where = pick_online_home(id, stale);
-      ++w.migrations;
-      ++migrations_;
-      note_migration(w, stale, w.where);
-    }
+    // The home went offline during the pause; re-home like a wake does
+    // (credit travels with the VCPU).
+    if (!pcpus_[w.where].online) rehome(w, pick_online_home(id, w.where));
     set_state(w, VcpuState::kRunnable);
     enqueue(w.where, &w);
   }
   // A resumed gang may have drifted onto shared homes while parked.
-  if (cosched_eligible(v) &&
-      (gang_homes_collide(v) || gang_spans_excess_sockets(v)))
-    relocate_vm(v);
-  for (PcpuId q = 0; q < machine_.num_pcpus; ++q)
-    if (pcpus_[q].online && pcpus_[q].current == nullptr) dispatch(q);
+  respread_gang(v);
+  dispatch_idle(0);
   in_scheduler_ = was;
   note_trace(sim::TraceCat::kSched, [&] { return v.name + " resumed"; });
   audit_event(AuditPoint::kLifecycle);
@@ -128,33 +90,10 @@ MigrationTicket Hypervisor::migrate_out(VmId id) {
   // so the sum over any VCPU count cannot wrap.
   for (const Vcpu& w : v.vcpus)
     t.credit_pool += static_cast<__int128>(w.credit);
-  // Retire the local records exactly like destroy_vm: dead first (no
-  // dispatch path re-picks the VM), then audited drains into tombstones.
-  v.alive = false;
-  v.paused = false;
-  v.destroyed_at = sim_.now();
+  // Retire the local records exactly like destroy_vm.
   ++vm_migrations_out_;
   note_trace(sim::TraceCat::kSched, [&] { return v.name + " migrated out"; });
-  const bool was = in_scheduler_;
-  in_scheduler_ = true;
-  if (v.watchdog_ev.valid()) {
-    sim_.cancel(v.watchdog_ev);
-    v.watchdog_ev = {};
-  }
-  if (v.vcrd == Vcrd::kHigh) {  // close the HIGH interval for statistics
-    v.vcrd_high_time += sim_.now() - v.vcrd_high_since;
-    v.vcrd = Vcrd::kLow;
-  }
-  std::vector<PcpuId> freed;
-  for (Vcpu& w : v.vcpus) {
-    w.paused_pending = false;
-    drain_vcpu(w, freed);
-  }
-  v.guest = nullptr;  // after the drains, so offline callbacks reached it
-  redispatch_freed(freed);
-  maybe_restore_overload();
-  in_scheduler_ = was;
-  audit_event(AuditPoint::kLifecycle);
+  retire_vm(v);
   return t;
 }
 
@@ -200,22 +139,15 @@ void Hypervisor::halt() {
   std::vector<PcpuId> freed;
   for (auto& vp : vms_) {
     Vm& v = *vp;
-    if (v.watchdog_ev.valid()) {
-      sim_.cancel(v.watchdog_ev);
-      v.watchdog_ev = {};
-    }
+    cancel_timer(v.watchdog_ev);
     if (!v.alive) continue;
     for (Vcpu& w : v.vcpus) park_vcpu(w, freed);
   }
-  // Close the idle ledgers so pcpu_idle_total stays meaningful.
-  for (PcpuId p = 0; p < machine_.num_pcpus; ++p) {
-    PcpuRec& pc = pcpus_[p];
-    assert(pc.current == nullptr);
-    if (pc.online && !pc.idle_marked) {
-      pc.idle_marked = true;
-      pc.idle_since = sim_.now();
-    }
-  }
+  // dispatch() is a no-op once halted, so this only opens the freed PCPUs'
+  // idle spans and pcpu_idle_total stays meaningful.
+  redispatch_freed(freed);
+  for (PcpuId p = 0; p < machine_.num_pcpus; ++p)
+    assert(pcpus_[p].current == nullptr);
   in_scheduler_ = was;
   note_trace(sim::TraceCat::kSched, [] { return "host halted"; });
   audit_event(AuditPoint::kFault);

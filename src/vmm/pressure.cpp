@@ -10,7 +10,6 @@
 // only break if someone bypasses this seam — which is precisely what the
 // pressure-conservation invariant exists to catch.
 #include <algorithm>
-#include <cassert>
 #include <string>
 #include <vector>
 
@@ -228,16 +227,7 @@ bool Hypervisor::rebalance_vm_to_socket(Vm& v, std::uint32_t socket) {
       }
     }
     if (dest == machine_.num_pcpus) return moved;  // socket fully offline
-    if (c.state == VcpuState::kRunnable) {
-      const bool removed = dequeue(c.where, &c);
-      assert(removed);
-      (void)removed;
-      enqueue(dest, &c);
-      ++c.migrations;
-      ++migrations_;
-      note_migration(c, c.where, dest);
-    }
-    c.where = dest;  // blocked VCPUs just get a new wake-up home
+    move_home(c, dest);
     moved = true;
   }
   if (moved) audit_relocated(v.id);

@@ -78,8 +78,6 @@ struct Vcpu {
   /// charge so integer credit debits lose nothing to rounding. Numerator
   /// units (cycles * kCreditPerSlot), always < slot_len.
   std::uint64_t charge_carry{0};
-  std::uint64_t dispatches{0};
-  std::uint64_t migrations{0};
   std::uint64_t cross_llc_migrations{0};
   std::uint64_t cross_socket_migrations{0};
   /// total_online up to which the contention engine has already split this
@@ -92,6 +90,27 @@ struct Vcpu {
       return cosched_weak ? PrioClass::kWeakCosched : PrioClass::kCosched;
     if (wake_boost) return PrioClass::kWake;
     return credit >= 0 ? PrioClass::kUnder : PrioClass::kOver;
+  }
+};
+
+/// Sliding-window event counter shared by the flap, BOOST and yield-hint
+/// limiters: an event more than `len` after the window opened (or the first
+/// one ever) opens a fresh window at its own instant.
+struct RateWindow {
+  Cycles start{0};
+  std::uint64_t count{0};
+
+  /// Count one event at `now`; returns the count inside the current window.
+  std::uint64_t bump(Cycles now, Cycles len) {
+    if (count == 0 || now - start > len) {
+      start = now;
+      count = 0;
+    }
+    return ++count;
+  }
+  /// Events counted in the window, or 0 once it is more than `len` old.
+  std::uint64_t recent(Cycles now, Cycles len) const {
+    return now - start <= len ? count : 0;
   }
 };
 
@@ -125,10 +144,8 @@ struct Vm {
   /// fires; see Hypervisor::cosched_eligible.
   bool degraded{false};
   Cycles degraded_until{0};
-  /// Sliding-window state of the flap rate-limiter (LOW->HIGH transitions
-  /// inside the current window).
-  Cycles flap_window_start{0};
-  std::uint32_t flap_count{0};
+  /// LOW->HIGH transitions inside the flap rate-limiter's window.
+  RateWindow flaps;
   /// When the VM last issued an accepted do_vcrd_op (VCRD staleness TTL).
   Cycles vcrd_last_report{0};
   /// Consecutive gang-watchdog fires without an intervening complete gang.
@@ -136,18 +153,16 @@ struct Vm {
   sim::EventId watchdog_ev{};
 
   // -- adversarial-tenancy defenses (docs/MODEL.md "Threat model") --
-  /// Sliding-window state of the BOOST rate-limiter (wake boosts granted
-  /// inside the current window; grants beyond ResilienceConfig::boost_limit
-  /// open a penalty window during which wakes get no BOOST).
-  Cycles boost_window_start{0};
-  std::uint32_t boost_count{0};
+  /// Wake boosts granted inside the BOOST rate-limiter's window; grants
+  /// beyond ResilienceConfig::boost_limit open a penalty window, until
+  /// boost_penalty_until, during which wakes get no BOOST.
+  RateWindow boosts;
   Cycles boost_penalty_until{0};
-  /// Sliding-window yield-hint observation (hardware-side spin evidence,
-  /// same signal core::HwAdaptiveScheduler consumes) backing the VCRD
-  /// plausibility clamp: a HIGH claim from a VM that produced fewer than
+  /// Yield hints inside the VCRD plausibility clamp's window (hardware-side
+  /// spin evidence, the signal core::HwAdaptiveScheduler also consumes): a
+  /// HIGH claim from a VM with fewer than
   /// ResilienceConfig::vcrd_min_yields recent hints is rejected.
-  Cycles yield_window_start{0};
-  std::uint64_t yields_in_window{0};
+  RateWindow yields;
 
   // -- statistics --
   std::uint64_t demotions{0};        // flap/watchdog demotions to degraded
@@ -172,7 +187,6 @@ struct Vm {
   std::uint64_t boost_denials{0};
   /// VCRD HIGH claims rejected by the plausibility clamp.
   std::uint64_t implausible_vcrds{0};
-  std::uint64_t yield_hints{0};
   // -- memory-system contention ledger (docs/MODEL.md §2.8) --
   /// Busy cycles the contention engine has accounted for this VM, and
   /// their exact partition into full-speed and contention-degraded parts:

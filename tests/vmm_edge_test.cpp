@@ -1,5 +1,6 @@
 // VMM edge cases: relocation overflow, stealing constraints, boost expiry,
-// charge statistics, strictness interactions.
+// charge statistics, strictness interactions, and the cluster transfer
+// seams (pause/resume, migrate_out, halt) driven directly.
 #include <gtest/gtest.h>
 
 #include "core/schedulers.h"
@@ -174,6 +175,127 @@ TEST(Block, BlockingAQueuedVcpuRemovesIt) {
   EXPECT_FALSE(hv.vcpu_is_online(a, queued));
   // The remaining VCPU owns the PCPU.
   EXPECT_GT(hv.vm(a).total_online.ratio(s.now()), 0.85);
+}
+
+// --- transfer seams: pause/resume, migrate_out vs destroy_vm, halt ---------
+
+__int128 credit_sum(const Vm& v) {
+  __int128 sum = 0;
+  for (const Vcpu& c : v.vcpus) sum += c.credit;
+  return sum;
+}
+
+TEST(TransferSeams, PauseParksEveryVcpuAndResumeWakesOnlyTheLatched) {
+  sim::Simulator s;
+  CreditScheduler hv(s, machine(2), SchedMode::kWorkConserving);
+  HogGuest g;
+  const VmId a = hv.create_vm("a", 256, 4);  // 4 VCPUs on 2 PCPUs
+  hv.attach_guest(a, &g);
+  hv.start();
+  s.run_until(seconds(0.05));
+  hv.vcpu_block(a, 3);
+  ASSERT_EQ(hv.vm(a).vcpus[3].state, VcpuState::kBlocked);
+
+  ASSERT_TRUE(hv.pause_vm(a));
+  for (const Vcpu& c : hv.vm(a).vcpus) {
+    EXPECT_EQ(c.state, VcpuState::kBlocked) << c.key.idx;
+    EXPECT_EQ(c.paused_pending, c.key.idx != 3) << c.key.idx;
+  }
+  for (PcpuId p = 0; p < 2; ++p) EXPECT_EQ(hv.running_on(p), nullptr);
+
+  s.run_until(s.now() + seconds(0.02));
+  ASSERT_TRUE(hv.resume_vm(a));
+  for (const Vcpu& c : hv.vm(a).vcpus) {
+    EXPECT_FALSE(c.paused_pending) << c.key.idx;
+    EXPECT_EQ(c.state == VcpuState::kBlocked, c.key.idx == 3) << c.key.idx;
+  }
+  EXPECT_EQ(hv.vm_online_count(a), 2u);  // the woken three fill both PCPUs
+}
+
+TEST(TransferSeams, MigrateOutAndDestroyLeaveTheSameTombstones) {
+  sim::Simulator s;
+  CreditScheduler hv(s, machine(4), SchedMode::kWorkConserving);
+  HogGuest ga, gb;
+  const VmId a = hv.create_vm("a", 256, 3);
+  const VmId b = hv.create_vm("b", 256, 3);
+  hv.attach_guest(a, &ga);
+  hv.attach_guest(b, &gb);
+  hv.start();
+  s.run_until(seconds(0.1));
+  ASSERT_TRUE(hv.pause_vm(a));  // stop-and-copy latches a's wakes
+
+  const __int128 pool = credit_sum(hv.vm(a));
+  const MigrationTicket t = hv.migrate_out(a);
+  EXPECT_TRUE(hv.destroy_vm(b));  // its twin, at the same instant
+  ASSERT_TRUE(t.valid());
+  EXPECT_EQ(t.n_vcpus, 3u);
+  EXPECT_EQ(t.weight, 256u);
+  EXPECT_TRUE(t.credit_pool == pool);
+  EXPECT_EQ(hv.vm_migrations_out(), 1u);
+  EXPECT_EQ(hv.vm_destroys(), 1u);
+  for (const VmId id : {a, b}) {
+    const Vm& v = hv.vm(id);
+    EXPECT_FALSE(hv.vm_alive(id));
+    EXPECT_EQ(v.destroyed_at, s.now());
+    EXPECT_EQ(v.guest, nullptr);
+    for (const Vcpu& c : v.vcpus) {
+      EXPECT_EQ(c.state, VcpuState::kDestroyed) << v.name << c.key.idx;
+      EXPECT_EQ(c.credit, 0) << v.name << c.key.idx;
+      EXPECT_FALSE(c.paused_pending) << v.name << c.key.idx;
+    }
+  }
+  // Retiring twice is refused either way.
+  EXPECT_FALSE(hv.destroy_vm(a));
+  EXPECT_FALSE(hv.migrate_out(b).valid());
+}
+
+TEST(TransferSeams, HaltFreezesTheHostAndBouncesHypercalls) {
+  sim::Simulator s;
+  CreditScheduler hv(s, machine(2), SchedMode::kWorkConserving);
+  HogGuest g;
+  const VmId a = hv.create_vm("a", 256, 3);
+  hv.attach_guest(a, &g);
+  hv.start();
+  s.run_until(seconds(0.05));
+
+  hv.halt();
+  ASSERT_TRUE(hv.halted());
+  for (const Vcpu& c : hv.vm(a).vcpus)
+    EXPECT_EQ(c.state, VcpuState::kBlocked) << c.key.idx;
+  const Cycles halted_at = s.now();
+  const Cycles idle0 = hv.pcpu_idle_total(0);
+  const Cycles idle1 = hv.pcpu_idle_total(1);
+  const std::uint64_t slots = hv.slots_elapsed();
+
+  s.run_until(halted_at + seconds(0.1));
+  EXPECT_EQ(hv.pcpu_idle_total(0), idle0 + seconds(0.1));
+  EXPECT_EQ(hv.pcpu_idle_total(1), idle1 + seconds(0.1));
+  EXPECT_EQ(hv.slots_elapsed(), slots);
+
+  const std::uint64_t rejects = hv.hypercall_rejects();
+  hv.vcpu_kick(a, 0);
+  EXPECT_EQ(hv.hypercall_rejects(), rejects + 1);
+  hv.vcpu_block(a, 0);
+  EXPECT_EQ(hv.hypercall_rejects(), rejects + 2);
+  hv.do_vcrd_op(a, Vcrd::kHigh);
+  EXPECT_EQ(hv.hypercall_rejects(), rejects + 3);
+
+  // A second halt changes nothing.
+  const __int128 pool = credit_sum(hv.vm(a));
+  const Cycles idle_before = hv.pcpu_idle_total(0);
+  hv.halt();
+  for (const Vcpu& c : hv.vm(a).vcpus)
+    EXPECT_EQ(c.state, VcpuState::kBlocked) << c.key.idx;
+  EXPECT_TRUE(credit_sum(hv.vm(a)) == pool);
+  EXPECT_EQ(hv.pcpu_idle_total(0), idle_before);
+  EXPECT_EQ(hv.hypercall_rejects(), rejects + 3);
+
+  // The frozen records still hand their full pool to a migration.
+  const MigrationTicket t = hv.migrate_out(a);
+  ASSERT_TRUE(t.valid());
+  EXPECT_TRUE(t.credit_pool == pool);
+  for (const Vcpu& c : hv.vm(a).vcpus)
+    EXPECT_EQ(c.state, VcpuState::kDestroyed) << c.key.idx;
 }
 
 class OnlineRateAccuracy
