@@ -1477,13 +1477,12 @@ void Hypervisor::fault_crash_vcpu(VmId vm_id, std::uint32_t vidx) {
   in_scheduler_ = true;
   // Park it (already blocked: the crashed flag pins it there); a member
   // crashed while running releases its strict gang and frees its PCPU.
-  std::vector<PcpuId> freed;
-  park_vcpu(v, freed);
-  if (!freed.empty()) {
+  const PcpuId p = v.where;
+  if (park_vcpu(v)) {
     if (strictness_ == Strictness::kStrict && !in_co_stop_ &&
         cosched_eligible(owner))
       co_stop(owner);
-    redispatch(freed.front());
+    redispatch(p);
   }
   in_scheduler_ = false;
   audit_event(AuditPoint::kFault);

@@ -719,13 +719,14 @@ class Hypervisor : public HypervisorPort {
   /// the pressure spread reads already-placed sibling homes from it).
   PcpuId place_new_vcpu(VmId id, std::uint32_t vidx, const Vm& self) const;
   /// Take one VCPU off the machine: cancel its boosts, then unmap it
-  /// (burn/charge as usual; its PCPU is appended to `freed`) or take it
-  /// out of its run queue. Leaves it kRunnable and unqueued, or untouched
-  /// when blocked or destroyed.
-  void evict_vcpu(Vcpu& w, std::vector<PcpuId>& freed);
+  /// (burn/charge as usual) or take it out of its run queue. Leaves it
+  /// kRunnable and unqueued, or untouched when blocked or destroyed.
+  /// Returns true when it was running, i.e. its PCPU `w.where` is now free.
+  bool evict_vcpu(Vcpu& w);
   /// Retire one VCPU record: evict it, emit the audited ->Destroyed
-  /// transition and zero its credit and pause latch.
-  void drain_vcpu(Vcpu& w, std::vector<PcpuId>& freed);
+  /// transition and zero its credit and pause latch. Returns evict_vcpu's
+  /// "its PCPU is now free".
+  bool drain_vcpu(Vcpu& w);
   /// Retire a live VM (destroy_vm, migrate_out): dead first, watchdog
   /// cancelled, HIGH interval closed, every VCPU drained into a kDestroyed
   /// tombstone, the freed PCPUs re-dispatched.
@@ -737,8 +738,9 @@ class Hypervisor : public HypervisorPort {
   /// audited credit writer: asman-lint's audit-seam whitelist names it.
   __int128 seed_credit(VmId id, __int128 pool);
   /// Park one VCPU in kBlocked through the audited paths (pause, halt and
-  /// crash machinery): evict it, then block it.
-  void park_vcpu(Vcpu& w, std::vector<PcpuId>& freed);
+  /// crash machinery): evict it, then block it. Returns evict_vcpu's "its
+  /// PCPU is now free".
+  bool park_vcpu(Vcpu& w);
   /// Re-dispatch every online PCPU in `freed` that is still empty.
   void redispatch_freed(const std::vector<PcpuId>& freed);
   /// Let idle PCPUs pick up new VCPUs (dispatch_idle) one event later, so

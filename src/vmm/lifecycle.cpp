@@ -199,25 +199,26 @@ void Hypervisor::defer_dispatch_idle() {
   });
 }
 
-void Hypervisor::evict_vcpu(Vcpu& w, std::vector<PcpuId>& freed) {
+bool Hypervisor::evict_vcpu(Vcpu& w) {
   cancel_timer(w.cosched_clear_ev);
   w.cosched_boost = false;
   w.cosched_weak = false;
   w.wake_boost = false;
-  if (w.state == VcpuState::kRunning) {
+  const bool ran = w.state == VcpuState::kRunning;
+  if (ran) {
     // Burn/charge through the normal unmap path (the guest sees its
     // offline callback); the VCPU is left kRunnable.
-    freed.push_back(w.where);
     unmap_current(w.where);
   } else if (w.state == VcpuState::kRunnable) {
     const bool removed = dequeue(w.where, &w);
     assert(removed);
     (void)removed;
   }
+  return ran;
 }
 
-void Hypervisor::drain_vcpu(Vcpu& w, std::vector<PcpuId>& freed) {
-  evict_vcpu(w, freed);
+bool Hypervisor::drain_vcpu(Vcpu& w) {
+  const bool ran = evict_vcpu(w);
   if (w.state == VcpuState::kRunnable) set_state(w, VcpuState::kDestroyed);
   if (w.state == VcpuState::kBlocked) set_state(w, VcpuState::kDestroyed);
   assert(w.state == VcpuState::kDestroyed);
@@ -226,6 +227,7 @@ void Hypervisor::drain_vcpu(Vcpu& w, std::vector<PcpuId>& freed) {
   // no latched wake.
   w.credit = 0;
   w.paused_pending = false;
+  return ran;
 }
 
 void Hypervisor::redispatch_freed(const std::vector<PcpuId>& freed) {
@@ -252,7 +254,8 @@ void Hypervisor::retire_vm(Vm& v) {
   // running members unmap (burn/charge as usual), queued members leave
   // their run queues, blocked members tombstone in place.
   std::vector<PcpuId> freed;
-  for (Vcpu& w : v.vcpus) drain_vcpu(w, freed);
+  for (Vcpu& w : v.vcpus)
+    if (drain_vcpu(w)) freed.push_back(w.where);
   v.guest = nullptr;  // after the drains, so offline callbacks reached it
   redispatch_freed(freed);
   maybe_restore_overload();  // load fell; the shed backoff still gates
@@ -312,7 +315,7 @@ bool Hypervisor::resize_vm(VmId id, std::uint32_t n_vcpus) {
     // the tombstones (lower indices keep their keys and queue slots).
     std::vector<PcpuId> freed;
     for (std::uint32_t i = n_old; i-- > n_vcpus;) {
-      drain_vcpu(v.vcpus[i], freed);
+      if (drain_vcpu(v.vcpus[i])) freed.push_back(v.vcpus[i].where);
       v.vcpus.pop_back();
     }
     audit_resized(id);

@@ -25,9 +25,10 @@
 
 namespace asman::vmm {
 
-void Hypervisor::park_vcpu(Vcpu& w, std::vector<PcpuId>& freed) {
-  evict_vcpu(w, freed);  // a running VCPU parks from kRunnable
+bool Hypervisor::park_vcpu(Vcpu& w) {
+  const bool ran = evict_vcpu(w);  // a running VCPU parks from kRunnable
   if (w.state == VcpuState::kRunnable) set_state(w, VcpuState::kBlocked);
+  return ran;
 }
 
 bool Hypervisor::pause_vm(VmId id) {
@@ -42,7 +43,7 @@ bool Hypervisor::pause_vm(VmId id) {
   for (Vcpu& w : v.vcpus) {
     const bool held_work =
         w.state == VcpuState::kRunning || w.state == VcpuState::kRunnable;
-    park_vcpu(w, freed);
+    if (park_vcpu(w)) freed.push_back(w.where);
     if (held_work) w.paused_pending = true;
   }
   redispatch_freed(freed);
@@ -141,7 +142,8 @@ void Hypervisor::halt() {
     Vm& v = *vp;
     cancel_timer(v.watchdog_ev);
     if (!v.alive) continue;
-    for (Vcpu& w : v.vcpus) park_vcpu(w, freed);
+    for (Vcpu& w : v.vcpus)
+      if (park_vcpu(w)) freed.push_back(w.where);
   }
   // dispatch() is a no-op once halted, so this only opens the freed PCPUs'
   // idle spans and pcpu_idle_total stays meaningful.

@@ -11,21 +11,28 @@
 // ASMAN_LINT_BIN / ASMAN_LINT_ROOT are injected by tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 namespace {
+
+namespace fs = std::filesystem;
 
 struct LintRun {
   int exit_code;
   std::string output;  // stdout + stderr, interleaved
 };
 
-LintRun run_lint(const std::string& args) {
+LintRun run_lint(const std::string& args,
+                 const std::string& root = ASMAN_LINT_ROOT) {
   const std::string cmd =
-      std::string(ASMAN_LINT_BIN) + " --root " + ASMAN_LINT_ROOT + " " +
-      args + " 2>&1";
+      std::string(ASMAN_LINT_BIN) + " --root " + root + " " + args + " 2>&1";
   FILE* pipe = popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << cmd;
   if (pipe == nullptr) return {-1, {}};
@@ -51,6 +58,23 @@ int count_of(const std::string& haystack, const std::string& needle) {
        at = haystack.find(needle, at + needle.size()))
     ++count;
   return count;
+}
+
+/// A fresh lint root under the test temp dir, holding an empty src/.
+fs::path fresh_root(const char* name) {
+  const fs::path root = fs::path(::testing::TempDir()) / name;
+  fs::remove_all(root);
+  fs::create_directories(root / "src");
+  return root;
+}
+
+std::string read_file(const fs::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_file(const fs::path& p, const std::string& text) {
+  std::ofstream(p, std::ios::binary | std::ios::trunc) << text;
 }
 
 TEST(LintCli, ListsAllNineChecks) {
@@ -181,7 +205,7 @@ TEST(LintCreditFlow, FixtureFiresOnEveryPlantedViolation) {
   const LintRun r =
       run_lint("--check credit-flow " + fixture("fixture_credit_flow.cpp"));
   EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_EQ(count_of(r.output, "[credit-flow]"), 4) << r.output;
+  EXPECT_EQ(count_of(r.output, "[credit-flow]"), 5) << r.output;
   EXPECT_NE(r.output.find("fixture_credit_flow.cpp:30"), std::string::npos);
   EXPECT_NE(r.output.find("unsaturated credit delta"), std::string::npos);
   EXPECT_NE(r.output.find("fixture_credit_flow.cpp:36"), std::string::npos);
@@ -189,17 +213,23 @@ TEST(LintCreditFlow, FixtureFiresOnEveryPlantedViolation) {
             std::string::npos);
   EXPECT_NE(r.output.find("fixture_credit_flow.cpp:44"), std::string::npos);
   EXPECT_NE(r.output.find("fixture_credit_flow.cpp:54"), std::string::npos);
+  EXPECT_NE(r.output.find("fixture_credit_flow.cpp:71"), std::string::npos);
   EXPECT_EQ(count_of(r.output,
                      "credit redistribution can escape without audit_minted"),
-            2)
+            3)
       << r.output;
-  // Findings carry witness paths: the early return and the throw each show
-  // the escaping edge, ending at the function exit.
+  // Findings carry witness paths: the early return, the throw and the
+  // do-while continue each show the escaping edge, ending at the function
+  // exit.
   EXPECT_NE(r.output.find("path: line 45: return ;"), std::string::npos)
       << r.output;
   EXPECT_NE(r.output.find("throw std :: runtime_error"), std::string::npos)
       << r.output;
-  EXPECT_GE(count_of(r.output, "function exit"), 2) << r.output;
+  EXPECT_NE(r.output.find("path: line 72: continue ;\n"
+                          "    path: line 74: while ( -- n > 0 )"),
+            std::string::npos)
+      << r.output;
+  EXPECT_GE(count_of(r.output, "function exit"), 3) << r.output;
 }
 
 TEST(LintContention, FixtureFiresOnEveryPlantedViolation) {
@@ -266,7 +296,7 @@ TEST(LintStateMachine, FixtureFiresOnEveryPlantedViolation) {
 }
 
 // The same check also verifies the cluster live-migration FSM against its
-// own shared spec (src/cluster/migration_spec.h) — one walker, two
+// own shared spec (src/cluster/migration_spec.h) — one analysis, two
 // machines. All three planted illegal set_phase sites must fire.
 TEST(LintStateMachine, ClusterFixtureFiresOnEveryPlantedViolation) {
   const LintRun r =
@@ -309,6 +339,137 @@ TEST(LintStateMachine, LegalChainsAndInvalidationStaySilent) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("0 error(s), 0 suppression(s)"), std::string::npos)
       << r.output;
+}
+
+// The rule is a must-analysis over the CFG: a merge keeps the facts every
+// incoming path proves (both branches leave kBlocked), and a guard's else
+// edge knows what its `!=` excluded.
+TEST(LintStateMachine, MergesKeepWhatEveryPathProves) {
+  const LintRun r = run_lint("--check state-machine " +
+                             fixture("fixture_state_machine_flow.cpp"));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_EQ(count_of(r.output, "[state-machine]"), 2) << r.output;
+  EXPECT_EQ(count_of(r.output,
+                     "illegal VcpuState transition kBlocked -> kRunning"),
+            2)
+      << r.output;
+  EXPECT_NE(r.output.find("fixture_state_machine_flow.cpp:27:"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("fixture_state_machine_flow.cpp:35:"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("set_state left v.state == kBlocked"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("guard established v.state == kBlocked"),
+            std::string::npos)
+      << r.output;
+}
+
+// The shipped seams stay proved: in a copy of src/, flip the target state
+// of one real set_state/set_phase call at a time; the rule must name the
+// illegal transition at that line.
+TEST(LintStateMachine, ShippedSeamsStayProved) {
+  struct Site {
+    const char* name;
+    const char* file;
+    const char* shipped;  // ends on the setter call's line
+    const char* flipped;
+    const char* transition;
+  };
+  const Site sites[] = {
+      {"drain_vcpu", "src/vmm/lifecycle.cpp",
+       "if (w.state == VcpuState::kBlocked) set_state(w, "
+       "VcpuState::kDestroyed);",
+       "if (w.state == VcpuState::kBlocked) set_state(w, "
+       "VcpuState::kRunning);",
+       "VcpuState transition kBlocked -> kRunning"},
+      {"park_vcpu", "src/vmm/migrate.cpp",
+       "if (w.state == VcpuState::kRunnable) set_state(w, "
+       "VcpuState::kBlocked);",
+       "if (w.state == VcpuState::kRunnable) set_state(w, "
+       "VcpuState::kRunnable);",
+       "VcpuState transition kRunnable -> kRunnable"},
+      {"vcpu_kick", "src/vmm/hypervisor.cpp",
+       "if (v.state != VcpuState::kBlocked) return;\n"
+       "  set_state(v, VcpuState::kRunnable);",
+       "if (v.state != VcpuState::kBlocked) return;\n"
+       "  set_state(v, VcpuState::kRunning);",
+       "VcpuState transition kBlocked -> kRunning"},
+      {"vcpu_block", "src/vmm/hypervisor.cpp",
+       "(void)removed;\n      set_state(v, VcpuState::kBlocked);",
+       "(void)removed;\n      set_state(v, VcpuState::kRunnable);",
+       "VcpuState transition kRunnable -> kRunnable"},
+      {"go_online", "src/vmm/hypervisor.cpp",
+       "set_state(*v, VcpuState::kRunning);",
+       "set_state(*v, VcpuState::kRunnable);",
+       "VcpuState transition kRunnable -> kRunnable"},
+      {"Cluster::commit", "src/cluster/cluster.cpp",
+       "set_phase(m, MigrationPhase::kCommit);",
+       "set_phase(m, MigrationPhase::kIdle);",
+       "MigrationPhase transition kStopAndCopy -> kIdle"},
+  };
+  const fs::path root = fresh_root("lint_shipped_seams");
+  fs::copy(fs::path(ASMAN_LINT_ROOT) / "src", root / "src",
+           fs::copy_options::recursive);
+  for (const Site& s : sites) {
+    const fs::path file = root / s.file;
+    const std::string text = read_file(file);
+    const std::size_t at = text.find(s.shipped);
+    if (at == std::string::npos) {
+      ADD_FAILURE() << s.name << ": shipped text not found in " << s.file
+                    << ": " << s.shipped;
+      continue;
+    }
+    std::string mutant = text;
+    mutant.replace(at, std::strlen(s.shipped), s.flipped);
+    write_file(file, mutant);
+    const LintRun r = run_lint("--check state-machine", root.string());
+    write_file(file, text);
+    const auto line =
+        1 + std::count(text.begin(),
+                       text.begin() + static_cast<std::ptrdiff_t>(
+                                          at + std::strlen(s.shipped)),
+                       '\n');
+    const std::string want = std::string(s.file) + ":" +
+                             std::to_string(line) + ": [state-machine] " +
+                             "illegal " + s.transition;
+    EXPECT_EQ(r.exit_code, 1) << s.name << "\n" << r.output;
+    EXPECT_NE(r.output.find(want), std::string::npos)
+        << s.name << ": expected " << want << "\n" << r.output;
+  }
+  fs::remove_all(root);
+}
+
+// Without its spec table a rule must fail the run, not verify vacuously:
+// one finding per missing table at the header's line 1, filtered by
+// --check like every other finding.
+TEST(LintSpecs, MissingSpecTablesFailLoudly) {
+  const fs::path root = fresh_root("lint_missing_specs");
+  fs::copy_file(fixture("fixture_clean.cpp"), root / "src" / "fixture_clean.cpp");
+  const LintRun all = run_lint("", root.string());
+  EXPECT_EQ(all.exit_code, 1) << all.output;
+  EXPECT_EQ(count_of(all.output, "src/vmm/state_spec.h:1: [state-machine] "),
+            1)
+      << all.output;
+  EXPECT_EQ(count_of(all.output,
+                     "src/cluster/migration_spec.h:1: [state-machine] "),
+            1)
+      << all.output;
+  EXPECT_EQ(count_of(all.output, "src/core/bounds_spec.h:1: [value-range] "),
+            1)
+      << all.output;
+  EXPECT_EQ(count_of(all.output, "[state-machine]"), 2) << all.output;
+  EXPECT_EQ(count_of(all.output, "[value-range]"), 1) << all.output;
+
+  const LintRun vr = run_lint("--check value-range", root.string());
+  EXPECT_EQ(vr.exit_code, 1) << vr.output;
+  EXPECT_EQ(count_of(vr.output, "src/core/bounds_spec.h:1: [value-range] "), 1)
+      << vr.output;
+  EXPECT_NE(vr.output.find("asman-lint: 1 error(s)"), std::string::npos)
+      << vr.output;
+  fs::remove_all(root);
 }
 
 TEST(LintThreadSafety, FixtureFiresOnEveryPlantedViolation) {

@@ -4,18 +4,10 @@
 #include <cstdlib>
 
 #include "analyzer.h"
-#include "lexer.h"
 
 namespace asman_lint {
 
 namespace {
-
-bool is_punct(const Token& t, const char* s) {
-  return t.kind == Tok::kPunct && t.text == s;
-}
-bool is_ident(const Token& t, const char* s) {
-  return t.kind == Tok::kIdent && t.text == s;
-}
 
 Wide sat(Wide v) {
   if (v > kAbsInf) return kAbsInf;
@@ -273,39 +265,20 @@ NumWidth combine_width(NumWidth a, NumWidth b) {
   }
 }
 
-/// BoundsSpec loader: finds kFieldBounds in src/core/bounds_spec.h and
-/// extracts every `{ field :: <ident> , <num> , <num> }` triple. The same
-/// structural-lex contract as load_transition_spec — the spec header
-/// documents the shape it must keep.
+/// BoundsSpec loader: extracts every `{ field :: <ident> , <num> , <num> }`
+/// triple of kFieldBounds in src/core/bounds_spec.h, through the same
+/// read_spec_table as the transition specs — the spec header documents the
+/// shape it must keep.
 BoundsSpec load_bounds_spec(const std::string& root) {
   BoundsSpec spec;
-  const std::string rel = "src/core/bounds_spec.h";
-  const std::string path = root + "/" + rel;
-  FileUnit unit;
-  std::string err;
-  if (!lex_path(path, rel, unit, err)) {
-    spec.error = "cannot read bounds spec " + path + ": " + err;
+  const SpecTable table = read_spec_table(root, "src/core/bounds_spec.h",
+                                          "kFieldBounds", "bounds spec");
+  if (!table.error.empty()) {
+    spec.error = table.error;
     return spec;
   }
-  const std::vector<Token>& t = unit.toks;
-  std::size_t open = t.size();
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-    if (is_ident(t[i], "kFieldBounds") && is_punct(t[i + 1], "[")) {
-      for (std::size_t j = i + 1; j < t.size(); ++j) {
-        if (is_punct(t[j], "{")) {
-          open = j;
-          break;
-        }
-        if (is_punct(t[j], ";")) break;
-      }
-      break;
-    }
-  }
-  if (open >= t.size()) {
-    spec.error = "kFieldBounds initializer not found in " + path;
-    return spec;
-  }
-  const std::size_t close = match_forward(t, open);
+  const std::vector<Token>& t = table.unit.toks;
+  const std::size_t close = table.close;
   auto read_num = [&t](std::size_t& i, long long& out) {
     long long sign = 1;
     if (i < t.size() && is_punct(t[i], "-")) {
@@ -320,7 +293,7 @@ BoundsSpec load_bounds_spec(const std::string& root) {
     ++i;
     return true;
   };
-  for (std::size_t i = open + 1; i + 6 < close; ++i) {
+  for (std::size_t i = table.open + 1; i + 6 < close; ++i) {
     if (!is_punct(t[i], "{") || !is_ident(t[i + 1], "field") ||
         !is_punct(t[i + 2], "::") || t[i + 3].kind != Tok::kIdent ||
         !is_punct(t[i + 4], ","))
@@ -335,7 +308,7 @@ BoundsSpec load_bounds_spec(const std::string& root) {
     i = j;
   }
   if (spec.fields.size() < 8)
-    spec.error = "malformed kFieldBounds table in " + path + " (" +
+    spec.error = "malformed kFieldBounds table in " + table.path + " (" +
                  std::to_string(spec.fields.size()) + " entries)";
   return spec;
 }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "lexer.h"
+
 namespace asman_lint {
 
 namespace {
@@ -14,13 +16,6 @@ const std::unordered_set<std::string>& control_keywords() {
       "delete", "throw",  "static_assert", "assert",   "defined",
       "alignas"};
   return kw;
-}
-
-bool is_punct(const Token& t, const char* s) {
-  return t.kind == Tok::kPunct && t.text == s;
-}
-bool is_ident(const Token& t, const char* s) {
-  return t.kind == Tok::kIdent && t.text == s;
 }
 
 }  // namespace
@@ -302,6 +297,36 @@ const FunctionSpan* FunctionIndex::enclosing(std::size_t i) const {
 bool FunctionIndex::inside(std::size_t i, const std::string& suffix) const {
   const FunctionSpan* s = enclosing(i);
   return s != nullptr && qualified_suffix_match(s->name, suffix);
+}
+
+SpecTable read_spec_table(const std::string& root, const std::string& rel_path,
+                          const std::string& table, const char* what) {
+  SpecTable spec;
+  spec.path = root + "/" + rel_path;
+  std::string err;
+  if (!lex_path(spec.path, rel_path, spec.unit, err)) {
+    spec.error = std::string("cannot read ") + what + " " + spec.path + ": " +
+                 err;
+    return spec;
+  }
+  const std::vector<Token>& t = spec.unit.toks;
+  spec.open = t.size();
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    if (!is_ident(t[i], table.c_str()) || !is_punct(t[i + 1], "[")) continue;
+    for (std::size_t j = i + 2; j < t.size() && !is_punct(t[j], ";"); ++j) {
+      if (is_punct(t[j], "{")) {
+        spec.open = j;
+        break;
+      }
+    }
+    break;
+  }
+  if (spec.open >= t.size()) {
+    spec.error = table + " initializer not found in " + spec.path;
+    return spec;
+  }
+  spec.close = match_forward(t, spec.open);
+  return spec;
 }
 
 void AnalysisContext::report(int line, const char* check,

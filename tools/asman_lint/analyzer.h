@@ -61,6 +61,21 @@ StmtRange statement_around(const std::vector<Token>& toks, std::size_t i);
 /// returning toks.size() — callers treat that as "not a template list".
 std::size_t match_forward(const std::vector<Token>& toks, std::size_t i);
 
+/// One table of a shared spec header (the header the runtime compiles
+/// against, so lint and runtime read the same rows): `<root>/<rel_path>`
+/// lexed, with `open`/`close` the braces of the initializer that follows
+/// `<table> [`. `error` names the `what` ("bounds spec", ...) that could
+/// not be read, or the missing initializer.
+struct SpecTable {
+  std::string path;
+  FileUnit unit;
+  std::size_t open{0};
+  std::size_t close{0};
+  std::string error;
+};
+SpecTable read_spec_table(const std::string& root, const std::string& rel_path,
+                          const std::string& table, const char* what);
+
 /// Shared per-file context handed to every check.
 struct AnalysisContext {
   const FileUnit& unit;

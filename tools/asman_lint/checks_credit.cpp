@@ -31,12 +31,6 @@ bool pressure_ident(const std::string& s) {
          s == "pressure_effective" || s == "pressure_mark";
 }
 
-bool is_assign_op(const Token& t) {
-  return t.kind == Tok::kPunct &&
-         (t.text == "=" || t.text == "+=" || t.text == "-=" ||
-          t.text == "*=" || t.text == "/=" || t.text == "%=");
-}
-
 // Integer types narrower than the credit domain. `Credit`, int64/uint64,
 // `long long`, and `__int128` are fine; everything below loses range, and
 // float/double lose exactness.
@@ -74,10 +68,6 @@ bool stmt_has_ident(const std::vector<Token>& t, StmtRange r,
   for (std::size_t i = r.begin; i < r.end; ++i)
     if (t[i].kind == Tok::kIdent && t[i].text == ident) return true;
   return false;
-}
-
-bool is_punct(const Token& t, const char* s) {
-  return t.kind == Tok::kPunct && t.text == s;
 }
 
 // Reports the first credit-named identifier in the cast operand

@@ -39,12 +39,6 @@ bool node_has_ident(const CfgNode& n, const std::vector<Token>& toks,
   return false;
 }
 
-bool is_assign_op(const Token& t) {
-  if (t.kind != Tok::kPunct) return false;
-  return t.text == "=" || t.text == "+=" || t.text == "-=" ||
-         t.text == "*=" || t.text == "/=" || t.text == "%=";
-}
-
 }  // namespace
 
 void check_credit_flow(const AnalysisContext& ctx) {

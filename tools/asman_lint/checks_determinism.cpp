@@ -27,10 +27,6 @@ const std::unordered_set<std::string>& banned_idents() {
   return b;
 }
 
-bool is_punct(const Token& t, const char* s) {
-  return t.kind == Tok::kPunct && t.text == s;
-}
-
 bool prev_is_member_access(const std::vector<Token>& t, std::size_t i) {
   if (i == 0) return false;
   return is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->");

@@ -4,27 +4,29 @@
 // are covered: VcpuState (src/vmm/state_spec.h, written via set_state)
 // and the cluster live-migration FSM's MigrationPhase
 // (src/cluster/migration_spec.h, written via Cluster::set_phase). The
-// walker is parameterized over the machine's surface syntax, so adding a
+// rule is parameterized over the machine's surface syntax, so adding a
 // machine is a MachineSyntax entry plus its spec loader.
 //
-// A scoped symbolic walker tracks, per local variable, what the code has
-// PROVEN about its state: an assert(x.state == VcpuState::kS), a positive
-// if-guard, a negative guard whose branch only returns, a single-label
-// `case VcpuState::kS:` section of a switch on x.state, or a previous
-// set_state(x, kS). Knowledge is invalidated when the variable is
-// reassigned, member-written, or passed to a call outside the audited seam
-// (assert / the setter / the machine's whitelisted helpers), and at branch
-// merges every variable the branch mentioned is forgotten. At each
-// set_state(x, kTo) whose `from` is determinable, the (from, to) pair is
-// checked against the spec; an illegal pair is reported with the evidence
-// trace.
+// A forward must-analysis over each function's CFG (build_cfg, the graph
+// credit-flow and value-range read) tracks, per local variable, what every
+// path has PROVEN about its state: an assert(x.state == VcpuState::kS),
+// either edge of an if/while guard on x.state, a single-label
+// `case VcpuState::kS:` of a switch on x.state, or a previous
+// set_state(x, kS). Where paths meet, only the facts every path agrees on
+// survive. A fact dies when its variable is reassigned, member-written, or
+// passed to a call outside the audited seam (assert / the setter / the
+// machine's whitelisted helpers). At each set_state(x, kTo) whose `from`
+// is known, the (from, to) pair is checked against the spec; an illegal
+// pair is reported with the evidence trace.
 //
-// The walker does not model aliasing (a member call could mutate a tracked
+// The rule does not model aliasing (a member call could mutate a tracked
 // variable through another reference); this under-invalidation is accepted
 // because the audited seam is the only writer of VcpuState, so any such
-// mutation is itself a set_state the walker sees — or an audit-seam
+// mutation is itself a set_state the rule sees — or an audit-seam
 // violation reported by that check.
+#include <deque>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,13 +36,6 @@
 namespace asman_lint {
 
 namespace {
-
-bool is_punct(const Token& t, const char* s) {
-  return t.kind == Tok::kPunct && t.text == s;
-}
-bool is_ident(const Token& t, const char* s) {
-  return t.kind == Tok::kIdent && t.text == s;
-}
 
 /// The lexical surface of one audited state machine: the enum that names
 /// its states, the member that stores them, the setter seam that writes
@@ -83,46 +78,86 @@ struct Fact {
 };
 using Know = std::map<std::string, Fact>;
 
-class StateWalker {
+/// Keeps in `in` only the facts `edge` carries with the same state;
+/// returns whether any fact was dropped.
+bool meet(Know& in, const Know& edge) {
+  bool changed = false;
+  for (auto it = in.begin(); it != in.end();) {
+    const auto e = edge.find(it->first);
+    if (e != edge.end() && e->second.state == it->second.state) {
+      ++it;
+    } else {
+      it = in.erase(it);
+      changed = true;
+    }
+  }
+  return changed;
+}
+
+/// `if (`, `while (`, `switch (` and `return (` open a header or an
+/// expression, not a call. (`for (` stays a call on purpose: a for header
+/// rebinds its names on every trip, so all of them are dropped like an
+/// unaudited call's arguments.)
+bool is_header_keyword(const std::string& s) {
+  return s == "if" || s == "while" || s == "switch" || s == "return";
+}
+
+class StateFlow {
  public:
-  StateWalker(const AnalysisContext& ctx, const TransitionSpec& spec,
-              const MachineSyntax& syn)
+  StateFlow(const AnalysisContext& ctx, const TransitionSpec& spec,
+            const MachineSyntax& syn)
       : ctx_(ctx), spec_(spec), syn_(syn), t_(ctx.unit.toks) {}
 
-  void run() {
+  void run() const {
     if (!spec_.error.empty()) return;  // reported once by the driver
     for (const FunctionSpan& fn : ctx_.functions.spans()) {
-      Know know;
-      walk_seq(fn.begin + 1, fn.end > 0 ? fn.end - 1 : fn.end, know);
+      if (!mentions_setter(fn)) continue;
+      const Cfg cfg = build_cfg(t_, fn.begin, fn.end, spec_.states);
+      const std::vector<std::optional<Know>> in = solve(cfg);
+      for (std::size_t n = 0; n < cfg.nodes.size(); ++n) {
+        if (!in[n]) continue;  // unreachable
+        Know k = *in[n];
+        transfer(cfg.nodes[n], k, /*report=*/true);
+      }
     }
   }
 
  private:
-  std::size_t stmt_end(std::size_t i, std::size_t end) const {
-    int depth = 0;
-    for (std::size_t j = i; j < end; ++j) {
-      if (t_[j].kind != Tok::kPunct) continue;
-      const std::string& x = t_[j].text;
-      if (x == "(" || x == "[" || x == "{") ++depth;
-      else if (x == ")" || x == "]" || x == "}") --depth;
-      else if (x == ";" && depth <= 0) return j + 1;
-    }
-    return end;
+  bool mentions_setter(const FunctionSpan& fn) const {
+    for (std::size_t i = fn.begin; i < fn.end && i < t_.size(); ++i)
+      if (is_ident(t_[i], syn_.setter)) return true;
+    return false;
   }
 
-  /// Erases every knowledge entry whose variable is mentioned as an
-  /// identifier anywhere in [b, e) — the merge rule for branches/loops.
-  void erase_mentioned(std::size_t b, std::size_t e, Know& k) const {
-    for (auto it = k.begin(); it != k.end();) {
-      bool seen = false;
-      for (std::size_t j = b; j < e && j < t_.size(); ++j) {
-        if (t_[j].kind == Tok::kIdent && t_[j].text == it->first) {
-          seen = true;
-          break;
+  /// Worklist from the entry to the fixpoint: in[n] holds the facts on
+  /// entry to node n, nullopt until some path reaches it.
+  std::vector<std::optional<Know>> solve(const Cfg& cfg) const {
+    std::vector<std::optional<Know>> in(cfg.nodes.size());
+    std::vector<bool> queued(cfg.nodes.size(), false);
+    std::deque<std::size_t> work{cfg.entry};
+    in[cfg.entry] = Know{};
+    queued[cfg.entry] = true;
+    while (!work.empty()) {
+      const std::size_t n = work.front();
+      work.pop_front();
+      queued[n] = false;
+      const CfgNode& node = cfg.nodes[n];
+      Know out = *in[n];
+      transfer(node, out, /*report=*/false);
+      for (std::size_t s = 0; s < node.succ.size(); ++s) {
+        const std::size_t to = node.succ[s];
+        Know edge = out;
+        refine_edge(node, s, cfg.nodes[to], edge);
+        bool changed = true;
+        if (in[to]) changed = meet(*in[to], edge);
+        else in[to] = std::move(edge);
+        if (changed && !queued[to]) {
+          queued[to] = true;
+          work.push_back(to);
         }
       }
-      it = seen ? k.erase(it) : ++it;
     }
+    return in;
   }
 
   bool whitelisted_callee(const std::string& name) const {
@@ -131,7 +166,7 @@ class StateWalker {
     return false;
   }
 
-  /// `X (.|->) <member> == <Enum> :: kS` starting the comparison at `j`
+  /// `X (.|->) <member> <op> <Enum> :: kS` starting the comparison at `j`
   /// (j = index of the X ident). Fills var/state on match.
   bool match_state_cmp(std::size_t j, std::size_t end, const char* op,
                        std::string& var, std::string& state) const {
@@ -148,38 +183,13 @@ class StateWalker {
     return true;
   }
 
-  void walk_seq(std::size_t i, std::size_t end, Know& k) {
-    while (i < end) i = walk_stmt(i, end, k);
-  }
-
-  std::size_t walk_stmt(std::size_t i, std::size_t end, Know& k) {
-    const Token& tok = t_[i];
-    if (is_punct(tok, ";")) return i + 1;
-    if (is_punct(tok, "{")) {
-      const std::size_t m = match_forward(t_, i);
-      if (m >= t_.size()) return end;
-      Know inner = k;
-      walk_seq(i + 1, m, inner);
-      k = std::move(inner);  // a bare block does not branch
-      return m + 1;
-    }
-    if (is_ident(tok, "if")) return walk_if(i, end, k);
-    if (is_ident(tok, "while") || is_ident(tok, "for"))
-      return walk_loop(i, end, k);
-    if (is_ident(tok, "do")) return walk_do(i, end, k);
-    if (is_ident(tok, "switch")) return walk_switch(i, end, k);
-    if (is_ident(tok, "else") || is_ident(tok, "try") ||
-        is_ident(tok, "catch"))
-      return i + 1;  // structure handled by the callers / conservatively
-
-    const std::size_t se = stmt_end(i, end);
-    walk_plain(i, se, k);
-    return se;
-  }
-
-  /// One plain statement: check set_state calls against pre-statement
-  /// knowledge, then apply invalidations, then apply new facts.
-  void walk_plain(std::size_t b, std::size_t e, Know& k) {
+  /// One node: check each setter call against the entry facts (reporting
+  /// illegal pairs when `report`), drop the facts of names an unaudited
+  /// call, a reassignment or a member write may have changed, then record
+  /// the setter's result and any assert(x.<member> == <Enum>::kS).
+  void transfer(const CfgNode& node, Know& k, bool report) const {
+    const std::size_t b = node.tok_begin, e = node.tok_end;
+    if (b >= e) return;  // the entry and exit nodes
     struct Update {
       std::string var;
       Fact fact;
@@ -189,6 +199,7 @@ class StateWalker {
     for (std::size_t j = b; j + 1 < e && j + 1 < t_.size(); ++j) {
       if (t_[j].kind != Tok::kIdent || !is_punct(t_[j + 1], "(")) continue;
       const std::string& callee = t_[j].text;
+      if (is_header_keyword(callee)) continue;
       const std::size_t close = match_forward(t_, j + 1);
 
       if (callee == syn_.setter) {
@@ -212,7 +223,8 @@ class StateWalker {
           }
           if (!to.empty()) {
             auto it = k.find(var);
-            if (it != k.end() && !spec_.allows(it->second.state, to)) {
+            if (report && it != k.end() &&
+                !spec_.allows(it->second.state, to)) {
               Finding f;
               f.file = ctx_.unit.display_path;
               f.line = t_[j].line;
@@ -279,225 +291,55 @@ class StateWalker {
     }
   }
 
-  std::size_t walk_if(std::size_t i, std::size_t end, Know& k) {
-    if (i + 1 >= end || !is_punct(t_[i + 1], "(")) return i + 1;
-    const std::size_t close = match_forward(t_, i + 1);
-    if (close >= t_.size()) return end;
-
-    bool has_or = false, has_not = false;
-    for (std::size_t j = i + 2; j < close; ++j) {
-      if (is_punct(t_[j], "||")) has_or = true;
-      if (is_punct(t_[j], "!")) has_not = true;
-    }
-    std::vector<std::pair<std::string, Fact>> pos, neg;
-    if (!has_or && !has_not) {
-      for (std::size_t j = i + 2; j < close; ++j) {
+  /// Facts an edge adds. A guard's true edge (succ[0]) knows its
+  /// `x.<member> == <Enum>::kS` terms unless the condition has `||` or `!`;
+  /// its false edge knows the `!=` terms unless it also has `&&`. The edge
+  /// from `switch (x.<member>)` to a label group drops x's fact, and knows
+  /// kS when the group is the single label `case <Enum>::kS:`.
+  void refine_edge(const CfgNode& from, std::size_t succ_index,
+                   const CfgNode& to, Know& k) const {
+    const std::size_t b = from.tok_begin, e = from.tok_end;
+    if (from.kind == CfgNodeKind::kBranch) {
+      bool has_or = false, has_not = false, has_and = false;
+      for (std::size_t j = b; j < e; ++j) {
+        has_or = has_or || is_punct(t_[j], "||");
+        has_not = has_not || is_punct(t_[j], "!");
+        has_and = has_and || is_punct(t_[j], "&&");
+      }
+      const bool true_edge = succ_index == 0;
+      if (has_or || has_not || (!true_edge && has_and)) return;
+      for (std::size_t j = b; j < e; ++j) {
         std::string var, state;
-        if (match_state_cmp(j, close, "==", var, state))
-          pos.emplace_back(var,
-                           Fact{state, t_[j].line,
-                                "guard established " + var + "." +
-                                    syn_.member + " == " + state});
-        if (match_state_cmp(j, close, "!=", var, state))
-          neg.emplace_back(var,
-                           Fact{state, t_[j].line,
-                                "guard `" + var + "." + syn_.member + " != " +
-                                    state + "` returns, so " + var + "." +
-                                    syn_.member + " == " + state +
-                                    " after it"});
+        if (match_state_cmp(j, e, true_edge ? "==" : "!=", var, state))
+          k[var] = Fact{state, t_[j].line,
+                        "guard established " + var + "." + syn_.member +
+                            " == " + state};
       }
+      return;
     }
-
-    Know then_k = k;
-    for (auto& [var, fact] : pos) then_k[var] = fact;
-    const std::size_t then_begin = close + 1;
-    const std::size_t then_end = walk_stmt(then_begin, end, then_k);
-
-    std::size_t next = then_end;
-    std::size_t else_end = then_end;
-    if (next < end && is_ident(t_[next], "else")) {
-      Know else_k = k;
-      else_end = walk_stmt(next + 1, end, else_k);
-      next = else_end;
+    // switch ( X (.|->) <member> ) into a `case`/`default` label node.
+    if (e != b + 6 || !is_ident(t_[b], "switch") ||
+        t_[b + 2].kind != Tok::kIdent ||
+        !(is_punct(t_[b + 3], ".") || is_punct(t_[b + 3], "->")) ||
+        !is_ident(t_[b + 4], syn_.member))
+      return;
+    if (to.tok_begin >= to.tok_end || (!is_ident(t_[to.tok_begin], "case") &&
+                                       !is_ident(t_[to.tok_begin], "default")))
+      return;  // the "no case matched" bypass
+    const std::string& subject = t_[b + 2].text;
+    k.erase(subject);
+    int labels = 0;
+    std::string label_state;
+    for (std::size_t j = to.tok_begin; j < to.tok_end; ++j) {
+      if (is_ident(t_[j], "case") || is_ident(t_[j], "default")) ++labels;
+      if (j + 2 < to.tok_end && is_ident(t_[j], syn_.enum_name) &&
+          is_punct(t_[j + 1], "::") && t_[j + 2].kind == Tok::kIdent)
+        label_state = t_[j + 2].text;
     }
-
-    // Merge: forget everything the statement mentioned...
-    erase_mentioned(i, next, k);
-    // ...then re-establish the negative-guard facts if the guarded branch
-    // cannot fall through (return/throw-terminated, no further branching).
-    if (!neg.empty() && else_end == then_end &&
-        branch_terminates(then_begin, then_end)) {
-      for (auto& [var, fact] : neg) k[var] = fact;
-    }
-    return next;
-  }
-
-  bool branch_terminates(std::size_t b, std::size_t e) const {
-    std::size_t begin = b, fin = e;
-    if (begin < t_.size() && is_punct(t_[begin], "{")) {
-      ++begin;
-      if (fin > begin) --fin;  // matching '}'
-    }
-    bool has_exit = false;
-    for (std::size_t j = begin; j < fin && j < t_.size(); ++j) {
-      if (is_ident(t_[j], "if") || is_ident(t_[j], "while") ||
-          is_ident(t_[j], "for") || is_ident(t_[j], "switch"))
-        return false;  // conditional structure: might fall through
-      if (is_ident(t_[j], "return") || is_ident(t_[j], "throw"))
-        has_exit = true;
-    }
-    if (!has_exit) return false;
-    // The final statement must be the return/throw.
-    std::size_t last_semi = t_.size();
-    for (std::size_t j = begin; j < fin; ++j)
-      if (is_punct(t_[j], ";")) last_semi = j;
-    if (last_semi >= t_.size()) return false;
-    // Walk back to that statement's start.
-    std::size_t s = begin;
-    for (std::size_t j = begin; j < last_semi; ++j)
-      if (is_punct(t_[j], ";")) s = j + 1;
-    return s < t_.size() &&
-           (is_ident(t_[s], "return") || is_ident(t_[s], "throw"));
-  }
-
-  std::size_t walk_loop(std::size_t i, std::size_t end, Know& k) {
-    if (i + 1 >= end || !is_punct(t_[i + 1], "(")) return i + 1;
-    const std::size_t close = match_forward(t_, i + 1);
-    if (close >= t_.size()) return end;
-    // The back edge may invalidate anything the body touches, so the body
-    // starts from knowledge scrubbed of everything the loop mentions.
-    const std::size_t body_begin = close + 1;
-    Know body_k = k;
-    // Pre-scan the body extent with a throwaway walk to learn its end.
-    const std::size_t body_end = skip_stmt(body_begin, end);
-    erase_mentioned(i, body_end, body_k);
-    walk_stmt(body_begin, end, body_k);
-    erase_mentioned(i, body_end, k);
-    return body_end;
-  }
-
-  std::size_t walk_do(std::size_t i, std::size_t end, Know& k) {
-    const std::size_t body_begin = i + 1;
-    const std::size_t body_end = skip_stmt(body_begin, end);
-    Know body_k = k;
-    erase_mentioned(i, body_end, body_k);
-    walk_stmt(body_begin, end, body_k);
-    std::size_t next = body_end;
-    if (next < end && is_ident(t_[next], "while") && next + 1 < end &&
-        is_punct(t_[next + 1], "("))
-      next = stmt_end(next, end);
-    erase_mentioned(i, next, k);
-    return next;
-  }
-
-  std::size_t walk_switch(std::size_t i, std::size_t end, Know& k) {
-    if (i + 1 >= end || !is_punct(t_[i + 1], "(")) return i + 1;
-    const std::size_t close = match_forward(t_, i + 1);
-    if (close >= t_.size() || close + 1 >= end ||
-        !is_punct(t_[close + 1], "{"))
-      return close + 1;
-    const std::size_t body_open = close + 1;
-    const std::size_t body_close = match_forward(t_, body_open);
-    if (body_close >= t_.size()) return end;
-
-    // switch (X.<member>) makes each single-label section a known-state
-    // scope.
-    std::string subject;
-    {
-      std::string var, state;
-      if (i + 4 < close && t_[i + 2].kind == Tok::kIdent &&
-          (is_punct(t_[i + 3], ".") || is_punct(t_[i + 3], "->")) &&
-          is_ident(t_[i + 4], syn_.member) && i + 5 == close)
-        subject = t_[i + 2].text;
-      (void)var;
-      (void)state;
-    }
-
-    std::size_t j = body_open + 1;
-    while (j < body_close) {
-      if (!(is_ident(t_[j], "case") || is_ident(t_[j], "default"))) {
-        ++j;
-        continue;
-      }
-      int labels = 0;
-      std::string label_state;
-      int label_line = t_[j].line;
-      while (j < body_close &&
-             (is_ident(t_[j], "case") || is_ident(t_[j], "default"))) {
-        ++labels;
-        std::size_t m = j + 1;
-        while (m < body_close && !is_punct(t_[m], ":")) {
-          if (is_ident(t_[m], syn_.enum_name) && m + 2 < body_close &&
-              is_punct(t_[m + 1], "::") && t_[m + 2].kind == Tok::kIdent)
-            label_state = t_[m + 2].text;
-          ++m;
-        }
-        j = m < body_close ? m + 1 : body_close;
-      }
-      std::size_t sec_end = j;
-      int depth = 0;
-      while (sec_end < body_close) {
-        const Token& c = t_[sec_end];
-        if (c.kind == Tok::kPunct) {
-          const std::string& x = c.text;
-          if (x == "(" || x == "[" || x == "{") ++depth;
-          else if (x == ")" || x == "]" || x == "}") --depth;
-        }
-        if (depth == 0 && sec_end != j &&
-            (is_ident(c, "case") || is_ident(c, "default")))
-          break;
-        ++sec_end;
-      }
-      Know sec_k = k;
-      sec_k.erase(subject);
-      if (!subject.empty() && labels == 1 && !label_state.empty())
-        sec_k[subject] =
-            Fact{label_state, label_line,
-                 "case label established " + subject + "." + syn_.member +
-                     " == " + label_state};
-      walk_seq(j, sec_end, sec_k);
-      j = sec_end;
-    }
-
-    erase_mentioned(i, body_close + 1, k);
-    return body_close + 1;
-  }
-
-  /// End index of the statement starting at `i` without analyzing it.
-  std::size_t skip_stmt(std::size_t i, std::size_t end) const {
-    if (i >= end) return end;
-    if (is_punct(t_[i], "{")) {
-      const std::size_t m = match_forward(t_, i);
-      return m >= t_.size() ? end : m + 1;
-    }
-    if (is_ident(t_[i], "if") || is_ident(t_[i], "while") ||
-        is_ident(t_[i], "for") || is_ident(t_[i], "switch")) {
-      std::size_t j = i + 1;
-      if (j < end && is_punct(t_[j], "(")) {
-        const std::size_t close = match_forward(t_, j);
-        if (close >= t_.size()) return end;
-        if (is_ident(t_[i], "switch")) {
-          if (close + 1 < end && is_punct(t_[close + 1], "{")) {
-            const std::size_t bc = match_forward(t_, close + 1);
-            return bc >= t_.size() ? end : bc + 1;
-          }
-          return close + 1;
-        }
-        std::size_t after = skip_stmt(close + 1, end);
-        if (is_ident(t_[i], "if") && after < end &&
-            is_ident(t_[after], "else"))
-          after = skip_stmt(after + 1, end);
-        return after;
-      }
-      return i + 1;
-    }
-    if (is_ident(t_[i], "do")) {
-      std::size_t after = skip_stmt(i + 1, end);
-      if (after < end && is_ident(t_[after], "while"))
-        after = stmt_end(after, end);
-      return after;
-    }
-    return stmt_end(i, end);
+    if (labels == 1 && !label_state.empty())
+      k[subject] = Fact{label_state, to.line,
+                        "case label established " + subject + "." +
+                            syn_.member + " == " + label_state};
   }
 
   const AnalysisContext& ctx_;
@@ -509,8 +351,8 @@ class StateWalker {
 }  // namespace
 
 void check_state_machine(const AnalysisContext& ctx) {
-  StateWalker(ctx, vcpu_transition_spec(ctx.options), vcpu_syntax()).run();
-  StateWalker(ctx, migration_transition_spec(ctx.options), migration_syntax())
+  StateFlow(ctx, vcpu_transition_spec(ctx.options), vcpu_syntax()).run();
+  StateFlow(ctx, migration_transition_spec(ctx.options), migration_syntax())
       .run();
 }
 

@@ -33,10 +33,6 @@ namespace asman_lint {
 
 namespace {
 
-bool is_punct(const Token& t, const char* s) {
-  return t.kind == Tok::kPunct && t.text == s;
-}
-
 std::string lower(const std::string& s) {
   std::string r = s;
   for (char& c : r) c = static_cast<char>(std::tolower(

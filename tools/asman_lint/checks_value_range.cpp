@@ -31,10 +31,6 @@ namespace asman_lint {
 
 namespace {
 
-bool is_punct(const Token& t, const char* s) {
-  return t.kind == Tok::kPunct && t.text == s;
-}
-
 constexpr int kWidenAfterVisits = 4;
 
 /// Condition sub-range of a kBranch node (`if ( C )` / `while ( C )`):

@@ -1,6 +1,6 @@
 // Seeded violations for the credit-flow check: every credit mutation here
 // breaks one of the three conservation shapes on at least one path.
-// tests/lint_test.cpp asserts 100% detection — all four sites flagged.
+// tests/lint_test.cpp asserts 100% detection — all five sites flagged.
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -57,5 +57,21 @@ struct Hypervisor {
     }
   }
 };
+
+}  // namespace fixture
+
+namespace fixture {
+
+// (c3) redistribution escaping through a do-while `continue`: the skip
+// jumps to the loop condition, which exits on the last VCPU before the
+// mint is reported.
+void redistribute_skipping(Vcpu* v, int n, Credit per) {
+  audit_event(AuditPoint::kAccountingBegin);
+  do {
+    v[n].credit = per;  // line flagged: continue path skips audit_minted
+    if (v[n].weight == 0) continue;
+    audit_minted(0, per);
+  } while (--n > 0);
+}
 
 }  // namespace fixture

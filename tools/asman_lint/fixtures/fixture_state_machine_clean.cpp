@@ -1,6 +1,6 @@
 // Tricky-legal fixture for the state-machine check: legal chains, guard
 // shapes, and a knowledge-invalidation case that would be illegal if the
-// walker (unsoundly) kept stale facts across an unaudited call.
+// rule (unsoundly) kept stale facts across an unaudited call.
 // asman_lint must report zero findings here.
 #include <cassert>
 #include <cstdint>
@@ -59,6 +59,24 @@ void retire(Vcpu& v) {
   assert(v.state == VcpuState::kRunning);
   reschedule(v);
   set_state(v, VcpuState::kDestroyed);
+}
+
+// A negative guard joined by `&&` proves nothing on its false edge: with
+// `flag` false the VCPU may well be kDestroyed below. (Read as a plain
+// negative guard this would be flagged as kDestroyed -> kBlocked.)
+void block_unless_gone(Vcpu& v, bool flag) {
+  if (v.state != VcpuState::kDestroyed && flag) return;
+  set_state(v, VcpuState::kBlocked);
+}
+
+// An empty then-branch: the else edge is the guard's false edge, so the
+// state is unknown there. (Read as the true edge this would be flagged as
+// kRunning -> kDestroyed.)
+void retire_unless_running(Vcpu& v) {
+  if (v.state == VcpuState::kRunning) {
+  } else {
+    set_state(v, VcpuState::kDestroyed);
+  }
 }
 
 }  // namespace fixture

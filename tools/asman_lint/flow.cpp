@@ -5,18 +5,10 @@
 #include <map>
 
 #include "analyzer.h"
-#include "lexer.h"
 
 namespace asman_lint {
 
 namespace {
-
-bool is_punct(const Token& t, const char* s) {
-  return t.kind == Tok::kPunct && t.text == s;
-}
-bool is_ident(const Token& t, const char* s) {
-  return t.kind == Tok::kIdent && t.text == s;
-}
 
 /// Recursive-descent CFG builder. Nodes are statements; control headers
 /// (if/while/for/switch conditions) are their own nodes so path witnesses
@@ -41,8 +33,9 @@ class CfgBuilder {
  private:
   struct LoopCtx {
     std::vector<std::size_t> breaks;
-    std::size_t continue_target;  // npos in switch contexts
+    std::size_t continue_target;  // npos in switch contexts and do bodies
     bool is_switch;
+    std::vector<std::size_t> continues{};  // a do body's, until `while (...)`
   };
 
   std::size_t new_node(std::size_t b, std::size_t e, bool entry = false,
@@ -126,6 +119,8 @@ class CfgBuilder {
           if (it->is_switch) continue;  // continue skips switch contexts
           if (it->continue_target != Cfg::npos)
             link(n, it->continue_target);
+          else
+            it->continues.push_back(n);
           break;
         }
       }
@@ -157,7 +152,14 @@ class CfgBuilder {
     const std::size_t cond = new_node(i, close + 1);
     cfg_.nodes[cond].kind = CfgNodeKind::kBranch;
     link_all(preds, cond);
+    const std::size_t then_entry = cfg_.nodes.size();
     Parsed then = parse_stmt(close + 1, end, {cond});
+    if (cfg_.nodes.size() == then_entry) {
+      // An empty then-branch still gets a node, so succ[0] stays the true
+      // edge when an else follows.
+      then.exits = {new_node(close + 1, close + 1)};
+      link(cond, then.exits.front());
+    }
     std::vector<std::size_t> exits = then.exits;
     std::size_t next = then.next;
     if (next < end && is_ident(t_[next], "else")) {
@@ -207,6 +209,7 @@ class CfgBuilder {
   Parsed parse_do(std::size_t i, std::size_t end,
                   const std::vector<std::size_t>& preds) {
     loops_.push_back({{}, Cfg::npos, false});
+    const std::size_t body_entry = cfg_.nodes.size();  // the body's first node
     Parsed body = parse_stmt(i + 1, end, preds);
     std::size_t next = body.next;
     std::vector<std::size_t> cond_preds = body.exits;
@@ -217,12 +220,11 @@ class CfgBuilder {
       if (close < end) {
         const std::size_t cond = new_node(next, close + 1);
         link_all(cond_preds, cond);
-        // Back edge: loop again through the body's entry. The body entry
-        // is the first node created after the do; approximate with the
-        // condition itself (sound for marker queries: the repeat path
-        // revisits the same statements DFS already explored).
+        link_all(loops_.back().continues, cond);
+        // Back edge to the body's entry (the condition itself when the body
+        // made no node).
+        link(cond, body_entry);
         exits.push_back(cond);
-        // Patch pending continues to the condition.
         next = stmt_end(close + 1, end);
       }
     }
@@ -437,8 +439,8 @@ bool TransitionSpec::allows(const std::string& from,
 
 namespace {
 
-/// Lexes `<root>/<rel_path>` and extracts the (from, to) pairs from the
-/// brace initializer of `table_ident` — every `<enum_name> :: <ident>`
+/// Extracts the (from, to) pairs from the brace initializer of
+/// `table_ident` in `<root>/<rel_path>`: every `<enum_name> :: <ident>`
 /// occurrence inside it, taken pairwise. Works for any machine whose spec
 /// follows the plain-constexpr-array shape (state_spec.h documents it).
 TransitionSpec load_transition_spec(const std::string& root,
@@ -446,41 +448,21 @@ TransitionSpec load_transition_spec(const std::string& root,
                                     const std::string& table_ident,
                                     const std::string& enum_name) {
   TransitionSpec spec;
-  const std::string path = root + "/" + rel_path;
-  FileUnit unit;
-  std::string err;
-  if (!lex_path(path, rel_path, unit, err)) {
-    spec.error = "cannot read transition spec " + path + ": " + err;
+  const SpecTable table =
+      read_spec_table(root, rel_path, table_ident, "transition spec");
+  if (!table.error.empty()) {
+    spec.error = table.error;
     return spec;
   }
-  const std::vector<Token>& t = unit.toks;
-  std::size_t table = t.size();
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (is_ident(t[i], table_ident.c_str())) {
-      table = i;
-      break;
-    }
-  }
-  std::size_t open = t.size();
-  for (std::size_t i = table; i < t.size(); ++i) {
-    if (is_punct(t[i], "{")) {
-      open = i;
-      break;
-    }
-  }
-  if (open >= t.size()) {
-    spec.error = table_ident + " initializer not found in " + path;
-    return spec;
-  }
-  const std::size_t close = match_forward(t, open);
+  const std::vector<Token>& t = table.unit.toks;
   std::vector<std::string> enums;
-  for (std::size_t i = open; i < close && i + 2 < t.size(); ++i) {
+  for (std::size_t i = table.open; i < table.close && i + 2 < t.size(); ++i) {
     if (is_ident(t[i], enum_name.c_str()) && is_punct(t[i + 1], "::") &&
         t[i + 2].kind == Tok::kIdent)
       enums.push_back(t[i + 2].text);
   }
   if (enums.size() < 2 || enums.size() % 2 != 0) {
-    spec.error = "malformed " + table_ident + " table in " + path;
+    spec.error = "malformed " + table_ident + " table in " + table.path;
     return spec;
   }
   for (std::size_t i = 0; i + 1 < enums.size(); i += 2) {

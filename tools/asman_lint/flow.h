@@ -25,12 +25,11 @@
 
 namespace asman_lint {
 
-/// What a node is, where the abstract interpreter needs to know. kBranch
-/// marks if/while condition nodes and kForHead for-loop headers: for both,
+/// What a node is, where the flow rules need to know. kBranch marks
+/// if/while condition nodes and kForHead for-loop headers: for both,
 /// succ[0] is the true/body edge (by construction order in CfgBuilder) and
 /// every later successor is a false/after edge. do-while and switch
-/// conditions stay kPlain — their successor order carries no branch
-/// orientation, so value-range refinement must not trust it.
+/// conditions stay kPlain, so no rule refines facts along their edges.
 enum class CfgNodeKind : std::uint8_t { kPlain, kBranch, kForHead };
 
 struct CfgNode {

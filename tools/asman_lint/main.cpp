@@ -150,37 +150,27 @@ int run(const Options& options) {
   if (check_enabled(options, "audit-seam"))
     check_audit_seam_cross_tu(options, all_functions, findings);
   check_thread_safety_cross_tu(options, units, findings);
-  if (check_enabled(options, "state-machine")) {
-    // An unreadable/unparseable spec must fail loudly, not verify vacuously
-    // — for both machines the check covers.
+  if (options.files.empty()) {
+    // An unreadable or unparseable spec table must fail the run loudly, not
+    // let its rule verify vacuously.
     const struct {
-      const TransitionSpec& spec;
+      const char* check;
       const char* path;
+      const std::string& error;
     } specs[] = {
-        {vcpu_transition_spec(options), "src/vmm/state_spec.h"},
-        {migration_transition_spec(options), "src/cluster/migration_spec.h"},
+        {"state-machine", "src/vmm/state_spec.h",
+         vcpu_transition_spec(options).error},
+        {"state-machine", "src/cluster/migration_spec.h",
+         migration_transition_spec(options).error},
+        {"value-range", "src/core/bounds_spec.h", bounds_spec(options).error},
     };
     for (const auto& s : specs) {
-      if (!s.spec.error.empty() && options.files.empty()) {
-        Finding f;
-        f.file = s.path;
-        f.line = 1;
-        f.check = "state-machine";
-        f.message = s.spec.error;
-        findings.push_back(std::move(f));
-      }
-    }
-  }
-  if (check_enabled(options, "value-range")) {
-    // Same loud-fail contract as the transition specs: an unreadable bounds
-    // spec must fail the run, not let the overflow proof pass vacuously.
-    const BoundsSpec& bspec = bounds_spec(options);
-    if (!bspec.error.empty() && options.files.empty()) {
+      if (!check_enabled(options, s.check) || s.error.empty()) continue;
       Finding f;
-      f.file = "src/core/bounds_spec.h";
+      f.file = s.path;
       f.line = 1;
-      f.check = "value-range";
-      f.message = bspec.error;
+      f.check = s.check;
+      f.message = s.error;
       findings.push_back(std::move(f));
     }
   }

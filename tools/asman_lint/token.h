@@ -28,6 +28,19 @@ struct Token {
   int line;
 };
 
+inline bool is_punct(const Token& t, const char* s) {
+  return t.kind == Tok::kPunct && t.text == s;
+}
+inline bool is_ident(const Token& t, const char* s) {
+  return t.kind == Tok::kIdent && t.text == s;
+}
+/// `=` or an arithmetic compound assignment.
+inline bool is_assign_op(const Token& t) {
+  return t.kind == Tok::kPunct &&
+         (t.text == "=" || t.text == "+=" || t.text == "-=" ||
+          t.text == "*=" || t.text == "/=" || t.text == "%=");
+}
+
 /// One `// asman-lint: allow(check-a, check-b) -- reason` pragma. It
 /// suppresses findings of the named checks on its own line and on the next
 /// line (so a whole-line comment can shield the statement below it). Every
