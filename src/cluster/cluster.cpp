@@ -1,6 +1,5 @@
 #include "cluster/cluster.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -40,39 +39,45 @@ Cluster::Cluster(sim::Simulator& simulation, const ClusterConfig& cfg)
 
 Cluster::~Cluster() = default;
 
-std::vector<HostId> Cluster::host_order(HostId exclude) const {
+HostId Cluster::next_host(HostId after, HostId exclude) const {
   // Least weighted VCPU load first, memory pressure folded in (a host
   // losing a fifth of its cycles to contention effectively has a fifth
   // fewer PCPUs, so its score is scaled up by the degraded fraction),
   // index breaking ties. Both inputs are pure functions of deterministic
   // state — and pressure_score() is exactly 0.0 on hosts whose contention
-  // engine is inert — so the order is reproducible and bit-identical to
-  // the pre-pressure sort in footprint-free clusters. Each score walks
-  // the host's VM records, so it is computed once per host, not once per
-  // comparison.
-  std::vector<std::pair<double, HostId>> scored;
-  scored.reserve(hosts_.size());
-  for (HostId h = 0; h < hosts_.size(); ++h) {
-    if (h == exclude) continue;
-    if (!hosts_[h].alive || hosts_[h].degraded) continue;
+  // engine is inert — so the order is reproducible. Each score is O(1), so
+  // one step of the walk is one pass over the fleet. Scores are finite and
+  // >= 0, and a host's admission reject moves no score, so stepping from
+  // the host just tried visits the hosts in sorted (score, index) order.
+  const auto score = [this](HostId h) {
     const vmm::Hypervisor& hv = *hosts_[h].hv;
-    scored.emplace_back(hv.weighted_vcpu_load() * (1.0 + hv.pressure_score()),
-                        h);
+    return hv.weighted_vcpu_load() * (1.0 + hv.pressure_score());
+  };
+  const bool from_start = after == kInvalidHostId;
+  const double after_score = from_start ? 0.0 : score(after);
+  HostId best = kInvalidHostId;
+  double best_score = 0.0;
+  for (HostId h = 0; h < hosts_.size(); ++h) {
+    if (h == exclude || !hosts_[h].alive || hosts_[h].degraded) continue;
+    const double sc = score(h);
+    if (!from_start &&
+        (sc < after_score || (sc == after_score && h <= after)))
+      continue;  // not strictly after `after` in (score, index) order
+    if (best == kInvalidHostId || sc < best_score) {  // ties: lower index
+      best = h;
+      best_score = sc;
+    }
   }
-  std::sort(scored.begin(), scored.end());
-  std::vector<HostId> order;
-  order.reserve(scored.size());
-  for (const auto& [score, h] : scored) order.push_back(h);
-  return order;
+  return best;
 }
 
 HostId Cluster::pick_host(HostId exclude) const {
-  const std::vector<HostId> order = host_order(exclude);
-  return order.empty() ? kInvalidHostId : order.front();
+  return next_host(kInvalidHostId, exclude);
 }
 
 ClusterVmId Cluster::admit(const ClusterVmSpec& spec) {
-  for (HostId h : host_order(kInvalidHostId)) {
+  for (HostId h = pick_host(); h != kInvalidHostId;
+       h = next_host(h, kInvalidHostId)) {
     const vmm::VmId local = hosts_[h].hv->create_vm(spec.name, spec.weight,
                                                     spec.vcpus, spec.type);
     if (local == vmm::kInvalidVmId) continue;  // fall through the load order
@@ -443,7 +448,8 @@ bool Cluster::readmit(VmRecord& r) {
   t.n_vcpus = r.vcpus;
   t.type = r.type;
   t.credit_pool = r.heartbeat_credit;
-  for (HostId h : host_order(kInvalidHostId)) {
+  for (HostId h = pick_host(); h != kInvalidHostId;
+       h = next_host(h, kInvalidHostId)) {
     __int128 seeded = 0;
     const vmm::VmId local = host(h).migrate_in(t, &seeded);
     if (local == vmm::kInvalidVmId) continue;

@@ -5,7 +5,10 @@
 //
 //   * a fleet-level placer that admits VMs cluster-wide (least weighted
 //     VCPU load first, falling through the load order on admission
-//     rejects),
+//     rejects). The order is walked, never sorted: next_host steps to the
+//     eligible host with the next (score, index), each score an O(1) read
+//     of the host's integer load ledger, so a placement is one pass over
+//     the fleet per host tried and allocates nothing,
 //   * live migration as an explicit retry/timeout/rollback state machine
 //     (kPreCopy -> kStopAndCopy -> kCommit | kAbort, see
 //     migration_spec.h) with modeled dirty-page copy cost and a bounded
@@ -170,8 +173,9 @@ class Cluster {
   /// already migrating, or `dst` is its current host / dead / degraded.
   bool migrate(ClusterVmId id, HostId dst);
 
-  /// Least-loaded live host eligible as a migration target or re-admission
-  /// site, skipping `exclude`. kInvalidHostId when none qualifies.
+  /// Least-loaded live host eligible as a migration target or placement
+  /// site, skipping `exclude`: the first step of the placer's walk (ties go
+  /// to the lower index). kInvalidHostId when none qualifies.
   HostId pick_host(HostId exclude = kInvalidHostId) const;
 
   /// Adopt the host-fault schedule of `plan` (kHostCrash / kHostDegraded /
@@ -275,7 +279,11 @@ class Cluster {
   void fail_attempt(std::size_t mi, const char* why);
   void fail_stop_and_copy(std::size_t mi, const char* why);
   void abort_migration(MigrationRec& m, const char* why);
-  std::vector<HostId> host_order(HostId exclude) const;
+  /// Successor in the placer's order: among live, non-degraded hosts
+  /// other than `exclude`, the one with the smallest (score, index)
+  /// strictly above `after`'s — the minimum for kInvalidHostId.
+  /// kInvalidHostId when none is left.
+  HostId next_host(HostId after, HostId exclude) const;
   void degrade_host(HostId h, sim::Cycles duration);
   void heartbeat();
   void arm_heartbeat();

@@ -114,6 +114,11 @@ struct ResilienceConfig {
   std::uint32_t vcrd_min_yields{0};
 };
 
+/// Most VCPUs one VM may hold: the bounds spec's n_vcpus ceiling, which
+/// create_vm and resize_vm both refuse to exceed.
+inline constexpr std::uint32_t kMaxVmVcpus =
+    static_cast<std::uint32_t>(core::bounds_of(core::field::n_vcpus)->hi);
+
 /// Portable VM image a live migration carries between hosts: identity,
 /// shape, and the residual credit captured from the source's VCPUs at
 /// migrate_out — widened to __int128 so the sum over any VCPU count can
@@ -133,9 +138,7 @@ struct MigrationTicket {
     return n_vcpus >=
                static_cast<std::uint32_t>(
                    core::bounds_of(core::field::n_vcpus)->lo) &&
-           n_vcpus <= static_cast<std::uint32_t>(
-                          core::bounds_of(core::field::n_vcpus)->hi) &&
-           weight > 0;
+           n_vcpus <= kMaxVmVcpus && weight > 0;
   }
 };
 
@@ -173,7 +176,8 @@ class Hypervisor : public HypervisorPort {
   /// reject on saturation) and enqueues them runnable with zero credit;
   /// shrinkage drains the top indices (gang survivors are re-spread onto
   /// pairwise-distinct PCPUs when coscheduled). Returns false for an
-  /// unknown/dead id, n_vcpus == 0, or an admission reject.
+  /// unknown/dead id, n_vcpus == 0 or above kMaxVmVcpus, or an admission
+  /// reject.
   bool resize_vm(VmId vm, std::uint32_t n_vcpus);
 
   // --- cluster transfer seams (src/cluster/) --------------------------------
@@ -319,7 +323,9 @@ class Hypervisor : public HypervisorPort {
   std::size_t num_live_vms() const;
   /// Current weighted VCPU load per online PCPU: sum over live VMs of
   /// num_vcpus x (weight / kReferenceWeight), divided by online PCPUs
-  /// (the admission controller's saturation metric).
+  /// (the admission controller's saturation metric and the fleet placer's
+  /// score). O(1): read from an exact integer ledger of num_vcpus x weight,
+  /// bit-identical to summing the VM records (see prospective_load).
   double weighted_vcpu_load() const;
   /// Weight proportion omega(Vi) per Equation (1).
   double weight_proportion(VmId id) const;
@@ -703,7 +709,8 @@ class Hypervisor : public HypervisorPort {
 
   // --- runtime lifecycle / admission (lifecycle.cpp) -------------------------
   /// Weighted load the host would carry with `extra` more weighted VCPUs;
-  /// used by create_vm/resize_vm admission checks.
+  /// used by create_vm/resize_vm admission checks. Reads weighted_vcpus_,
+  /// never the VM records.
   double prospective_load(double extra) const;
   bool admission_enabled() const {
     return admission_.max_vcpus_per_pcpu > 0.0;
@@ -829,6 +836,10 @@ class Hypervisor : public HypervisorPort {
   /// every VM (gangs run under stock credit rules).
   bool overload_shed_{false};
   Cycles overload_until_{0};  // earliest restore after the last shed
+  /// Sum of num_vcpus x weight over live VMs, updated wherever that sum
+  /// changes: create_vm (migrate_in too), retire_vm (destroy_vm and
+  /// migrate_out) and both branches of resize_vm.
+  std::uint64_t weighted_vcpus_{0};
 
   Credit credit_cap_;
   std::uint64_t migrations_{0};

@@ -34,12 +34,31 @@ std::size_t Hypervisor::num_live_vms() const {
   return n;
 }
 
-double Hypervisor::prospective_load(double extra) const {
+namespace {
+
+/// The load ledger's oracle: `extra` plus every live VM's
+/// num_vcpus x (weight / kReferenceWeight), summed left to right.
+[[maybe_unused]] double walked_load(
+    const std::vector<std::unique_ptr<Vm>>& vms, double extra) {
   double load = extra;
-  for (const auto& v : vms_)
+  for (const auto& v : vms)
     if (v->alive)
       load += static_cast<double>(v->num_vcpus()) *
               (static_cast<double>(v->weight) / kReferenceWeight);
+  return load;
+}
+
+}  // namespace
+
+double Hypervisor::prospective_load(double extra) const {
+  // Exact, not approximate: kReferenceWeight is 256 and the bounds spec
+  // caps weight at 2^16 and n_vcpus at 2^12, so every term of the walk
+  // (and `extra`) is a multiple of 2^-8. While weighted_vcpus_ stays below
+  // 2^53 every partial sum is exact in a double, so the walk's sum equals
+  // extra + weighted_vcpus_ / 256 in any order, bit for bit.
+  const double load =
+      extra + static_cast<double>(weighted_vcpus_) / kReferenceWeight;
+  assert(load == walked_load(vms_, extra));
   return online_pcpus_ == 0 ? load : load / online_pcpus_;
 }
 
@@ -135,8 +154,7 @@ VmId Hypervisor::create_vm(std::string name, std::uint32_t weight,
   // scheduling problem, and admitting it would leave the value-range
   // proof's assumptions behind.
   weight = core::clamp_to_bounds(core::field::weight, weight);
-  if (n_vcpus >
-      static_cast<std::uint32_t>(core::bounds_of(core::field::n_vcpus)->hi)) {
+  if (n_vcpus > kMaxVmVcpus) {
     note_trace(sim::TraceCat::kSched, [&] {
       return name + " rejected: n_vcpus " + std::to_string(n_vcpus) +
              " outside the bounds spec";
@@ -174,6 +192,7 @@ VmId Hypervisor::create_vm(std::string name, std::uint32_t weight,
     enqueue(c.where, &c);
   }
   vms_.push_back(std::move(v));
+  weighted_vcpus_ += static_cast<std::uint64_t>(n_vcpus) * weight;
   if (started_) {
     ++vm_creates_;
     note_trace(sim::TraceCat::kSched, [&] {
@@ -240,6 +259,7 @@ void Hypervisor::retire_vm(Vm& v) {
   // touches this VM (cosched_eligible and the hypercall guards all check
   // `alive` before anything else).
   v.alive = false;
+  weighted_vcpus_ -= static_cast<std::uint64_t>(v.num_vcpus()) * v.weight;
   v.paused = false;
   v.destroyed_at = sim_.now();
   const bool was = in_scheduler_;
@@ -273,7 +293,9 @@ bool Hypervisor::destroy_vm(VmId id) {
 }
 
 bool Hypervisor::resize_vm(VmId id, std::uint32_t n_vcpus) {
-  if (id >= vms_.size() || n_vcpus == 0 || !vms_[id]->alive) return false;
+  if (id >= vms_.size() || n_vcpus == 0 || n_vcpus > kMaxVmVcpus ||
+      !vms_[id]->alive)
+    return false;
   Vm& v = *vms_[id];
   const auto n_old = static_cast<std::uint32_t>(v.num_vcpus());
   if (n_vcpus == n_old) return true;
@@ -303,6 +325,7 @@ bool Hypervisor::resize_vm(VmId id, std::uint32_t n_vcpus) {
       c.where = place_new_vcpu(id, i, v);
       enqueue(c.where, &c);
     }
+    weighted_vcpus_ += static_cast<std::uint64_t>(n_vcpus - n_old) * v.weight;
     audit_resized(id);
     maybe_shed_overload();
     // A grown gang may now collide with itself (or, topology-aware, spill
@@ -318,6 +341,7 @@ bool Hypervisor::resize_vm(VmId id, std::uint32_t n_vcpus) {
       if (drain_vcpu(v.vcpus[i])) freed.push_back(v.vcpus[i].where);
       v.vcpus.pop_back();
     }
+    weighted_vcpus_ -= static_cast<std::uint64_t>(n_old - n_vcpus) * v.weight;
     audit_resized(id);
     // Mid-gang shrink: survivors must hold pairwise-distinct PCPUs before
     // the next launch (the drained members may have pinned shared homes) —

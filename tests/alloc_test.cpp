@@ -8,11 +8,13 @@
 // simulations are single-threaded, so a plain counter is exact.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <string>
 
+#include "cluster/cluster.h"
 #include "core/schedulers.h"
 #include "experiments/chaos.h"
 #include "experiments/churn.h"
@@ -140,6 +142,33 @@ TEST(Allocations, LaneRearmsReuseQueueStorage) {
   EXPECT_EQ(g_allocs - before, 0u);
   EXPECT_EQ(s.pending_events(), kTimers);
   EXPECT_EQ(fired, kTimers * 40);
+}
+
+TEST(Allocations, FleetPlacementPicksWithoutTheHeap) {
+  constexpr std::uint32_t kHosts = 16;
+  sim::Simulator s;
+  cluster::ClusterConfig cc;
+  cc.num_hosts = kHosts;
+  cluster::Cluster cl(s, cc);
+  for (std::uint32_t i = 0; i < 3 * kHosts; ++i) {
+    cluster::ClusterVmSpec v;
+    v.name = "vm" + std::to_string(i);
+    v.weight = 128u << (i % 3);
+    v.vcpus = 1 + i % 4;
+    ASSERT_NE(cl.admit(v), cluster::kInvalidClusterVmId);
+  }
+  cl.start();
+  s.run_until(sim::kDefaultClock.from_ms(50));  // warm-up
+  // Every host excluded once, and none: each pick scores the whole fleet.
+  std::array<cluster::HostId, kHosts + 1> picks{};
+  const std::uint64_t before = g_allocs;
+  for (cluster::HostId x = 0; x <= kHosts; ++x)
+    picks[x] = cl.pick_host(x == kHosts ? cluster::kInvalidHostId : x);
+  EXPECT_EQ(g_allocs - before, 0u);
+  for (cluster::HostId x = 0; x <= kHosts; ++x) {
+    EXPECT_NE(picks[x], x);
+    EXPECT_LT(picks[x], kHosts);
+  }
 }
 
 struct Fig07Point {

@@ -270,6 +270,108 @@ TEST(ClusterPlacerTest, DegradedHostIsSkippedAndRecovers) {
   EXPECT_EQ(cl.audit_violations(), 0u) << cl.audit_summary();
 }
 
+TEST(ClusterPlacerTest, EqualScoresGoToTheLowerIndex) {
+  sim::Simulator s;
+  Cluster cl(s, small_config(3));
+  EXPECT_EQ(cl.pick_host(), 0u);
+  EXPECT_EQ(cl.pick_host(0), 1u);
+  // Identical tenants: each admission leaves the chosen host one step
+  // ahead, so the fleet fills round-robin by index.
+  for (std::uint32_t i = 0; i < 7; ++i)
+    EXPECT_EQ(cl.vm(cl.admit(tenant("T" + std::to_string(i)))).host, i % 3)
+        << "tenant " << i;
+}
+
+TEST(ClusterPlacerTest, ExcludedDegradedAndCrashedHostsAreSkipped) {
+  sim::Simulator s;
+  Cluster cl(s, small_config(4));
+  faults::FaultPlan plan;
+  faults::HostFaultSpec f;
+  f.kind = faults::HostFaultKind::kHostDegraded;
+  f.host = 1;
+  f.at = secs(0.05);
+  f.duration = Cycles{0};  // degraded for the rest of the run
+  plan.host.push_back(f);
+  cl.inject(plan);
+  cl.start();
+  s.at(secs(0.1), [&] {
+    cl.crash_host_now(0);
+    EXPECT_EQ(cl.pick_host(), 2u);
+    EXPECT_EQ(cl.pick_host(2), 3u);
+    EXPECT_EQ(cl.vm(cl.admit(tenant("A"))).host, 2u);
+    EXPECT_EQ(cl.vm(cl.admit(tenant("B"))).host, 3u);
+    EXPECT_EQ(cl.vm(cl.admit(tenant("C"))).host, 2u);
+    cl.crash_host_now(3);
+    EXPECT_EQ(cl.pick_host(), 2u);
+    EXPECT_EQ(cl.pick_host(2), cluster::kInvalidHostId);
+  });
+  s.run_until(secs(0.2));
+  EXPECT_TRUE(cl.host_degraded(1));
+  EXPECT_EQ(cl.audit_violations(), 0u) << cl.audit_summary();
+}
+
+/// Four 4-PCPU hosts capped at one weighted VCPU per online PCPU, so
+/// admission headroom depends on online PCPUs while the placer's score is
+/// load per online PCPU: the two orders disagree.
+ClusterConfig capped_config() {
+  ClusterConfig cc = small_config(4);
+  cc.machine.num_pcpus = 4;
+  cc.admission.max_vcpus_per_pcpu = 1.0;
+  return cc;
+}
+
+/// Leave only host `h`'s first `n` PCPUs online.
+void keep_pcpus_online(Cluster& cl, HostId h, hw::PcpuId n) {
+  for (hw::PcpuId p = n; p < 4; ++p) cl.host(h).fault_pcpu_offline(p);
+}
+
+TEST(ClusterPlacerTest, RejectedAdmissionFallsThroughInScoreIndexOrder) {
+  sim::Simulator s;
+  Cluster cl(s, capped_config());
+  // Host 0: score 0.25 with room for 3 VCPUs. Hosts 1 and 2: idle (score
+  // 0) on 1 and 2 online PCPUs, no room for 3. Host 3: idle, 4 PCPUs.
+  ASSERT_NE(cl.host(0).create_vm("pre0", 256, 1), vmm::kInvalidVmId);
+  keep_pcpus_online(cl, 1, 1);
+  keep_pcpus_online(cl, 2, 2);
+
+  // (0, 1) and (0, 2) reject; (0, 3) accepts before (0.25, 0) is tried.
+  const ClusterVmId t = cl.admit(tenant("T", 3));
+  ASSERT_NE(t, cluster::kInvalidClusterVmId);
+  EXPECT_EQ(cl.vm(t).host, 3u);
+  // Now host 3 scores 0.75: (0, 1), (0, 2) reject, (0.25, 0) accepts.
+  const ClusterVmId u = cl.admit(tenant("U", 3));
+  ASSERT_NE(u, cluster::kInvalidClusterVmId);
+  EXPECT_EQ(cl.vm(u).host, 0u);
+  // Nothing fits anywhere: all four reject, the fleet counts one.
+  EXPECT_EQ(cl.admit(tenant("W", 3)), cluster::kInvalidClusterVmId);
+  EXPECT_EQ(cl.admission_rejects(), 1u);
+  const std::uint64_t want[] = {1, 3, 3, 1};
+  for (HostId h = 0; h < 4; ++h)
+    EXPECT_EQ(cl.host(h).admission_rejects(), want[h]) << "host " << h;
+}
+
+TEST(ClusterCrashTest, ReadmissionFallsThroughInScoreIndexOrder) {
+  sim::Simulator s;
+  Cluster cl(s, capped_config());
+  const ClusterVmId x = cl.admit(tenant("X", 3));
+  ASSERT_EQ(cl.vm(x).host, 0u);  // an all-idle fleet: index breaks the tie
+  // Survivors: host 1 at 0.5 (no room for 3), host 2 at 0.25 (room for 3),
+  // host 3 idle on one online PCPU (score 0, no room).
+  ASSERT_NE(cl.host(1).create_vm("pre1", 256, 2), vmm::kInvalidVmId);
+  ASSERT_NE(cl.host(2).create_vm("pre2", 256, 1), vmm::kInvalidVmId);
+  keep_pcpus_online(cl, 3, 1);
+  cl.start();
+  s.at(secs(0.05), [&] { cl.crash_host_now(0); });
+  s.run_until(secs(0.1));
+  // (0, 3) rejects, (0.25, 2) accepts; (0.5, 1) is never tried.
+  EXPECT_EQ(cl.vms_replaced(), 1u);
+  EXPECT_EQ(cl.vm(x).host, 2u);
+  EXPECT_EQ(cl.host(3).admission_rejects(), 1u);
+  EXPECT_EQ(cl.host(2).admission_rejects(), 0u);
+  EXPECT_EQ(cl.host(1).admission_rejects(), 0u);
+  EXPECT_EQ(cl.audit_violations(), 0u) << cl.audit_summary();
+}
+
 // --- host crash recovery ---
 
 TEST(ClusterCrashTest, CrashedHostsVmsComeBackWithHeartbeatCredit) {

@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/schedulers.h"
+#include "simcore/rng.h"
 #include "simcore/simulator.h"
 #include "vmm/admission.h"
 
@@ -278,6 +282,114 @@ TEST(Lifecycle, OverloadGovernorShedsCoschedulingAndRestoresWithBackoff) {
   EXPECT_FALSE(hv.overload_shed_active());
   EXPECT_EQ(hv.overload_restores(), 1u);
   EXPECT_TRUE(hv.gang_scheduled(gang)) << "eligibility restored";
+}
+
+/// The load ledger's oracle, from the public VM records: the sum over
+/// live VMs of num_vcpus x (weight / kReferenceWeight), left to right, per
+/// online PCPU.
+double walked_load(const Hypervisor& hv) {
+  double load = 0.0;
+  for (VmId id = 0; id < hv.num_vms(); ++id) {
+    const Vm& v = hv.vm(id);
+    if (v.alive)
+      load += static_cast<double>(v.num_vcpus()) *
+              (static_cast<double>(v.weight) / kReferenceWeight);
+  }
+  return hv.online_pcpus() == 0 ? load : load / hv.online_pcpus();
+}
+
+TEST(Lifecycle, LoadLedgerMatchesTheRecordWalkBitForBit) {
+  sim::Simulator s;
+  core::AdaptiveScheduler hv(s, small_machine(8),
+                             SchedMode::kNonWorkConserving);
+  AdmissionConfig a;
+  a.max_vcpus_per_pcpu = 3.0;  // tight: creates and grows get rejected
+  hv.set_admission(a);
+  hv.create_vm("Boot", kReferenceWeight, 2);
+  hv.start();
+  // Weights off the power-of-two grid too, so loads carry fraction bits;
+  // 65536 (the bounds ceiling) is always an admission reject here.
+  const std::uint32_t weights[] = {1, 64, 100, 128, 256, 333, 1000, 65536};
+  sim::Rng rng(24);
+  std::uint64_t grows = 0, grow_rejects = 0, shrinks = 0, migrations = 0,
+                offlines = 0, onlines = 0;
+  for (int step = 0; step < 600; ++step) {
+    std::vector<VmId> live;
+    for (VmId id = 0; id < hv.num_vms(); ++id)
+      if (hv.vm_alive(id)) live.push_back(id);
+    const VmId pick =
+        live.empty() ? kInvalidVmId : live[rng.next_below(live.size())];
+    const auto p = static_cast<PcpuId>(rng.next_below(8));
+    switch (rng.next_below(6)) {
+      case 0:
+        hv.create_vm("V" + std::to_string(step),
+                     weights[rng.next_below(std::size(weights))],
+                     static_cast<std::uint32_t>(1 + rng.next_below(4)));
+        break;
+      case 1:
+        hv.destroy_vm(pick);
+        break;
+      case 2:
+        if (pick == kInvalidVmId) break;
+        if (hv.resize_vm(pick, static_cast<std::uint32_t>(
+                                   hv.vm(pick).num_vcpus() + 1 +
+                                   rng.next_below(3))))
+          ++grows;
+        else
+          ++grow_rejects;
+        break;
+      case 3:
+        if (pick != kInvalidVmId && hv.vm(pick).num_vcpus() > 1 &&
+            hv.resize_vm(pick, static_cast<std::uint32_t>(
+                                   hv.vm(pick).num_vcpus() - 1)))
+          ++shrinks;
+        break;
+      case 4:
+        if (pick == kInvalidVmId) break;
+        hv.migrate_in(hv.migrate_out(pick));
+        ++migrations;
+        break;
+      default:
+        if (hv.pcpu_is_online(p)) {
+          hv.fault_pcpu_offline(p);
+          if (!hv.pcpu_is_online(p)) ++offlines;
+        } else {
+          hv.fault_pcpu_online(p);
+          ++onlines;
+        }
+        break;
+    }
+    s.run_until(s.now() + ms(1));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(hv.weighted_vcpu_load()),
+              std::bit_cast<std::uint64_t>(walked_load(hv)))
+        << "step " << step << ": ledger " << hv.weighted_vcpu_load()
+        << " vs walk " << walked_load(hv);
+  }
+  // Every kind of step happened, rejects included.
+  EXPECT_GT(hv.vm_creates(), 0u);
+  EXPECT_GT(hv.vm_destroys(), 0u);
+  EXPECT_GT(hv.admission_rejects(), grow_rejects) << "create rejects";
+  EXPECT_GT(grows, 0u);
+  EXPECT_GT(grow_rejects, 0u);
+  EXPECT_GT(shrinks, 0u);
+  EXPECT_GT(migrations, 0u);
+  EXPECT_GT(offlines, 0u);
+  EXPECT_GT(onlines, 0u);
+}
+
+TEST(Lifecycle, ResizePastTheBoundsSpecIsRefused) {
+  sim::Simulator s;
+  core::AdaptiveScheduler hv(s, small_machine(2),
+                             SchedMode::kNonWorkConserving);
+  const VmId id = hv.create_vm("A", kReferenceWeight, 1);
+  ASSERT_NE(id, kInvalidVmId);
+  EXPECT_EQ(hv.create_vm("B", kReferenceWeight, kMaxVmVcpus + 1),
+            kInvalidVmId);
+  EXPECT_FALSE(hv.resize_vm(id, kMaxVmVcpus + 1))
+      << "no VM grows past the n_vcpus bound, admission control or not";
+  EXPECT_EQ(hv.vm(id).num_vcpus(), 1u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(hv.weighted_vcpu_load()),
+            std::bit_cast<std::uint64_t>(walked_load(hv)));
 }
 
 TEST(Lifecycle, DestroyedVmHypercallsBounceCounted) {

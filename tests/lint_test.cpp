@@ -218,18 +218,34 @@ TEST(LintCreditFlow, FixtureFiresOnEveryPlantedViolation) {
                      "credit redistribution can escape without audit_minted"),
             3)
       << r.output;
+  // Each message names its witness's way out.
+  EXPECT_NE(r.output.find("leaves the function through an early `return`"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("leaves the function through a `throw`"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("leaves the function through a `continue` that "
+                          "falls out of the loop"),
+            std::string::npos)
+      << r.output;
   // Findings carry witness paths: the early return, the throw and the
   // do-while continue each show the escaping edge, ending at the function
-  // exit.
-  EXPECT_NE(r.output.find("path: line 45: return ;"), std::string::npos)
+  // exit on that function's closing-brace line (48, 58, 75).
+  EXPECT_NE(r.output.find("path: line 45: return ;\n"
+                          "    path: line 48: function exit"),
+            std::string::npos)
       << r.output;
   EXPECT_NE(r.output.find("throw std :: runtime_error"), std::string::npos)
       << r.output;
+  EXPECT_NE(r.output.find("path: line 58: function exit"), std::string::npos)
+      << r.output;
   EXPECT_NE(r.output.find("path: line 72: continue ;\n"
-                          "    path: line 74: while ( -- n > 0 )"),
+                          "    path: line 74: while ( -- n > 0 )\n"
+                          "    path: line 75: function exit"),
             std::string::npos)
       << r.output;
-  EXPECT_GE(count_of(r.output, "function exit"), 3) << r.output;
+  EXPECT_EQ(count_of(r.output, "function exit"), 3) << r.output;
 }
 
 TEST(LintContention, FixtureFiresOnEveryPlantedViolation) {
@@ -610,6 +626,27 @@ TEST(LintValueRange, JoinAtMergeFindsOneBranchOverflow) {
   EXPECT_NE(r.output.find("[1, 6553600000]"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("witness config: weight = 65536"),
             std::string::npos)
+      << r.output;
+}
+
+TEST(LintValueRange, ClampedWeightAndVcpuCountReadFromTheSpec) {
+  // The VMM's load ledger multiplies a clamp_to_bounds weight or a
+  // Vm::num_vcpus() count by a weight. Both reads must bound from the spec:
+  // each planted narrowing is proved at the 2^28 corner, the uint64_t
+  // ledger shape stays silent.
+  const LintRun r = run_lint("--check value-range " +
+                             fixture("fixture_value_range_spec_reads.cpp"));
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_EQ(count_of(r.output, "[value-range]"), 2) << r.output;
+  EXPECT_NE(r.output.find("fixture_value_range_spec_reads.cpp:26"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("fixture_value_range_spec_reads.cpp:32"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(count_of(r.output, "proved interval [1, 268435456]"), 2)
+      << r.output;
+  EXPECT_EQ(count_of(r.output, "witness config: n_vcpus = 4096"), 2)
       << r.output;
 }
 

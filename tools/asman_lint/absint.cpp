@@ -344,6 +344,12 @@ const std::pair<const char*, const char*> kAliases[] = {
     {"hz_", "freq_hz"},
 };
 
+/// Accessors that read a spec field under another name (Vm::num_vcpus()
+/// counts a VCPU deque that create_vm and resize_vm hold to n_vcpus).
+const std::pair<const char*, const char*> kAccessorAliases[] = {
+    {"num_vcpus", "n_vcpus"},
+};
+
 }  // namespace
 
 /// Recursive-descent evaluator over [b, e). Precedence mirrors C++ for the
@@ -868,6 +874,13 @@ class ExprParser {
       if (v.lo > v.hi) v.lo = v.hi;
       return finish(v);
     }
+    // clamp_to_bounds(field::<name>, v) lands inside the spec interval the
+    // field-name argument already evaluates to.
+    if (last == "clamp_to_bounds" && args.size() == 2 && args[0].known) {
+      AbsVal v = args[0];
+      v.width = args[1].width;
+      return finish(v);
+    }
     if (last == "saturating_sub" && args.size() == 2 && args[0].known &&
         args[1].known) {
       AbsVal v;
@@ -911,16 +924,20 @@ class ExprParser {
     }
 
     // Bounds accessor fallback: a call named exactly like a spec field
-    // (Topology::num_llcs() and friends) yields the spec interval.
-    if (const auto* fb = ev_.spec_.find(last)) {
+    // (Topology::num_llcs() and friends), or an accessor alias of one,
+    // yields the spec interval.
+    std::string field = last;
+    for (const auto& [from, to] : kAccessorAliases)
+      if (last == from) field = to;
+    if (const auto* fb = ev_.spec_.find(field)) {
       AbsVal v;
       v.known = true;
       v.lo = fb->first;
       v.hi = fb->second;
       v.width = NumWidth::kOther;
-      v.wit_lo = {{last, fb->first}};
-      v.wit_hi = {{last, fb->second}};
-      v.tainted = taints_value(last);
+      v.wit_lo = {{field, fb->first}};
+      v.wit_hi = {{field, fb->second}};
+      v.tainted = taints_value(field);
       return finish(v);
     }
     return finish(AbsVal::top());

@@ -39,6 +39,27 @@ bool node_has_ident(const CfgNode& n, const std::vector<Token>& toks,
   return false;
 }
 
+/// How a write-to-exit witness leaves the function: through the statement
+/// that reaches the exit (`return`, `throw`), else through a `continue`
+/// the path took out of its loop, else off the end of the body.
+const char* exit_kind(const Cfg& cfg, const std::vector<std::size_t>& path,
+                      const std::vector<Token>& toks) {
+  const auto starts_with = [&](std::size_t n, const char* keyword) {
+    const CfgNode& node = cfg.nodes[n];
+    return node.tok_begin < node.tok_end && node.tok_begin < toks.size() &&
+           is_ident(toks[node.tok_begin], keyword);
+  };
+  if (path.size() >= 2) {
+    const std::size_t last = path[path.size() - 2];
+    if (starts_with(last, "return")) return "an early `return`";
+    if (starts_with(last, "throw")) return "a `throw`";
+  }
+  for (std::size_t n : path)
+    if (starts_with(n, "continue"))
+      return "a `continue` that falls out of the loop";
+  return "the end of the body";
+}
+
 }  // namespace
 
 void check_credit_flow(const AnalysisContext& ctx) {
@@ -160,10 +181,12 @@ void check_credit_flow(const AnalysisContext& ctx) {
         f.file = ctx.unit.display_path;
         f.line = line;
         f.check = "credit-flow";
-        f.message =
-            "credit redistribution can escape without audit_minted: a path "
-            "(early return or throw) leaves the function before the minted "
-            "delta is reported to the conservation ledger";
+        f.message = std::string("credit redistribution can escape without "
+                                "audit_minted: a path leaves the function "
+                                "through ") +
+                    exit_kind(cfg, *after, t) +
+                    " before the minted delta is reported to the "
+                    "conservation ledger";
         f.trace = trace_of_path(cfg, *after, t);
         ctx.report(std::move(f));
       }

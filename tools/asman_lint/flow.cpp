@@ -21,11 +21,13 @@ class CfgBuilder {
 
   Cfg build(std::size_t body_begin, std::size_t body_end) {
     cfg_.nodes.clear();
+    // [body_begin, body_end) spans the braces: the exit node sits on the
+    // closing one, so witnesses end on the function's own last line.
+    const std::size_t close = body_end > 0 ? body_end - 1 : body_end;
     cfg_.entry = new_node(body_begin, body_begin, /*entry=*/true);
-    cfg_.exit = new_node(body_end, body_end, /*entry=*/false, /*exit=*/true);
+    cfg_.exit = new_node(close, close, /*entry=*/false, /*exit=*/true);
     std::vector<std::size_t> exits =
-        parse_seq(body_begin + 1, body_end > 0 ? body_end - 1 : body_end,
-                  {cfg_.entry});
+        parse_seq(body_begin + 1, close, {cfg_.entry});
     link_all(exits, cfg_.exit);
     return std::move(cfg_);
   }
