@@ -105,7 +105,7 @@ bool Cluster::retire(ClusterVmId id) {
   if (r.lost || r.retired) return false;
   if (r.host == kInvalidHostId || !hosts_[r.host].alive) return false;
   for (auto& mp : migrations_)
-    if (mp->active && mp->vm == id) abort_migration(*mp, "VM retired");
+    if (mp->active && mp->vm == id) abort_migration(*mp);
   host(r.host).destroy_vm(r.local);
   r.retired = true;
   r.migrating = false;
@@ -134,8 +134,7 @@ void Cluster::inject(const faults::FaultPlan& plan) {
 
 void Cluster::start() {
   assert(!started_);
-  // Resolve the zero-valued recovery knobs from the machine config, the
-  // vmm::ResilienceConfig convention.
+  // Resolve the zero-valued recovery knobs from the machine config.
   recovery_ = cfg_.recovery;
   const Cycles acct = cfg_.machine.accounting_cycles();
   const Cycles slot = cfg_.machine.slot_cycles();
@@ -245,19 +244,23 @@ void Cluster::begin_attempt(std::size_t mi) {
     m.events.after(sim_, recovery_.phase_timeout, [this, mi] {
       if (!migrations_[mi]->active) return;
       ++phase_timeouts_;
-      fail_attempt(mi, "pre-copy round timed out");
+      fail_attempt(mi);
     });
   } else {
-    m.events.after(sim_, need, [this, mi] { finish_round(mi); });
+    m.events.after(sim_, need, [this, mi] { finish_copy(mi); });
   }
 }
 
-void Cluster::finish_round(std::size_t mi) {
+void Cluster::finish_copy(std::size_t mi) {
   MigrationRec& m = *migrations_[mi];
   if (!m.active) return;
   if (link_down(m)) {
     ++link_failures_;
-    fail_attempt(mi, "copy link down");
+    fail_attempt(mi);
+    return;
+  }
+  if (m.phase == MigrationPhase::kStopAndCopy) {
+    commit(mi);
     return;
   }
   ++precopy_rounds_;
@@ -271,14 +274,22 @@ void Cluster::finish_round(std::size_t mi) {
     begin_attempt(mi);
 }
 
-void Cluster::fail_attempt(std::size_t mi, const char* why) {
+void Cluster::fail_attempt(std::size_t mi) {
   MigrationRec& m = *migrations_[mi];
   ++m.retries;
   if (m.retries > recovery_.max_phase_retries) {
-    abort_migration(m, why);
+    abort_migration(m);
     return;
   }
   ++migrations_retried_;
+  if (m.phase == MigrationPhase::kStopAndCopy) {
+    // Give the guest its CPU back and iterate more pre-copy rounds before
+    // re-attempting the downtime window.
+    VmRecord& r = vms_[m.vm];
+    if (hosts_[m.src].alive) host(m.src).resume_vm(r.local);
+    assert(m.phase == MigrationPhase::kStopAndCopy);
+    set_phase(m, MigrationPhase::kPreCopy);
+  }
   const Cycles backoff{recovery_.retry_backoff.v << (m.retries - 1)};
   m.events.after(sim_, backoff, [this, mi] { begin_attempt(mi); });
 }
@@ -291,45 +302,7 @@ void Cluster::enter_stop_and_copy(std::size_t mi) {
   // The downtime window opens: the guest freezes while the last dirty
   // pages drain.
   host(m.src).pause_vm(r.local);
-  const Cycles need = copy_cycles(m.bytes_left);
-  if (need > recovery_.phase_timeout) {
-    m.events.after(sim_, recovery_.phase_timeout, [this, mi] {
-      if (!migrations_[mi]->active) return;
-      ++phase_timeouts_;
-      fail_stop_and_copy(mi, "stop-and-copy timed out");
-    });
-  } else {
-    m.events.after(sim_, need, [this, mi] { finish_stop_and_copy(mi); });
-  }
-}
-
-void Cluster::finish_stop_and_copy(std::size_t mi) {
-  MigrationRec& m = *migrations_[mi];
-  if (!m.active) return;
-  if (link_down(m)) {
-    ++link_failures_;
-    fail_stop_and_copy(mi, "copy link down");
-    return;
-  }
-  commit(mi);
-}
-
-void Cluster::fail_stop_and_copy(std::size_t mi, const char* why) {
-  MigrationRec& m = *migrations_[mi];
-  ++m.retries;
-  if (m.retries > recovery_.max_phase_retries) {
-    abort_migration(m, why);
-    return;
-  }
-  ++migrations_retried_;
-  // Give the guest its CPU back and iterate more pre-copy rounds before
-  // re-attempting the downtime window.
-  VmRecord& r = vms_[m.vm];
-  if (hosts_[m.src].alive) host(m.src).resume_vm(r.local);
-  assert(m.phase == MigrationPhase::kStopAndCopy);
-  set_phase(m, MigrationPhase::kPreCopy);
-  const Cycles backoff{recovery_.retry_backoff.v << (m.retries - 1)};
-  m.events.after(sim_, backoff, [this, mi] { begin_attempt(mi); });
+  begin_attempt(mi);
 }
 
 void Cluster::commit(std::size_t mi) {
@@ -372,8 +345,7 @@ void Cluster::commit(std::size_t mi) {
   audit_cluster_event();
 }
 
-void Cluster::abort_migration(MigrationRec& m, const char* why) {
-  (void)why;
+void Cluster::abort_migration(MigrationRec& m) {
   // Legal from both copy phases; the seam asserts the edge.
   set_phase(m, MigrationPhase::kAbort);
   m.events.cancel_all(sim_);
@@ -405,7 +377,7 @@ void Cluster::crash_host_now(HostId h) {
     if (!m.active || (m.src != h && m.dst != h)) continue;
     if (m.dst == h) {
       // Destination died: the source stays authoritative and resumes.
-      abort_migration(m, "destination host crashed");
+      abort_migration(m);
     } else {
       // Source died mid-copy: the destination tombstones its partial
       // copy; the VM itself is recovered by the sweep below.

@@ -55,7 +55,7 @@ inline constexpr ClusterVmId kInvalidClusterVmId = 0xFFFFFFFFu;
 
 /// Retry/timeout/rollback policy of the migration state machine and the
 /// crash-recovery path. Zero-valued fields are derived from the machine
-/// config at start() (the vmm::ResilienceConfig convention).
+/// config at start().
 struct RecoveryConfig {
   /// Give up iterating pre-copy after this many rounds and force the
   /// stop-and-copy (0 = 8).
@@ -271,14 +271,21 @@ class Cluster {
   /// state-machine rule can check them against kLegalMigrationTransitions.
   void set_phase(MigrationRec& m, MigrationPhase to);
 
+  /// Arm one copy attempt of the current phase (a pre-copy round or the
+  /// stop-and-copy drain): finish_copy when the bytes left copy within the
+  /// phase timeout, else fail_attempt at the timeout.
   void begin_attempt(std::size_t mi);
-  void finish_round(std::size_t mi);
+  /// A copy attempt finished: a downed link fails it; a finished
+  /// stop-and-copy commits; a finished pre-copy round either enters the
+  /// stop-and-copy or starts the next round.
+  void finish_copy(std::size_t mi);
   void enter_stop_and_copy(std::size_t mi);
-  void finish_stop_and_copy(std::size_t mi);
   void commit(std::size_t mi);
-  void fail_attempt(std::size_t mi, const char* why);
-  void fail_stop_and_copy(std::size_t mi, const char* why);
-  void abort_migration(MigrationRec& m, const char* why);
+  /// A copy attempt failed: abort past the retry budget, else (from the
+  /// stop-and-copy, after resuming the guest, back in pre-copy) retry
+  /// after an exponential backoff.
+  void fail_attempt(std::size_t mi);
+  void abort_migration(MigrationRec& m);
   /// Successor in the placer's order: among live, non-degraded hosts
   /// other than `exclude`, the one with the smallest (score, index)
   /// strictly above `after`'s — the minimum for kInvalidHostId.

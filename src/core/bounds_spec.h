@@ -5,8 +5,8 @@
 //   - hw::validate_config() rejects a MachineConfig field outside its
 //     interval (kOutOfBounds, naming this file);
 //   - the VMM's knob paths hold count knobs inside it (clamp_to_bounds),
-//     and compile-time constants are pinned to exact entries by
-//     static_assert over bounds_of();
+//     and compile-time constants are pinned inside it (in_bounds) or to
+//     exact entries by static_assert over bounds_of();
 //   - asman-lint's value-range rule proves credit and pressure arithmetic
 //     overflow-free for every configuration inside it.
 //
@@ -99,6 +99,14 @@ constexpr const FieldBounds* bounds_of(const char* name) {
   for (const FieldBounds& b : kFieldBounds)
     if (same_name(b.name, name)) return &b;
   return nullptr;
+}
+
+/// True when `v` lies inside the interval of `name`: the static_assert
+/// pin of a constant (an unbounded name does not compile there).
+template <typename T>
+constexpr bool in_bounds(const char* name, T v) {
+  return static_cast<T>(bounds_of(name)->lo) <= v &&
+         v <= static_cast<T>(bounds_of(name)->hi);
 }
 
 /// `v` held to the interval of `name`; unbounded names pass through.

@@ -2,12 +2,15 @@
 
 namespace asman::core {
 
-HwAdaptiveScheduler::HwAdaptiveScheduler(sim::Simulator& simulation,
-                                         const hw::MachineConfig& machine,
-                                         vmm::SchedMode mode,
-                                         sim::Trace* trace, std::uint64_t seed,
-                                         HwMonitorOptions options)
-    : Hypervisor(simulation, machine, mode, trace, seed), opt_(options) {}
+namespace {
+/// Evaluation window (10 ms of the default clock), the yield rate that
+/// raises the VCRD to HIGH, the rate at or below which a window counts as
+/// quiet, and the consecutive quiet windows before HIGH -> LOW.
+constexpr sim::Cycles kWindow = sim::kDefaultClock.from_ms(10);
+constexpr double kHighYieldsPerMs = 3.0;
+constexpr double kLowYieldsPerMs = 0.8;
+constexpr std::uint32_t kLowWindowsToDrop = 3;
+}  // namespace
 
 void HwAdaptiveScheduler::vcpu_yield_hint(vmm::VmId vm_id, std::uint32_t vidx) {
   // Base first: the hypervisor's per-VM yield meter backs the VCRD
@@ -21,26 +24,26 @@ void HwAdaptiveScheduler::vcpu_yield_hint(vmm::VmId vm_id, std::uint32_t vidx) {
   ++window_yields_[vm_id];
   if (!eval_armed_) {
     eval_armed_ = true;
-    sim_.after(opt_.window, [this] { evaluate(); });
+    sim_.after(kWindow, [this] { evaluate(); });
   }
 }
 
 void HwAdaptiveScheduler::evaluate() {
   ++evaluations_;
   const double window_ms =
-      static_cast<double>(opt_.window.v) /
+      static_cast<double>(kWindow.v) /
       (static_cast<double>(machine().freq_hz) / 1e3);
   for (vmm::VmId id = 0; id < window_yields_.size(); ++id) {
     const double rate =
         static_cast<double>(window_yields_[id]) / window_ms;
     window_yields_[id] = 0;
     const bool high = vm(id).vcrd == vmm::Vcrd::kHigh;
-    if (!high && rate >= opt_.high_yields_per_ms) {
+    if (!high && rate >= kHighYieldsPerMs) {
       quiet_windows_[id] = 0;
       do_vcrd_op(id, vmm::Vcrd::kHigh);
     } else if (high) {
-      if (rate <= opt_.low_yields_per_ms) {
-        if (++quiet_windows_[id] >= opt_.low_windows_to_drop) {
+      if (rate <= kLowYieldsPerMs) {
+        if (++quiet_windows_[id] >= kLowWindowsToDrop) {
           quiet_windows_[id] = 0;
           do_vcrd_op(id, vmm::Vcrd::kLow);
         }
@@ -56,19 +59,10 @@ void HwAdaptiveScheduler::evaluate() {
   // even when the guest stops yielding); otherwise re-arm lazily on the
   // next yield hint.
   if (any_high) {
-    sim_.after(opt_.window, [this] { evaluate(); });
+    sim_.after(kWindow, [this] { evaluate(); });
   } else {
     eval_armed_ = false;
   }
-}
-
-void HwAdaptiveScheduler::on_vcrd_changed(vmm::Vm& v, vmm::Vcrd previous) {
-  if (previous == vmm::Vcrd::kLow && v.vcrd == vmm::Vcrd::kHigh)
-    relocate_vm(v);
-}
-
-void HwAdaptiveScheduler::on_accounting(vmm::Vm& v) {
-  if (v.vcrd == vmm::Vcrd::kHigh) relocate_vm(v);
 }
 
 }  // namespace asman::core

@@ -9,38 +9,26 @@
 // virtualization-disrupted synchronization yields at kHz rates; compute
 // phases and throughput workloads barely yield at all.
 //
-// HwAdaptiveScheduler drives the VCRD from that signal: a sliding
-// per-window yield-rate estimate with hysteresis raises the VM to HIGH
-// when the rate crosses `high_yields_per_ms` and drops it after
-// `low_windows_to_drop` consecutive quiet windows. Everything downstream
-// (relocation, Algorithm-4 gangs, co-start/co-stop, credit pooling) is
-// shared with the in-guest ASMan.
+// HwAdaptiveScheduler drives the VCRD from that signal: a per-window
+// yield-rate estimate with hysteresis raises the VM to HIGH when one
+// kWindow (10 ms) window's rate reaches kHighYieldsPerMs (3/ms), and drops
+// it after kLowWindowsToDrop (3) consecutive windows at or below
+// kLowYieldsPerMs (0.8/ms); the constants live in hw_monitor.cpp. It is
+// ASMan's AdaptiveScheduler with only the VCRD source swapped, so
+// everything downstream (relocation and its eligibility gate, Algorithm-4
+// gangs, co-start/co-stop, credit pooling) is the in-guest ASMan's own.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "vmm/hypervisor.h"
+#include "core/schedulers.h"
 
 namespace asman::core {
 
-struct HwMonitorOptions {
-  /// Evaluation window.
-  sim::Cycles window{sim::kDefaultClock.from_ms(10)};
-  /// Raise VCRD to HIGH when a VM's yield rate crosses this.
-  double high_yields_per_ms{3.0};
-  /// Candidate for dropping when the rate falls below this.
-  double low_yields_per_ms{0.8};
-  /// Consecutive quiet windows before HIGH -> LOW (hysteresis).
-  std::uint32_t low_windows_to_drop{3};
-};
-
-class HwAdaptiveScheduler final : public vmm::Hypervisor {
+class HwAdaptiveScheduler final : public AdaptiveScheduler {
  public:
-  HwAdaptiveScheduler(sim::Simulator& simulation,
-                      const hw::MachineConfig& machine, vmm::SchedMode mode,
-                      sim::Trace* trace = nullptr, std::uint64_t seed = 0x5EED,
-                      HwMonitorOptions options = {});
+  using AdaptiveScheduler::AdaptiveScheduler;
 
   /// PV yield notification — the whole out-of-VM signal.
   void vcpu_yield_hint(vmm::VmId vm, std::uint32_t vidx) override;
@@ -48,17 +36,9 @@ class HwAdaptiveScheduler final : public vmm::Hypervisor {
   std::uint64_t yield_hints() const { return total_hints_; }
   std::uint64_t evaluations() const { return evaluations_; }
 
- protected:
-  bool wants_cosched(const vmm::Vm& v) const override {
-    return v.vcrd == vmm::Vcrd::kHigh;
-  }
-  void on_vcrd_changed(vmm::Vm& v, vmm::Vcrd previous) override;
-  void on_accounting(vmm::Vm& v) override;
-
  private:
   void evaluate();
 
-  HwMonitorOptions opt_;
   std::vector<std::uint64_t> window_yields_;  // per VM, current window
   std::vector<std::uint32_t> quiet_windows_;  // per VM, consecutive
   bool eval_armed_{false};

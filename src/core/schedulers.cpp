@@ -7,19 +7,11 @@ namespace asman::core {
 void AdaptiveScheduler::on_vcrd_changed(vmm::Vm& v, vmm::Vcrd previous) {
   // LOW -> HIGH: Algorithm 3 lines 8-16. (The paper folds the relocation
   // into the next credit-assignment pass; doing it at the hypercall keeps
-  // the gang dispatchable within the same slot and on_accounting repairs
-  // any later drift, which is behaviourally equivalent but more responsive.)
+  // the gang dispatchable within the same slot and every accounting pass
+  // repairs any later drift, which is behaviourally equivalent but more
+  // responsive.)
   if (previous == vmm::Vcrd::kLow && v.vcrd == vmm::Vcrd::kHigh &&
       cosched_eligible(v))
-    relocate_vm(v);
-}
-
-void AdaptiveScheduler::on_accounting(vmm::Vm& v) {
-  if (v.vcrd == vmm::Vcrd::kHigh && cosched_eligible(v)) relocate_vm(v);
-}
-
-void StaticCoScheduler::on_accounting(vmm::Vm& v) {
-  if (v.type == vmm::VmType::kConcurrent && cosched_eligible(v))
     relocate_vm(v);
 }
 

@@ -13,16 +13,16 @@ namespace asman::core {
 /// raises a VM to HIGH via do_vcrd_op, the VM's VCPUs are relocated onto
 /// distinct PCPU run queues (Algorithm 3 lines 8-16) and gang-scheduled
 /// with IPIs at scheduling events (Algorithm 4) until the VCRD drops.
-class AdaptiveScheduler final : public vmm::Hypervisor {
+/// core::HwAdaptiveScheduler derives from it and only infers the VCRD.
+class AdaptiveScheduler : public vmm::Hypervisor {
  public:
   using Hypervisor::Hypervisor;
 
  protected:
-  bool wants_cosched(const vmm::Vm& v) const override {
+  bool wants_cosched(const vmm::Vm& v) const final {
     return v.vcrd == vmm::Vcrd::kHigh;
   }
-  void on_vcrd_changed(vmm::Vm& v, vmm::Vcrd previous) override;
-  void on_accounting(vmm::Vm& v) override;
+  void on_vcrd_changed(vmm::Vm& v, vmm::Vcrd previous) final;
 };
 
 /// The static coscheduling baseline from the authors' earlier work [12]
@@ -36,7 +36,6 @@ class StaticCoScheduler final : public vmm::Hypervisor {
   bool wants_cosched(const vmm::Vm& v) const override {
     return v.type == vmm::VmType::kConcurrent;
   }
-  void on_accounting(vmm::Vm& v) override;
 };
 
 /// Scheduler selection for experiments and benches. kAsmanHw is the

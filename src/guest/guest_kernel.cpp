@@ -238,8 +238,8 @@ void GuestKernel::lock_acquire(Tid t, std::uint32_t lock, Acquired acquired) {
   SpinLock& l = locks_[lock];
   if (l.owner == kNoTid) {
     l.owner = t;
-    record_spin_wait(cfg_.uncontended_acquire);
-    acquired(cfg_.uncontended_acquire);
+    record_spin_wait(kUncontendedAcquire);
+    acquired(kUncontendedAcquire);
     return;
   }
   ++stats_.spin_contended;
@@ -360,9 +360,9 @@ void GuestKernel::futex_wait(Tid t, std::uint32_t fq, std::uint64_t val,
                              Cont on_wake) {
   ++stats_.futex_waits;
   park(t, std::move(on_wake));
-  burn(t, cfg_.syscall_entry, false, [this, t, fq, val] {
+  burn(t, kSyscallEntry, false, [this, t, fq, val] {
     lock_acquire(t, futexes_[fq].bucket_lock, [this, t, fq, val](Cycles) {
-      burn(t, cfg_.futex_enqueue_hold, true, [this, t, fq, val] {
+      burn(t, kFutexEnqueueHold, true, [this, t, fq, val] {
         FutexQ& q = futexes_[fq];
         if (q.word != val) {
           // The word changed while we were entering the kernel (futex
@@ -378,7 +378,7 @@ void GuestKernel::futex_wait(Tid t, std::uint32_t fq, std::uint64_t val,
         // here stalls wake-ups for the whole VCPU.
         const std::uint32_t rq = rq_locks_[threads_[t]->vcpu];
         lock_acquire(t, rq, [this, t, rq](Cycles) {
-          burn(t, cfg_.rq_wake_hold, true, [this, t, rq] {
+          burn(t, kRqWakeHold, true, [this, t, rq] {
             lock_release(t, rq);
             block_current(t, unpark(t));
           });
@@ -392,14 +392,12 @@ void GuestKernel::futex_wake(Tid t, std::uint32_t fq, std::uint32_t n,
                              Cont done) {
   ++stats_.futex_wakes;
   park(t, std::move(done));
-  burn(t, cfg_.syscall_entry, false, [this, t, fq, n] {
+  burn(t, kSyscallEntry, false, [this, t, fq, n] {
     lock_acquire(t, futexes_[fq].bucket_lock, [this, t, fq, n](Cycles) {
       FutexQ& q = futexes_[fq];
       const std::size_t k =
           std::min<std::size_t>(n, q.sleepers.size());
-      const Cycles hold =
-          cfg_.futex_wake_base +
-          Cycles{cfg_.futex_wake_per_thread.v * k};
+      const Cycles hold = kFutexWakeBase + Cycles{kFutexWakePerThread.v * k};
       burn(t, hold, true, [this, t, fq, k] {
         FutexQ& q2 = futexes_[fq];
         const auto end =
@@ -423,7 +421,7 @@ void GuestKernel::wake_chain(Tid waker, std::size_t i, Cont done) {
   const Tid w = woken[i];
   const std::uint32_t rq = rq_locks_[threads_[w]->vcpu];
   lock_acquire(waker, rq, [this, waker, i, w, rq](Cycles) {
-    burn(waker, cfg_.rq_wake_hold, true, [this, waker, i, w, rq] {
+    burn(waker, kRqWakeHold, true, [this, waker, i, w, rq] {
       lock_release(waker, rq);
       make_ready(w);
       wake_chain(waker, i + 1, unpark(waker));
@@ -464,7 +462,7 @@ void GuestKernel::schedule_vcpu(std::uint32_t v) {
 void GuestKernel::idle_check(std::uint32_t v) {
   VcpuCtx& c = vcpus_[v];
   if (c.idle_ev.valid()) return;
-  c.idle_ev = sim_.after(cfg_.idle_grace, [this, v] {
+  c.idle_ev = sim_.after(kIdleGrace, [this, v] {
     VcpuCtx& cc = vcpus_[v];
     cc.idle_ev = {};
     if (cc.online && !cc.in_irq && cc.current == kNoTid && cc.runq.empty() &&
@@ -484,7 +482,7 @@ void GuestKernel::arm_quantum(std::uint32_t v) {
     c.quantum_ev = {};
   }
   if (c.runq.empty()) return;  // sole thread: no need to round-robin
-  c.quantum_ev = sim_.after(cfg_.rr_quantum, [this, v] {
+  c.quantum_ev = sim_.after(kRrQuantum, [this, v] {
     vcpus_[v].quantum_ev = {};
     preempt_quantum(v);
   });
@@ -554,9 +552,9 @@ void GuestKernel::enter_tick_irq(std::uint32_t v) {
   // kernel spinlock shared by every VCPU of the VM, so a preempted tick
   // handler strands all of them), then every Nth tick a load-balance pass
   // that takes a *remote* runqueue lock (Linux 2.6 rebalance_tick).
-  burn(irq, cfg_.tick_overhead, true, [this, v, irq] {
+  burn(irq, kTickOverhead, true, [this, v, irq] {
     lock_acquire(irq, timer_lock_, [this, v, irq](Cycles) {
-      burn(irq, cfg_.tick_lock_hold, true, [this, v, irq] {
+      burn(irq, kTickLockHold, true, [this, v, irq] {
         lock_release(irq, timer_lock_);
         VcpuCtx& cc = vcpus_[v];
         const bool balance = cfg_.n_vcpus > 1 &&
@@ -572,7 +570,7 @@ void GuestKernel::enter_tick_irq(std::uint32_t v) {
                                                  : victim;
         const std::uint32_t rq = rq_locks_[target];
         lock_acquire(irq, rq, [this, v, irq, rq](Cycles) {
-          burn(irq, cfg_.balance_hold, true, [this, v, irq, rq] {
+          burn(irq, kBalanceHold, true, [this, v, irq, rq] {
             lock_release(irq, rq);
             finish_tick_irq(v);
           });
@@ -720,7 +718,7 @@ void GuestKernel::exec_op(Tid t, const Op& op) {
 void GuestKernel::op_sleep(Tid t, Cycles len) {
   // nanosleep-style timer wait: enter the kernel, block, and let the timer
   // wake us after `len` of wall time.
-  burn(t, cfg_.syscall_entry, false, [this, t, len] {
+  burn(t, kSyscallEntry, false, [this, t, len] {
     sim_.after(len, [this, t] {
       if (threads_[t]->state == TState::kBlocked) make_ready(t);
     });
@@ -800,13 +798,13 @@ void GuestKernel::barrier_spin_loop(Tid t, std::uint32_t bar,
     burn(t, Cycles{150}, false, [this, t] { next_op(t); });
     return;
   }
-  if (!b.spin_only && spun >= cfg_.user_spin_limit) {
+  if (!b.spin_only && spun >= kUserSpinLimit) {
     drop_record();
     ++stats_.barrier_kernel_sleeps;
     futex_wait(t, b.fq, gen, [this, t] { next_op(t); });
     return;
   }
-  burn(t, cfg_.spin_yield_period, false, [this, t, bar, gen, spun] {
+  burn(t, kSpinYieldPeriod, false, [this, t, bar, gen, spun] {
     if (futexes_[barriers_[bar].fq].word != gen) {
       barrier_spin_loop(t, bar, gen, spun);  // takes the released path
       return;
@@ -815,7 +813,7 @@ void GuestKernel::barrier_spin_loop(Tid t, std::uint32_t bar,
     // local runqueue) an idle_balance probe of a remote runqueue lock.
     const std::uint32_t self_v = threads_[t]->vcpu;
     const std::uint32_t rq = rq_locks_[self_v];
-    const std::uint64_t yield_no = spun.v / cfg_.spin_yield_period.v;
+    const std::uint64_t yield_no = spun.v / kSpinYieldPeriod.v;
     const bool probe_remote =
         cfg_.n_vcpus > 1 && cfg_.yield_balance_every != 0 &&
         yield_no % cfg_.yield_balance_every == 0;
@@ -827,27 +825,26 @@ void GuestKernel::barrier_spin_loop(Tid t, std::uint32_t bar,
                                              : target];
     }
     hv_.vcpu_yield_hint(vm_id_, threads_[t]->vcpu);
-    burn(t, cfg_.syscall_entry, false,
+    burn(t, kSyscallEntry, false,
          [this, t, bar, gen, spun, rq, remote_rq, probe_remote] {
       lock_acquire(t, rq, [this, t, bar, gen, spun, rq, remote_rq,
                            probe_remote](Cycles) {
-        burn(t, cfg_.yield_hold, true,
+        burn(t, kYieldHold, true,
              [this, t, bar, gen, spun, rq, remote_rq, probe_remote] {
           lock_release(t, rq);
           if (!probe_remote || remote_rq == rq) {
             yield_cpu(t, [this, t, bar, gen, spun] {
-              barrier_spin_loop(t, bar, gen, spun + cfg_.spin_yield_period);
+              barrier_spin_loop(t, bar, gen, spun + kSpinYieldPeriod);
             });
             return;
           }
           lock_acquire(t, remote_rq,
                        [this, t, bar, gen, spun, remote_rq](Cycles) {
-            burn(t, cfg_.balance_hold, true,
+            burn(t, kBalanceHold, true,
                  [this, t, bar, gen, spun, remote_rq] {
               lock_release(t, remote_rq);
               yield_cpu(t, [this, t, bar, gen, spun] {
-                barrier_spin_loop(t, bar, gen,
-                                  spun + cfg_.spin_yield_period);
+                barrier_spin_loop(t, bar, gen, spun + kSpinYieldPeriod);
               });
             });
           });
@@ -902,7 +899,7 @@ void GuestKernel::barrier_release(Tid t, Barrier& b, Cont done) {
 }
 
 void GuestKernel::op_sem_wait(Tid t, std::uint32_t s) {
-  burn(t, cfg_.syscall_entry, false, [this, t, s] {
+  burn(t, kSyscallEntry, false, [this, t, s] {
     Semaphore& sem = semaphores_[s];
     lock_acquire(t, futexes_[sem.fq].bucket_lock,
                  [this, t, s](Cycles lock_wait) {
@@ -915,7 +912,7 @@ void GuestKernel::op_sem_wait(Tid t, std::uint32_t s) {
         // inside the path is attributed to the spinlock histogram, not to
         // the semaphore (this is why the paper finds blocking primitives
         // virtualization-tolerant; see DESIGN.md).
-        Cycles path = cfg_.syscall_entry + Cycles{300};
+        Cycles path = kSyscallEntry + Cycles{300};
         path += lock_wait < Cycles{2'000} ? lock_wait : Cycles{2'000};
         stats_.sem_waits.add(path);
         if (sem2.count > 0) {
@@ -928,7 +925,7 @@ void GuestKernel::op_sem_wait(Tid t, std::uint32_t s) {
         lock_release(t, q.bucket_lock);
         const std::uint32_t rq = rq_locks_[threads_[t]->vcpu];
         lock_acquire(t, rq, [this, t, rq](Cycles) {
-          burn(t, cfg_.rq_wake_hold, true, [this, t, rq] {
+          burn(t, kRqWakeHold, true, [this, t, rq] {
             lock_release(t, rq);
             block_current(t, [this, t] { next_op(t); });
           });
@@ -939,7 +936,7 @@ void GuestKernel::op_sem_wait(Tid t, std::uint32_t s) {
 }
 
 void GuestKernel::op_sem_post(Tid t, std::uint32_t s) {
-  burn(t, cfg_.syscall_entry, false, [this, t, s] {
+  burn(t, kSyscallEntry, false, [this, t, s] {
     Semaphore& sem = semaphores_[s];
     lock_acquire(t, futexes_[sem.fq].bucket_lock, [this, t, s](Cycles) {
       burn(t, Cycles{300}, true, [this, t, s] {
@@ -952,7 +949,7 @@ void GuestKernel::op_sem_post(Tid t, std::uint32_t s) {
           // Direct handoff: the count stays zero and the sleeper proceeds.
           lock_acquire(t, rq_locks_[threads_[w]->vcpu],
                        [this, t, w](Cycles) {
-            burn(t, cfg_.rq_wake_hold, true, [this, t, w] {
+            burn(t, kRqWakeHold, true, [this, t, w] {
               lock_release(t, rq_locks_[threads_[w]->vcpu]);
               make_ready(w);
               next_op(t);

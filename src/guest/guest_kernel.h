@@ -58,54 +58,59 @@ class GuestKernel final : public vmm::GuestPort {
     std::uint32_t n_vcpus{4};
     std::uint64_t seed{1};
 
-    // Timer tick (Linux 2.6.18 HZ=250 -> 4 ms) and its lock hold length.
-    // Pre-tickless kernels wake even idle (halted) VCPUs at every tick to
-    // run the handler, which takes the VM-global timer lock (xtime_lock).
+    // Timer tick (Linux 2.6.18 HZ=250 -> 4 ms). Pre-tickless kernels wake
+    // even idle (halted) VCPUs at every tick to run the handler, which
+    // takes the VM-global timer lock (xtime_lock).
     Cycles tick_period{sim::kDefaultClock.from_ms(4)};
-    Cycles tick_lock_hold{3'000};
-    Cycles tick_overhead{8'000};
-
-    // Round-robin quantum for threads sharing a VCPU.
-    Cycles rr_quantum{sim::kDefaultClock.from_ms(6)};
-
-    // Kernel path costs (cycles); sized for a 2007-era SMP kernel with
-    // cache-cold shared structures.
-    Cycles syscall_entry{800};
-    Cycles futex_enqueue_hold{7'000};
-    Cycles futex_wake_base{4'000};
-    Cycles futex_wake_per_thread{2'500};
-    Cycles rq_wake_hold{3'500};
-    Cycles uncontended_acquire{60};
-
-    // libgomp-style active spin budget before sleeping in the kernel, and
-    // the sched_yield cadence inside the spin: every `spin_yield_period`
-    // cycles of user spinning the waiter enters the kernel and briefly
-    // holds its runqueue lock (this is how user-level waiting turns into
-    // kernel spinlock traffic on a loaded 2.6-era system).
-    Cycles user_spin_limit{900'000};
-    Cycles spin_yield_period{70'000};
-    Cycles yield_hold{4'500};
 
     // Periodic load balancing (Linux 2.6 rebalance_tick): every Nth timer
     // tick the handler also takes a *remote* VCPU's runqueue lock — the
-    // classic cross-CPU lock path of that kernel generation.
+    // classic cross-CPU lock path of that kernel generation (0 = never).
     std::uint32_t balance_every_ticks{2};
-    Cycles balance_hold{3'000};
     // sched_yield with an otherwise-empty runqueue falls into idle_balance,
-    // which probes remote runqueue locks too (every Nth yield here). This
-    // is why a stranded runqueue lock is discovered within microseconds by
-    // every spinning peer — the paper's "long waits occur in neighboring
-    // spinlocks" clustering.
+    // which probes remote runqueue locks too (every Nth yield here; 0 =
+    // never). This is why a stranded runqueue lock is discovered within
+    // microseconds by every spinning peer — the paper's "long waits occur
+    // in neighboring spinlocks" clustering.
     std::uint32_t yield_balance_every{2};
 
     // Over-threshold limit: 2^delta cycles, delta = 20 in the paper.
     Cycles over_threshold{1ULL << 20};
 
-    // Grace period before an idle VCPU issues the halt hypercall.
-    Cycles idle_grace{4'000};
-
     bool keep_wait_samples{false};
   };
+
+  // Kernel path costs and timings (cycles), the same for every guest;
+  // sized for a 2007-era SMP kernel with cache-cold shared structures.
+  //
+  // The timer-tick handler's entry overhead, then its hold of the timer
+  // lock.
+  static constexpr Cycles kTickOverhead{8'000};
+  static constexpr Cycles kTickLockHold{3'000};
+  // Round-robin quantum for threads sharing a VCPU.
+  static constexpr Cycles kRrQuantum = sim::kDefaultClock.from_ms(6);
+  // Syscall entry; futex enqueue under the bucket lock; futex wake, a base
+  // plus a per-woken-thread part; the runqueue-lock hold of each wake-up;
+  // an uncontended spinlock acquisition.
+  static constexpr Cycles kSyscallEntry{800};
+  static constexpr Cycles kFutexEnqueueHold{7'000};
+  static constexpr Cycles kFutexWakeBase{4'000};
+  static constexpr Cycles kFutexWakePerThread{2'500};
+  static constexpr Cycles kRqWakeHold{3'500};
+  static constexpr Cycles kUncontendedAcquire{60};
+  // libgomp-style active spin budget before sleeping in the kernel, and
+  // the sched_yield cadence inside the spin: every kSpinYieldPeriod cycles
+  // of user spinning the waiter enters the kernel and holds its runqueue
+  // lock for kYieldHold (this is how user-level waiting turns into kernel
+  // spinlock traffic on a loaded 2.6-era system).
+  static constexpr Cycles kUserSpinLimit{900'000};
+  static constexpr Cycles kSpinYieldPeriod{70'000};
+  static constexpr Cycles kYieldHold{4'500};
+  // Hold of a remote runqueue lock by a load-balancing probe (tick or
+  // yield path).
+  static constexpr Cycles kBalanceHold{3'000};
+  // Grace period before an idle VCPU issues the halt hypercall.
+  static constexpr Cycles kIdleGrace{4'000};
 
   GuestKernel(sim::Simulator& simulation, vmm::HypervisorPort& hypervisor,
               vmm::VmId vm_id, Config cfg, sim::Trace* trace = nullptr);

@@ -5,18 +5,19 @@
 // create_vm / resize_vm requests that would push the per-online-PCPU load
 // above `max_vcpus_per_pcpu` are rejected (counted + traced, existing VMs
 // untouched). Below the hard cap sits the overload governor: when load
-// crosses `shed_level` x cap the host sheds coscheduling eligibility —
-// every gang falls back to stock credit treatment via the same
-// cosched_eligible gate graceful degradation uses — and restores it, after
-// a backoff, once load falls back under `restore_level` x cap. Fairness
-// (credit shares) is never governed; only the gang machinery is shed.
-// See docs/MODEL.md "VM lifecycle & admission".
+// crosses kShedLevel (0.85) x cap the host sheds coscheduling eligibility
+// — every gang falls back to stock credit treatment via the same
+// cosched_eligible gate graceful degradation uses — and restores it once
+// load falls back to kRestoreLevel (0.60) x cap or below, but no earlier
+// than kRestoreBackoffSlots (12) slots after the shed. The three
+// constants live in lifecycle.cpp, pinned inside their core/bounds_spec.h
+// rows. Fairness (credit shares) is never governed; only the gang
+// machinery is shed. See docs/MODEL.md "VM lifecycle & admission".
 #pragma once
 
 #include <cstdint>
 
 #include "core/bounds_spec.h"
-#include "simcore/time.h"
 
 namespace asman::vmm {
 
@@ -33,14 +34,6 @@ struct AdmissionConfig {
   /// Hard cap on weighted VCPUs per *online* PCPU (0 = admission control
   /// and the overload governor are both disabled).
   double max_vcpus_per_pcpu{0.0};
-  /// Overload governor sheds coscheduling when load exceeds this fraction
-  /// of the cap...
-  double shed_level{0.85};
-  /// ...and restores it once load falls to this fraction or below.
-  double restore_level{0.60};
-  /// Minimum time between a shed and the earliest restore (0 = derive
-  /// 12 slots at start(), mirroring ResilienceConfig::demote_backoff).
-  sim::Cycles restore_backoff{0};
 };
 
 }  // namespace asman::vmm

@@ -25,6 +25,21 @@ std::string key_str(VcpuKey k) {
 constexpr std::uint64_t kBoostWindowSlots = 5;
 constexpr std::uint64_t kBoostPenaltySlots = 12;
 constexpr std::uint64_t kVcrdCheckSlots = 5;
+
+/// Graceful degradation (see ResilienceConfig and docs/MODEL.md "Fault
+/// model & graceful degradation"); the counts stay inside the intervals
+/// the value-range proof assumed.
+constexpr std::uint32_t kIpiMaxRetries = 2;        // re-sends per lost IPI
+constexpr std::uint64_t kIpiAckLatencies = 8;      // ack wait, IPI latencies
+constexpr std::uint64_t kGangWatchdogSlots = 2;    // partial-gang release
+constexpr std::uint32_t kWatchdogDemoteAfter = 3;  // releases that demote
+constexpr std::uint32_t kFlapLimit = 8;            // LOW->HIGH per window
+constexpr std::uint64_t kFlapWindowSlots = 5;
+constexpr std::uint64_t kDemoteBackoffSlots = 12;  // lifted at accounting
+static_assert(core::in_bounds(core::field::ipi_max_retries, kIpiMaxRetries));
+static_assert(core::in_bounds(core::field::watchdog_demote_after,
+                              kWatchdogDemoteAfter));
+static_assert(core::in_bounds(core::field::flap_limit, kFlapLimit));
 }  // namespace
 
 const char* to_string(AuditPoint p) {
@@ -104,45 +119,17 @@ void Hypervisor::attach_guest(VmId id, GuestPort* guest) {
 void Hypervisor::start() {
   assert(!started_);
   started_ = true;
-  // Resolve the resilience knobs the caller left at "derive from machine",
-  // then hold every count knob to its core/bounds_spec.h interval — the
-  // same interval the value-range proof assumed, so no caller can push the
+  // Hold every count knob to its core/bounds_spec.h interval — the same
+  // interval the value-range proof assumed, so no caller can push the
   // credit/boost arithmetic outside the proved space.
-  if (resilience_.ipi_ack_timeout.v == 0)
-    resilience_.ipi_ack_timeout = Cycles{machine_.ipi_latency().v * 8};
-  if (resilience_.gang_watchdog.v == 0)
-    resilience_.gang_watchdog = Cycles{slot_len_.v * 2};
-  if (resilience_.flap_window.v == 0)
-    resilience_.flap_window = Cycles{slot_len_.v * 5};
-  if (resilience_.demote_backoff.v == 0)
-    resilience_.demote_backoff = Cycles{slot_len_.v * 12};
-  if (admission_.restore_backoff.v == 0)
-    admission_.restore_backoff = Cycles{slot_len_.v * 12};
-  resilience_.ipi_max_retries = core::clamp_to_bounds(
-      core::field::ipi_max_retries, resilience_.ipi_max_retries);
-  resilience_.watchdog_demote_after = core::clamp_to_bounds(
-      core::field::watchdog_demote_after, resilience_.watchdog_demote_after);
-  resilience_.flap_limit =
-      core::clamp_to_bounds(core::field::flap_limit, resilience_.flap_limit);
   resilience_.boost_limit =
       core::clamp_to_bounds(core::field::boost_limit, resilience_.boost_limit);
   resilience_.vcrd_min_yields = core::clamp_to_bounds(
       core::field::vcrd_min_yields, resilience_.vcrd_min_yields);
-  if (admission_enabled()) {
-    const core::FieldBounds* lb =
-        core::bounds_of(core::field::max_vcpus_per_pcpu);
-    if (admission_.max_vcpus_per_pcpu > static_cast<double>(lb->hi))
-      admission_.max_vcpus_per_pcpu = static_cast<double>(lb->hi);
-    const core::FieldBounds* sb = core::bounds_of(core::field::shed_level_ppm);
-    const core::FieldBounds* rb =
-        core::bounds_of(core::field::restore_level_ppm);
-    admission_.shed_level =
-        std::clamp(admission_.shed_level, static_cast<double>(sb->lo) / 1e6,
-                   static_cast<double>(sb->hi) / 1e6);
-    admission_.restore_level =
-        std::clamp(admission_.restore_level, static_cast<double>(rb->lo) / 1e6,
-                   static_cast<double>(rb->hi) / 1e6);
-  }
+  const auto cap_hi = static_cast<double>(
+      core::bounds_of(core::field::max_vcpus_per_pcpu)->hi);
+  if (admission_.max_vcpus_per_pcpu > cap_hi)
+    admission_.max_vcpus_per_pcpu = cap_hi;
   in_scheduler_ = true;
   maybe_shed_overload();  // a boot-time fleet may already exceed the level
   do_accounting();
@@ -214,7 +201,7 @@ std::uint64_t Hypervisor::theft_cycles_total() const {
 
 void Hypervisor::demote_vm(Vm& v, const char* why) {
   v.degraded = true;
-  v.degraded_until = sim_.now() + resilience_.demote_backoff;
+  v.degraded_until = sim_.now() + slot_len_ * kDemoteBackoffSlots;
   ++v.demotions;
   note_trace(sim::TraceCat::kMonitor, [&] {
     return v.name + " demoted to stock credit treatment (" + why + ")";
@@ -229,8 +216,7 @@ void Hypervisor::demote_vm(Vm& v, const char* why) {
 }
 
 void Hypervisor::note_flap(Vm& v) {
-  const std::uint64_t flaps = v.flaps.bump(sim_.now(), resilience_.flap_window);
-  if (resilience_.flap_limit > 0 && flaps > resilience_.flap_limit &&
+  if (v.flaps.bump(sim_.now(), slot_len_ * kFlapWindowSlots) > kFlapLimit &&
       !v.degraded)
     demote_vm(v, "VCRD flap rate limit");
 }
@@ -301,7 +287,7 @@ void Hypervisor::degradation_tick(Vm& v) {
 
 void Hypervisor::arm_gang_watchdog(Vm& v) {
   if (v.watchdog_ev.valid()) return;
-  v.watchdog_ev = sim_.after(resilience_.gang_watchdog,
+  v.watchdog_ev = sim_.after(slot_len_ * kGangWatchdogSlots,
                              [this, id = v.id] { gang_watchdog_fire(id); });
 }
 
@@ -326,8 +312,7 @@ void Hypervisor::gang_watchdog_fire(VmId id) {
     note_trace(sim::TraceCat::kCosched, [&] {
       return v.name + " gang watchdog: partial gang released";
     });
-    if (resilience_.watchdog_demote_after > 0 &&
-        v.watchdog_streak >= resilience_.watchdog_demote_after) {
+    if (v.watchdog_streak >= kWatchdogDemoteAfter) {
       demote_vm(v, "gang watchdog streak");  // includes the co-stop
     } else {
       in_scheduler_ = true;
@@ -349,7 +334,7 @@ void Hypervisor::ipi_ack_check(VmId vm_id, std::uint32_t vidx,
   Vcpu& sib = v.vcpus[vidx];
   // Arrived (running or boosted) or moot (blocked/crashed): nothing to do.
   if (sib.state != VcpuState::kRunnable || sib.cosched_boost) return;
-  if (attempt > resilience_.ipi_max_retries) {
+  if (attempt > kIpiMaxRetries) {
     ++gang_ipi_aborts_;
     note_trace(sim::TraceCat::kCosched, [&] {
       return v.name + " gang start abandoned for this slot (" +
@@ -363,7 +348,7 @@ void Hypervisor::ipi_ack_check(VmId vm_id, std::uint32_t vidx,
     return "IPI retry " + std::to_string(attempt) + " for " + key_str(sib.key);
   });
   ipi_.send(sib.where, sib.where, vector);
-  sim_.after(resilience_.ipi_ack_timeout,
+  sim_.after(machine_.ipi_latency() * kIpiAckLatencies,
              [this, vm_id, vidx, attempt, strong] {
                ipi_ack_check(vm_id, vidx, attempt + 1, strong);
              });
@@ -605,8 +590,8 @@ void Hypervisor::sample_instant(PcpuId p) {
 
 void Hypervisor::do_accounting() {
   // Overload governor boundary: restore coscheduling (after the backoff,
-  // if load has fallen) before credit is assigned, so relocation hooks in
-  // on_accounting see the final eligibility for this period.
+  // if load has fallen) before credit is assigned, so the relocations
+  // below see the final eligibility for this period.
   maybe_restore_overload();
   // Memory-system contention pass (docs/MODEL.md §2.8): split the closing
   // period's busy cycles into effective + degraded and let the pressure
@@ -706,7 +691,9 @@ void Hypervisor::do_accounting() {
     const Credit per = pool / static_cast<Credit>(v.num_vcpus());
     for (Vcpu& c : v.vcpus) c.credit = std::min<Credit>(per, credit_cap_);
     audit_minted(v.id, inc);
-    on_accounting(v);
+    // Algorithm 3 lines 8-16 at the credit-assignment pass: repair any
+    // placement drift of a gang that is gang-scheduled right now.
+    if (cosched_eligible(v)) relocate_vm(v);
   }
   note_trace(sim::TraceCat::kCredit, [] { return "accounting done"; });
 }
@@ -1077,20 +1064,19 @@ void Hypervisor::launch_cosched(PcpuId from, Vcpu& head) {
     // On a lossy bus the IPI may never arrive; arm a bounded-retry ack
     // check for this sibling. Fault-free buses skip the machinery entirely
     // so the event stream (and thus the run) stays bit-identical.
-    if (ipi_.lossy() && resilience_.ipi_max_retries > 0 &&
-        resilience_.ipi_ack_timeout.v > 0) {
+    if (ipi_.lossy()) {
       const VmId id = gang.id;
       const std::uint32_t vidx = w.key.idx;
-      sim_.after(resilience_.ipi_ack_timeout, [this, id, vidx, strong] {
-        ipi_ack_check(id, vidx, 1, strong);
-      });
+      sim_.after(machine_.ipi_latency() * kIpiAckLatencies,
+                 [this, id, vidx, strong] {
+                   ipi_ack_check(id, vidx, 1, strong);
+                 });
     }
   }
   // Strict gangs additionally get a co-stop watchdog: if a sibling never
   // arrives (lost IPI, crashed VCPU) the gang must not hold its PCPUs
   // hostage forever. Armed only when faults are in play.
-  if (strictness_ == Strictness::kStrict && degradation_armed() &&
-      resilience_.gang_watchdog.v > 0)
+  if (strictness_ == Strictness::kStrict && degradation_armed())
     arm_gang_watchdog(gang);
 }
 
@@ -1229,7 +1215,7 @@ void Hypervisor::do_vcrd_op(VmId id, Vcrd vcrd) {
   // Plausibility clamp: a HIGH claim must be backed by hardware-observable
   // spin evidence (recent yield hints). A lying guest's claim is rejected
   // before it can refresh the TTL or win gang privileges; honest spinning
-  // guests yield every spin_yield_period and clear the floor easily.
+  // guests yield every GuestKernel::kSpinYieldPeriod and clear the floor.
   if (vcrd == Vcrd::kHigh && resilience_.vcrd_min_yields > 0) {
     const std::uint64_t recent =
         v.yields.recent(sim_.now(), slot_len_ * kVcrdCheckSlots);

@@ -4,15 +4,20 @@
 // ticks (10 ms), credit accounting at K-slot intervals (Algorithm 3),
 // per-PCPU run queues, dispatch (Algorithm 4's skeleton), idle-avoiding
 // work stealing, block/kick handling, and the IPI path used for
-// coscheduling. Concrete schedulers specialize two knobs:
+// coscheduling. Concrete schedulers specialize two hooks:
 //
 //   * wants_cosched(vm)  — should this VM's VCPUs be gang-scheduled now?
 //       stock Credit:      never                    (vmm::CreditScheduler)
 //       static CON [12]:   vm.type == kConcurrent   (core::StaticCoScheduler)
-//       ASMan:             vm.vcrd == HIGH          (core::AdaptiveScheduler)
+//       ASMan, ASMan-HW:   vm.vcrd == HIGH          (core::AdaptiveScheduler)
 //   * on_vcrd_changed(vm) — reaction to the do_vcrd_op hypercall
 //       (ASMan relocates the VM's VCPUs onto distinct PCPUs, Algorithm 3
 //       lines 8-16).
+//
+// Every accounting pass relocates each VM that is gang-scheduled at that
+// moment (cosched_eligible) again, which repairs placement drift under
+// every scheduler alike. Graceful degradation runs on fixed constants
+// (see ResilienceConfig); the knobs left are the ones scenarios vary.
 //
 // The scheduler is event-driven and deterministic; it owns all Vm/Vcpu
 // records and exposes read-only views for metrics and tests.
@@ -39,13 +44,6 @@
 
 namespace asman::vmm {
 
-/// Graceful-degradation knobs (docs/MODEL.md "Fault model & graceful
-/// degradation"). Zero-valued Cycles fields are derived from the machine
-/// configuration at start(). The flap rate-limiter is always armed (it
-/// defends against misbehaving guests, which need no fault injection); the
-/// IPI retry and gang watchdog paths arm themselves only when the substrate
-/// can actually misbehave — a lossy IPI bus or an installed fault surface —
-/// so fault-free runs stay bit-identical to the pre-resilience scheduler.
 /// Consumption-accounting discipline (docs/MODEL.md "Threat model &
 /// fairness guarantees"). The attack surface of Xen's credit scheduler is
 /// the *sampling* of consumption, so the discipline is a resilience knob:
@@ -66,33 +64,29 @@ namespace asman::vmm {
 ///       carried), so there is nothing left to dodge.
 enum class AccountingMode : std::uint8_t { kStochastic, kTickSampled, kExact };
 
+/// The resilience knobs scenarios vary: the VCRD staleness TTL (chaos
+/// runs) and the adversarial-tenancy hardening (docs/MODEL.md "Threat
+/// model"). Graceful degradation itself (docs/MODEL.md "Fault model &
+/// graceful degradation") is fixed in hypervisor.cpp, each constant pinned
+/// inside its core/bounds_spec.h row: a lost coscheduling IPI is re-sent
+/// up to kIpiMaxRetries (2) times, each attempt acked within
+/// kIpiAckLatencies (8) bus one-way latencies; a strict gang still partial
+/// after kGangWatchdogSlots (2) slots is released by co-stop, and
+/// kWatchdogDemoteAfter (3) releases in a row demote the VM; more than
+/// kFlapLimit (8) LOW->HIGH transitions inside one kFlapWindowSlots (5)
+/// slot window demote it too; a demotion lifts at the first accounting
+/// pass kDemoteBackoffSlots (12) slots on. The flap limiter is always
+/// armed (it defends against misbehaving guests, which need no fault
+/// injection); the IPI retry and gang watchdog paths arm themselves only
+/// when the substrate can misbehave — a lossy IPI bus or an installed
+/// fault surface — so fault-free runs stay bit-identical to the
+/// pre-resilience scheduler.
 struct ResilienceConfig {
-  /// Re-send a coscheduling IPI whose target sibling never came online,
-  /// this many times per launch, before abandoning the gang start for the
-  /// slot. Active only on a lossy bus (hw::IpiBus::lossy).
-  std::uint32_t ipi_max_retries{2};
-  /// Ack deadline per IPI attempt (0 = 8x the bus one-way latency).
-  Cycles ipi_ack_timeout{0};
-  /// Strict-gang watchdog period: a gang still partial (some members
-  /// running, an eligible sibling absent) after this long is released via
-  /// co-stop instead of stalling forever (0 = 2 slots).
-  Cycles gang_watchdog{0};
-  /// Consecutive watchdog fires that demote the VM to stock credit
-  /// treatment (0 = never demote from the watchdog path).
-  std::uint32_t watchdog_demote_after{3};
   /// VCRD staleness TTL: a VM holding VCRD HIGH longer than this without a
   /// fresh do_vcrd_op report is forced back to LOW at the next accounting
   /// pass (0 = disabled; the honest Monitoring Module only hypercalls on
   /// transitions, so the TTL is for runs whose guests may go silent).
   Cycles vcrd_ttl{0};
-  /// Flap rate-limiter: more than this many LOW->HIGH transitions inside
-  /// one window demotes the VM (Zhou-style scheduler attack).
-  std::uint32_t flap_limit{8};
-  /// Flap window length (0 = 5 slots).
-  Cycles flap_window{0};
-  /// How long a demoted VM stays degraded (0 = 12 slots). Degradation is
-  /// lifted at the first accounting pass after the backoff expires.
-  Cycles demote_backoff{0};
 
   // --- adversarial-tenancy hardening (docs/MODEL.md "Threat model") ---
   /// How consumption is billed against credit (see AccountingMode).
@@ -235,12 +229,11 @@ class Hypervisor : public HypervisorPort {
   void set_cosched_strictness(Strictness s) { strictness_ = s; }
   Strictness cosched_strictness() const { return strictness_; }
 
-  /// Replace the graceful-degradation knobs. Set before start().
+  /// Replace the resilience knobs. Set before start().
   void set_resilience(const ResilienceConfig& r) { resilience_ = r; }
   const ResilienceConfig& resilience() const { return resilience_; }
 
-  /// Replace the admission-control / overload-governor knobs. Set before
-  /// start() (zero-valued restore_backoff is derived there).
+  /// Replace the admission cap. Set before start().
   void set_admission(const AdmissionConfig& a) { admission_ = a; }
   const AdmissionConfig& admission() const { return admission_; }
 
@@ -506,8 +499,6 @@ class Hypervisor : public HypervisorPort {
     (void)v;
     (void)previous;
   }
-  /// Hook invoked for each VM right after credit assignment.
-  virtual void on_accounting(Vm& v) { (void)v; }
 
   /// Algorithm 3 lines 8-16: place the VM's VCPUs into run queues of
   /// pairwise distinct PCPUs so a later gang dispatch can bring them all

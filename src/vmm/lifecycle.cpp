@@ -36,6 +36,16 @@ std::size_t Hypervisor::num_live_vms() const {
 
 namespace {
 
+/// The overload governor's levels, as fractions of the admission cap: shed
+/// coscheduling above kShedLevel, restore it at kRestoreLevel or below, but
+/// no earlier than kRestoreBackoffSlots after the shed.
+constexpr double kShedLevel = 0.85;
+constexpr double kRestoreLevel = 0.60;
+constexpr std::uint64_t kRestoreBackoffSlots = 12;
+static_assert(core::in_bounds(core::field::shed_level_ppm, kShedLevel * 1e6));
+static_assert(core::in_bounds(core::field::restore_level_ppm,
+                              kRestoreLevel * 1e6));
+
 /// The load ledger's oracle: `extra` plus every live VM's
 /// num_vcpus x (weight / kReferenceWeight), summed left to right.
 [[maybe_unused]] double walked_load(
@@ -365,9 +375,9 @@ bool Hypervisor::resize_vm(VmId id, std::uint32_t n_vcpus) {
 void Hypervisor::maybe_shed_overload() {
   if (!admission_enabled() || overload_shed_) return;
   const double load = weighted_vcpu_load();
-  if (load <= admission_.shed_level * admission_.max_vcpus_per_pcpu) return;
+  if (load <= kShedLevel * admission_.max_vcpus_per_pcpu) return;
   overload_shed_ = true;
-  overload_until_ = sim_.now() + admission_.restore_backoff;
+  overload_until_ = sim_.now() + slot_len_ * kRestoreBackoffSlots;
   ++overload_sheds_;
   note_trace(sim::TraceCat::kMonitor, [&] {
     char buf[96];
@@ -394,8 +404,7 @@ void Hypervisor::maybe_restore_overload() {
   if (!overload_shed_) return;
   if (sim_.now() < overload_until_) return;
   const double load = weighted_vcpu_load();
-  if (load > admission_.restore_level * admission_.max_vcpus_per_pcpu)
-    return;
+  if (load > kRestoreLevel * admission_.max_vcpus_per_pcpu) return;
   overload_shed_ = false;
   ++overload_restores_;
   note_trace(sim::TraceCat::kMonitor, [&] {

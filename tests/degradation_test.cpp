@@ -121,15 +121,11 @@ TEST(Degradation, DemotionLiftsAfterBackoff) {
   hw::MachineConfig m;
   m.num_pcpus = 2;
   core::AdaptiveScheduler hv(s, m, vmm::SchedMode::kNonWorkConserving);
-  vmm::ResilienceConfig rc;
-  rc.flap_limit = 4;
-  rc.flap_window = ms(50);
-  rc.demote_backoff = ms(60);
-  hv.set_resilience(rc);
   const vmm::VmId id = hv.create_vm("V0", 256, 2);
   hv.start();
-  // Flap well past the limit inside one window.
-  for (int i = 0; i < 8; ++i) {
+  // Flap well past the limit (8 LOW->HIGH transitions per 5-slot window)
+  // inside one window.
+  for (int i = 0; i < 16; ++i) {
     hv.do_vcrd_op(id, vmm::Vcrd::kHigh);
     hv.do_vcrd_op(id, vmm::Vcrd::kLow);
   }
@@ -138,8 +134,8 @@ TEST(Degradation, DemotionLiftsAfterBackoff) {
   EXPECT_FALSE(hv.gang_scheduled(id)) << "degraded VMs get stock treatment";
   EXPECT_GE(hv.vcrd_demotions(), 1u);
   // Quiet guest: the demotion lifts at the first accounting pass past the
-  // backoff.
-  s.run_until(ms(150));
+  // 12-slot backoff, the pass at 120 ms.
+  s.run_until(ms(120));
   EXPECT_FALSE(hv.vm_degraded(id));
 }
 

@@ -61,7 +61,7 @@ TEST(Barrier, SlowArrivalFallsBackToFutexSleep) {
   hv.bind(&g);
   const std::uint32_t bar = g.create_barrier(2);
   // Thread 1 arrives far beyond thread 0's spin budget.
-  const Cycles skew{cfg.user_spin_limit.v * 5};
+  const Cycles skew{GuestKernel::kUserSpinLimit.v * 5};
   g.spawn(std::make_unique<ScriptProgram>(std::vector<Op>{Op::barrier(bar)}),
           0);
   g.spawn(std::make_unique<ScriptProgram>(
@@ -85,7 +85,7 @@ TEST(Barrier, SpinOnlyBarrierNeverSleeps) {
   GuestKernel g(s, hv, 0, cfg);
   hv.bind(&g);
   const std::uint32_t bar = g.create_barrier(2, /*spin_only=*/true);
-  const Cycles skew{cfg.user_spin_limit.v * 5};
+  const Cycles skew{GuestKernel::kUserSpinLimit.v * 5};
   g.spawn(std::make_unique<ScriptProgram>(std::vector<Op>{Op::barrier(bar)}),
           0);
   g.spawn(std::make_unique<ScriptProgram>(

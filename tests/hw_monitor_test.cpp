@@ -28,6 +28,17 @@ hw::MachineConfig machine(std::uint32_t pcpus) {
   return m;
 }
 
+/// Counts relocate_vm passes (on_relocated); every other hook is a no-op.
+class RelocationCounter final : public vmm::AuditSink {
+ public:
+  void on_sched_event(vmm::AuditPoint) override {}
+  void on_state_change(vmm::VcpuKey, vmm::VcpuState,
+                       vmm::VcpuState) override {}
+  void on_accounting(vmm::VmId, std::int64_t) override {}
+  void on_relocated(vmm::VmId) override { ++relocations; }
+  std::uint64_t relocations{0};
+};
+
 TEST(HwMonitor, YieldStormRaisesVcrd) {
   sim::Simulator s;
   HwAdaptiveScheduler hv(s, machine(2), SchedMode::kWorkConserving);
@@ -105,6 +116,32 @@ TEST(HwMonitor, EndToEndRecoversLuWithoutGuestModification) {
   EXPECT_EQ(ct, 0u);
   EXPECT_GT(ht, 0u) << "yield-rate inference never raised the VCRD";
   EXPECT_LT(hw, credit * 0.95);
+}
+
+TEST(HwMonitor, DemotedVmIsNotRelocated) {
+  // A VM the flap limiter demotes while HIGH gets stock credit treatment:
+  // like ASMan, ASMan-HW relocates it neither at the hypercall nor at the
+  // accounting passes of its 12-slot backoff.
+  sim::Simulator s;
+  HwAdaptiveScheduler hv(s, machine(4), SchedMode::kWorkConserving);
+  HogGuest g;
+  const VmId a = hv.create_vm("a", 256, 2);
+  hv.attach_guest(a, &g);
+  hv.start();
+  RelocationCounter sink;
+  hv.set_audit_sink(&sink);
+  for (int i = 0; i < 8; ++i) {  // 8 LOW->HIGH transitions: the limit
+    hv.do_vcrd_op(a, vmm::Vcrd::kHigh);
+    hv.do_vcrd_op(a, vmm::Vcrd::kLow);
+  }
+  EXPECT_EQ(sink.relocations, 8u) << "each eligible transition relocates";
+  hv.do_vcrd_op(a, vmm::Vcrd::kHigh);  // the ninth demotes
+  ASSERT_TRUE(hv.vm_degraded(a));
+  ASSERT_EQ(hv.vm(a).vcrd, vmm::Vcrd::kHigh);
+  s.run_until(ms(100));  // accounting passes at 30, 60 and 90 ms
+  EXPECT_TRUE(hv.vm_degraded(a));
+  EXPECT_EQ(sink.relocations, 8u);
+  hv.set_audit_sink(nullptr);
 }
 
 TEST(Strictness, RelaxedModeSkipsCostop) {

@@ -254,8 +254,7 @@ TEST(Lifecycle, OverloadGovernorShedsCoschedulingAndRestoresWithBackoff) {
   core::StaticCoScheduler hv(s, small_machine(4),
                              SchedMode::kNonWorkConserving);
   AdmissionConfig a;
-  a.max_vcpus_per_pcpu = 2.5;       // shed past 8.5 total, restore at <= 6.0
-  a.restore_backoff = ms(20);
+  a.max_vcpus_per_pcpu = 2.5;  // shed past 8.5 total, restore at <= 6.0
   hv.set_admission(a);
   RecordingGuest gg(4), gd(2), gh(3);
   const VmId gang = hv.create_vm("Gang", 256, 4, VmType::kConcurrent);
@@ -274,11 +273,14 @@ TEST(Lifecycle, OverloadGovernorShedsCoschedulingAndRestoresWithBackoff) {
   EXPECT_FALSE(hv.gang_scheduled(gang))
       << "shedding strips coscheduling eligibility before fairness degrades";
 
-  // Load drops back immediately, but the governor waits out its backoff.
+  // Load drops back immediately, but the governor waits out its 12-slot
+  // backoff: the shed at 45 ms may lift from 165 ms on.
   ASSERT_TRUE(hv.destroy_vm(burst));
   EXPECT_TRUE(hv.overload_shed_active());
+  s.run_until(ms(150));  // an accounting boundary inside the backoff
+  EXPECT_TRUE(hv.overload_shed_active());
 
-  s.run_until(ms(120));  // past backoff + an accounting boundary
+  s.run_until(ms(180));  // past backoff + an accounting boundary
   EXPECT_FALSE(hv.overload_shed_active());
   EXPECT_EQ(hv.overload_restores(), 1u);
   EXPECT_TRUE(hv.gang_scheduled(gang)) << "eligibility restored";

@@ -64,15 +64,14 @@ class LhpFixture : public ::testing::Test {
             0);
     // B: computes long enough for A to be mid-enqueue, then posts.
     g.spawn(std::make_unique<ScriptProgram>(std::vector<Op>{
-                Op::compute(Cycles{cfg.syscall_entry.v + 2'000}),
+                Op::compute(Cycles{GuestKernel::kSyscallEntry.v + 2'000}),
                 Op::sem_post(sem)}),
             1);
     hv.map(0);
     hv.map(1);
-    // A's timeline: syscall_entry, uncontended acquire, then a 7000-cycle
+    // A's timeline: kSyscallEntry, uncontended acquire, then a 7000-cycle
     // kernel hold. Deschedule vcpu0 1000 cycles into the hold.
-    const Cycles preempt_at =
-        cfg.syscall_entry + Cycles{1'000};
+    const Cycles preempt_at = GuestKernel::kSyscallEntry + Cycles{1'000};
     s.run_until(preempt_at);
     hv.unmap(0);
     s.run_until(preempt_at + offline_span);
@@ -122,12 +121,12 @@ TEST(Spinlock, OverThresholdReportedOncePerWait) {
   g.spawn(std::make_unique<ScriptProgram>(std::vector<Op>{Op::sem_wait(sem)}),
           0);
   g.spawn(std::make_unique<ScriptProgram>(std::vector<Op>{
-              Op::compute(Cycles{cfg.syscall_entry.v + 2'000}),
+              Op::compute(Cycles{GuestKernel::kSyscallEntry.v + 2'000}),
               Op::sem_post(sem)}),
           1);
   hv.map(0);
   hv.map(1);
-  s.run_until(cfg.syscall_entry + Cycles{1'000});
+  s.run_until(GuestKernel::kSyscallEntry + Cycles{1'000});
   hv.unmap(0);
   s.run_until(s.now() + ms(10.0));  // many threshold multiples
   hv.map(0);
@@ -148,12 +147,12 @@ TEST(Spinlock, SemaphoreWaitsStaySmallDespiteStalls) {
   g.spawn(std::make_unique<ScriptProgram>(std::vector<Op>{Op::sem_wait(sem)}),
           0);
   g.spawn(std::make_unique<ScriptProgram>(std::vector<Op>{
-              Op::compute(Cycles{cfg.syscall_entry.v + 2'000}),
+              Op::compute(Cycles{GuestKernel::kSyscallEntry.v + 2'000}),
               Op::sem_post(sem)}),
           1);
   hv.map(0);
   hv.map(1);
-  s.run_until(cfg.syscall_entry + Cycles{1'000});
+  s.run_until(GuestKernel::kSyscallEntry + Cycles{1'000});
   hv.unmap(0);
   s.run_until(s.now() + ms(5.0));
   hv.map(0);
