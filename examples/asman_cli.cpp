@@ -228,25 +228,40 @@ int run_single(Args& a) {
               core::to_string(sched), bench.c_str(), weight, nominal.c_str(),
               static_cast<unsigned long long>(seed),
               relaxed ? " | relaxed gangs" : "");
+  const guest::GuestStats& g = v1.stats;
+  const auto waits_above = [&g](unsigned exp) {
+    return std::to_string(g.spin_waits.count_above(exp));
+  };
   ex::TextTable t({"metric", "value"});
   t.add_row({"run time (s)", ex::fmt_f(v1.runtime_seconds)});
   t.add_row({"finished", v1.finished ? "yes" : "no (horizon)"});
   t.add_row({"observed online rate", ex::fmt_pct(v1.observed_online_rate)});
   t.add_row({"work units", std::to_string(v1.work_units)});
-  t.add_row({"spin waits > 2^10",
-             std::to_string(v1.stats.spin_waits.count_above(10))});
-  t.add_row({"spin waits > 2^20",
-             std::to_string(v1.stats.spin_waits.count_above(20))});
+  t.add_row({"spin acquisitions", std::to_string(g.spin_acquisitions)});
+  t.add_row({"contended spins", std::to_string(g.spin_contended)});
+  t.add_row({"spin waits > 2^10", waits_above(10)});
+  t.add_row({"spin waits > 2^15", waits_above(15)});
+  t.add_row({"spin waits > 2^20", waits_above(20)});
+  t.add_row({"spin waits > 2^24", waits_above(24)});
   t.add_row({"max spin wait (log2)",
-             std::to_string(sim::log2_floor(v1.stats.spin_waits.max_value()))});
+             std::to_string(sim::log2_floor(g.spin_waits.max_value()))});
   t.add_row({"max sem wait (log2)",
-             std::to_string(sim::log2_floor(v1.stats.sem_waits.max_value()))});
+             std::to_string(sim::log2_floor(g.sem_waits.max_value()))});
+  t.add_row({"futex waits", std::to_string(g.futex_waits)});
+  t.add_row({"futex wakes", std::to_string(g.futex_wakes)});
+  t.add_row({"barrier arrivals", std::to_string(g.barrier_arrivals)});
+  t.add_row({"barrier futex sleeps", std::to_string(g.barrier_kernel_sleeps)});
+  t.add_row({"guest ticks", std::to_string(g.ticks)});
+  t.add_row({"guest ctx switches", std::to_string(g.context_switches)});
   t.add_row({"VCRD windows", std::to_string(v1.vcrd_transitions)});
   t.add_row({"VCRD HIGH time", ex::fmt_pct(v1.vcrd_high_fraction)});
+  t.add_row({"over-threshold waits", std::to_string(v1.over_threshold_events)});
   t.add_row({"adjusting events", std::to_string(v1.adjusting_events)});
   t.add_row({"cosched launches", std::to_string(r.cosched_events)});
   t.add_row({"IPIs", std::to_string(r.ipi_sent)});
   t.add_row({"VCPU migrations", std::to_string(r.migrations)});
+  t.add_row({"VMM ctx switches", std::to_string(r.context_switches)});
+  t.add_row({"PCPU idle time", ex::fmt_pct(r.idle_fraction)});
   t.add_row({"simulated events", std::to_string(r.events)});
   std::printf("%s", t.str().c_str());
   if (samples)

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
 
   sim::Simulator s;
   sim::Trace trace;
-  const hw::MachineConfig mach = experiments::paper_machine();
+  const hw::MachineConfig mach{};  // the paper's testbed
   auto hv = core::make_scheduler(kind, s, mach,
                                  vmm::SchedMode::kNonWorkConserving, &trace);
 

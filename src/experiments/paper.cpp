@@ -2,15 +2,6 @@
 
 namespace asman::experiments {
 
-hw::MachineConfig paper_machine() {
-  hw::MachineConfig m;
-  m.num_pcpus = 8;
-  m.freq_hz = 2'330'000'000ULL;
-  m.slot_ms = 10;
-  m.slots_per_accounting = 3;
-  return m;
-}
-
 WorkloadFactory npb_factory(workloads::NpbBenchmark b, std::uint32_t threads,
                             std::uint64_t rounds) {
   return [b, threads, rounds](sim::Simulator& s, std::uint64_t seed) {
@@ -42,8 +33,7 @@ WorkloadFactory bzip2_factory(std::uint64_t rounds) {
 
 Scenario single_vm_scenario(core::SchedulerKind sched, std::uint32_t v1_weight,
                             WorkloadFactory wl, std::uint64_t seed) {
-  Scenario sc;
-  sc.machine = paper_machine();
+  Scenario sc;  // sc.machine: the testbed, hw::MachineConfig's defaults
   sc.mode = vmm::SchedMode::kNonWorkConserving;
   sc.scheduler = sched;
   sc.seed = seed;
@@ -70,8 +60,7 @@ Scenario multi_vm_scenario(core::SchedulerKind sched,
                                workloads_by_vm,
                            const std::vector<bool>& concurrent,
                            std::uint64_t rounds, std::uint64_t seed) {
-  Scenario sc;
-  sc.machine = paper_machine();
+  Scenario sc;  // sc.machine: the testbed, hw::MachineConfig's defaults
   sc.mode = vmm::SchedMode::kWorkConserving;
   sc.scheduler = sched;
   sc.seed = seed;

@@ -22,9 +22,6 @@
 
 namespace asman::experiments {
 
-/// The paper's testbed (Dell T5400: 8 PCPUs @ 2.33 GHz).
-hw::MachineConfig paper_machine();
-
 struct RatePoint {
   double rate;           // nominal VCPU online rate of V1
   std::uint32_t weight;  // V1 weight producing it (V0 fixed at 256)

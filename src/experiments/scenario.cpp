@@ -290,9 +290,8 @@ RunResult run_scenario(const Scenario& sc) {
     res.vcrd_high_fraction = high.ratio(window);
     if (rt.workload) {
       res.work_units = rt.workload->work_units();
-      const auto times = rt.workload->round_times();
       Cycles prev{0};
-      for (Cycles t : times) {
+      for (Cycles t : rt.workload->round_times()) {
         res.round_seconds.push_back(clock.to_seconds(t - prev));
         prev = t;
       }

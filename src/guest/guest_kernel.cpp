@@ -14,7 +14,6 @@ GuestKernel::GuestKernel(sim::Simulator& simulation,
       vm_id_(vm_id),
       cfg_(cfg),
       trace_(trace),
-      rng_(cfg.seed ^ (0x5151u + vm_id)),
       vcpus_(cfg.n_vcpus),
       stats_(cfg.keep_wait_samples) {
   timer_lock_ = create_spinlock(LockKind::kTimer, 0);
@@ -59,31 +58,30 @@ std::string GuestKernel::lock_name(std::uint32_t lock) const {
   return "?";
 }
 
+std::uint32_t GuestKernel::create_futex(LockKind kind, std::uint32_t index) {
+  futexes_.push_back(FutexQ{create_spinlock(kind, index), 0, {}});
+  return static_cast<std::uint32_t>(futexes_.size() - 1);
+}
+
 std::uint32_t GuestKernel::create_mutex() {
-  const auto fq = static_cast<std::uint32_t>(futexes_.size());
   const auto m = static_cast<std::uint32_t>(mutexes_.size());
-  futexes_.push_back(FutexQ{create_spinlock(LockKind::kMutexFutex, m), 0, {}});
-  mutexes_.push_back(Mutex{fq});
+  mutexes_.push_back(Mutex{create_futex(LockKind::kMutexFutex, m)});
   return m;
 }
 
 std::uint32_t GuestKernel::create_barrier(std::uint32_t parties,
                                           bool spin_only) {
   assert(parties >= 1);
-  const auto fq = static_cast<std::uint32_t>(futexes_.size());
   const auto b = static_cast<std::uint32_t>(barriers_.size());
-  futexes_.push_back(
-      FutexQ{create_spinlock(LockKind::kBarrierFutex, b), 0, {}});
-  barriers_.push_back(Barrier{parties, 0, fq, spin_only, {}});
+  barriers_.push_back(Barrier{
+      parties, 0, create_futex(LockKind::kBarrierFutex, b), spin_only, {}});
   return b;
 }
 
 std::uint32_t GuestKernel::create_semaphore(std::int32_t initial) {
-  const auto fq = static_cast<std::uint32_t>(futexes_.size());
   const auto sem = static_cast<std::uint32_t>(semaphores_.size());
-  futexes_.push_back(
-      FutexQ{create_spinlock(LockKind::kSemaphoreFutex, sem), 0, {}});
-  semaphores_.push_back(Semaphore{initial, fq});
+  semaphores_.push_back(
+      Semaphore{initial, create_futex(LockKind::kSemaphoreFutex, sem)});
   return sem;
 }
 
@@ -123,6 +121,14 @@ bool GuestKernel::is_executing(Tid t) const {
   return executing_on(th.vcpu) == t;
 }
 
+bool GuestKernel::irqs_masked(std::uint32_t v) const {
+  const VcpuCtx& c = vcpus_[v];
+  if (c.in_irq) return true;
+  if (c.current == kNoTid) return false;
+  const Activity& a = threads_[c.current]->act;
+  return a.kind == ActKind::kSpin || (a.kind == ActKind::kBurn && a.kernel);
+}
+
 void GuestKernel::activate(Tid t) {
   Thread& th = *threads_[t];
   Activity& a = th.act;
@@ -135,34 +141,26 @@ void GuestKernel::activate(Tid t) {
       return;
     case ActKind::kSpin: {
       SpinLock& l = locks_[a.lock];
+      const std::size_t i = waiter_index(l, t);
+      assert(i < l.waiters.size() && "spinning thread missing from waiters");
+      if (i == l.waiters.size()) return;
       if (l.owner == kNoTid) {
         // The lock was released while we were offline: take it now
         // (plain pre-ticket spinlock semantics — first online spinner wins).
-        for (std::size_t i = 0; i < l.waiters.size(); ++i) {
-          if (l.waiters[i].tid == t) {
-            grant_to_waiter(a.lock, i);
-            return;
-          }
-        }
-        assert(false && "spinning thread missing from waiter list");
+        grant_to_waiter(a.lock, i);
         return;
       }
       // Still held: if the wall-clock wait crossed the over-threshold limit
       // while this VCPU was offline, report it now (the monitoring code in
       // the real kernel runs inside the spin loop, so it fires as soon as
       // the spinner executes again).
-      for (auto& w : l.waiters) {
-        if (w.tid != t) continue;
-        if (!w.reported &&
-            (w.report_pending ||
-             sim_.now() - w.since >= cfg_.over_threshold)) {
-          w.reported = true;
-          w.report_pending = false;
-          if (observer_) observer_->on_over_threshold();
-        }
-        return;
+      SpinWaiter& w = l.waiters[i];
+      if (!w.reported &&
+          (w.report_pending || sim_.now() - w.since >= cfg_.over_threshold)) {
+        w.reported = true;
+        w.report_pending = false;
+        if (observer_) observer_->on_over_threshold();
       }
-      assert(false && "spinning thread missing from waiter list");
       return;
     }
   }
@@ -172,8 +170,7 @@ void GuestKernel::deactivate(Tid t) {
   Thread& th = *threads_[t];
   Activity& a = th.act;
   if (a.kind == ActKind::kBurn && a.ev.valid()) {
-    sim_.cancel(a.ev);
-    a.ev = {};
+    sim_.cancel_timer(a.ev);
     a.remaining = sim::saturating_sub(a.remaining, sim_.now() - a.started_at);
   }
   // kSpin: wall-clock waiting continues; nothing to pause.
@@ -204,10 +201,7 @@ void GuestKernel::burn_complete(Tid t) {
 void GuestKernel::repurpose_burn(Tid t, Cycles extra, Cont instead) {
   Thread& th = *threads_[t];
   assert(th.act.kind == ActKind::kBurn);
-  if (th.act.ev.valid()) {
-    sim_.cancel(th.act.ev);
-    th.act.ev = {};
-  }
+  sim_.cancel_timer(th.act.ev);
   th.act.kind = ActKind::kBurn;
   th.act.kernel = false;
   th.act.remaining = extra;
@@ -217,12 +211,12 @@ void GuestKernel::repurpose_burn(Tid t, Cycles extra, Cont instead) {
 
 void GuestKernel::park(Tid t, Cont done) {
   Thread& th = *threads_[t];
-  assert(!th.path_done && "a kernel path is already in progress");
-  th.path_done = std::move(done);
+  assert(!th.parked && "a continuation is already parked");
+  th.parked = std::move(done);
 }
 
 GuestKernel::Cont GuestKernel::unpark(Tid t) {
-  return std::move(threads_[t]->path_done);
+  return std::move(threads_[t]->parked);
 }
 
 // --- spinlocks -----------------------------------------------------------------
@@ -255,27 +249,32 @@ void GuestKernel::lock_acquire(Tid t, std::uint32_t lock, Acquired acquired) {
   w.cross_ev = sim_.after(cfg_.over_threshold,
                           [this, lock, t] { spin_cross_check(lock, t); });
   locks_[lock].waiters.push_back(std::move(w));
-  note_trace(sim::TraceCat::kLock, [&] {
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kLock, [&] {
     return "t" + std::to_string(t) + " spins on " + lock_name(lock);
   });
 }
 
+std::size_t GuestKernel::waiter_index(const SpinLock& l, Tid t) {
+  std::size_t i = 0;
+  while (i < l.waiters.size() && l.waiters[i].tid != t) ++i;
+  return i;
+}
+
 void GuestKernel::spin_cross_check(std::uint32_t lock, Tid t) {
   SpinLock& l = locks_[lock];
-  for (auto& w : l.waiters) {
-    if (w.tid != t) continue;
-    w.cross_ev = {};
-    if (w.reported) return;
-    if (threads_[t]->act.kind != ActKind::kSpin) return;  // defensive
-    if (vcpus_[threads_[t]->vcpu].online) {
-      w.reported = true;
-      if (observer_) observer_->on_over_threshold();
-    } else {
-      // The spinner itself is descheduled; the report fires as soon as it
-      // executes its spin loop again (activate()).
-      w.report_pending = true;
-    }
-    return;
+  const std::size_t i = waiter_index(l, t);
+  if (i == l.waiters.size()) return;
+  SpinWaiter& w = l.waiters[i];
+  w.cross_ev = {};
+  if (w.reported) return;
+  if (threads_[t]->act.kind != ActKind::kSpin) return;  // defensive
+  if (vcpus_[threads_[t]->vcpu].online) {
+    w.reported = true;
+    if (observer_) observer_->on_over_threshold();
+  } else {
+    // The spinner itself is descheduled; the report fires as soon as it
+    // executes its spin loop again (activate()).
+    w.report_pending = true;
   }
 }
 
@@ -285,13 +284,13 @@ void GuestKernel::grant_to_waiter(std::uint32_t lock, std::size_t idx) {
   l.waiters.erase(l.waiters.begin() +
                   static_cast<std::ptrdiff_t>(idx));
   l.owner = w.tid;
-  if (w.cross_ev.valid()) sim_.cancel(w.cross_ev);
+  sim_.cancel_timer(w.cross_ev);
   Thread& th = *threads_[w.tid];
   assert(th.act.kind == ActKind::kSpin);
   th.act.kind = ActKind::kNone;
   const Cycles waited = sim_.now() - w.since;
   record_spin_wait(waited);
-  note_trace(sim::TraceCat::kLock, [&] {
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kLock, [&] {
     return "t" + std::to_string(w.tid) + " acquired " + lock_name(lock) +
            " after " + sim::format_cycles(waited);
   });
@@ -317,19 +316,12 @@ void GuestKernel::lock_release(Tid t, std::uint32_t lock) {
 
 // --- futex / sleep-wake -----------------------------------------------------------
 
-void GuestKernel::block_current(Tid t, Cont on_wake) {
+void GuestKernel::block_current(Tid t) {
   Thread& th = *threads_[t];
   assert(th.act.kind == ActKind::kNone);
-  VcpuCtx& c = vcpus_[th.vcpu];
-  assert(c.current == t && !c.in_irq);
+  assert(vcpus_[th.vcpu].current == t && !vcpus_[th.vcpu].in_irq);
   th.state = TState::kBlocked;
-  th.wake_cont = std::move(on_wake);
-  c.current = kNoTid;
-  if (c.quantum_ev.valid()) {
-    sim_.cancel(c.quantum_ev);
-    c.quantum_ev = {};
-  }
-  if (c.online) schedule_vcpu(th.vcpu);
+  vacate(th.vcpu);
 }
 
 void GuestKernel::make_ready(Tid t) {
@@ -338,10 +330,7 @@ void GuestKernel::make_ready(Tid t) {
   th.state = TState::kReady;
   VcpuCtx& c = vcpus_[th.vcpu];
   c.runq.push_back(t);
-  if (c.idle_ev.valid()) {
-    sim_.cancel(c.idle_ev);
-    c.idle_ev = {};
-  }
+  sim_.cancel_timer(c.idle_ev);
   if (c.halted) {
     c.halted = false;
     hv_.vcpu_kick(vm_id_, th.vcpu);
@@ -371,19 +360,24 @@ void GuestKernel::futex_wait(Tid t, std::uint32_t fq, std::uint64_t val,
           burn(t, Cycles{200}, false, unpark(t));
           return;
         }
-        q.sleepers.push_back(t);
-        lock_release(t, q.bucket_lock);
-        // Descheduling takes the thread's own runqueue lock (schedule()):
-        // this lock is also taken by remote wakers, so a holder preempted
-        // here stalls wake-ups for the whole VCPU.
-        const std::uint32_t rq = rq_locks_[threads_[t]->vcpu];
-        lock_acquire(t, rq, [this, t, rq](Cycles) {
-          burn(t, kRqWakeHold, true, [this, t, rq] {
-            lock_release(t, rq);
-            block_current(t, unpark(t));
-          });
-        });
+        sleep_on(t, fq);
       });
+    });
+  });
+}
+
+void GuestKernel::sleep_on(Tid t, std::uint32_t fq) {
+  FutexQ& q = futexes_[fq];
+  q.sleepers.push_back(t);
+  lock_release(t, q.bucket_lock);
+  // Descheduling takes the thread's own runqueue lock (schedule()): this
+  // lock is also taken by remote wakers, so a holder preempted here stalls
+  // wake-ups for the whole VCPU.
+  const std::uint32_t rq = rq_locks_[threads_[t]->vcpu];
+  lock_acquire(t, rq, [this, t, rq](Cycles) {
+    burn(t, kRqWakeHold, true, [this, t, rq] {
+      lock_release(t, rq);
+      block_current(t);
     });
   });
 }
@@ -399,16 +393,19 @@ void GuestKernel::futex_wake(Tid t, std::uint32_t fq, std::uint32_t n,
           std::min<std::size_t>(n, q.sleepers.size());
       const Cycles hold = kFutexWakeBase + Cycles{kFutexWakePerThread.v * k};
       burn(t, hold, true, [this, t, fq, k] {
-        FutexQ& q2 = futexes_[fq];
-        const auto end =
-            q2.sleepers.begin() + static_cast<std::ptrdiff_t>(k);
-        threads_[t]->woken.assign(q2.sleepers.begin(), end);
-        q2.sleepers.erase(q2.sleepers.begin(), end);
-        lock_release(t, q2.bucket_lock);
+        take_sleepers(t, fq, k);
+        lock_release(t, futexes_[fq].bucket_lock);
         wake_chain(t, 0, unpark(t));
       });
     });
   });
+}
+
+void GuestKernel::take_sleepers(Tid waker, std::uint32_t fq, std::size_t k) {
+  std::vector<Tid>& sleepers = futexes_[fq].sleepers;
+  const auto end = sleepers.begin() + static_cast<std::ptrdiff_t>(k);
+  threads_[waker]->woken.assign(sleepers.begin(), end);
+  sleepers.erase(sleepers.begin(), end);
 }
 
 void GuestKernel::wake_chain(Tid waker, std::size_t i, Cont done) {
@@ -451,12 +448,18 @@ void GuestKernel::schedule_vcpu(std::uint32_t v) {
     activate(t);
     return;
   }
-  if (th.wake_cont) {
-    Cont cont = std::move(th.wake_cont);
-    cont();
+  if (th.parked) {
+    unpark(t)();
     return;
   }
   next_op(t);
+}
+
+void GuestKernel::vacate(std::uint32_t v) {
+  VcpuCtx& c = vcpus_[v];
+  c.current = kNoTid;
+  sim_.cancel_timer(c.quantum_ev);
+  if (c.online) schedule_vcpu(v);
 }
 
 void GuestKernel::idle_check(std::uint32_t v) {
@@ -468,7 +471,7 @@ void GuestKernel::idle_check(std::uint32_t v) {
     if (cc.online && !cc.in_irq && cc.current == kNoTid && cc.runq.empty() &&
         !cc.halted) {
       cc.halted = true;
-      note_trace(sim::TraceCat::kGuest,
+      sim::note_trace(trace_, sim_.now(), sim::TraceCat::kGuest,
                  [v] { return "vcpu" + std::to_string(v) + " halt"; });
       hv_.vcpu_block(vm_id_, v);
     }
@@ -477,10 +480,7 @@ void GuestKernel::idle_check(std::uint32_t v) {
 
 void GuestKernel::arm_quantum(std::uint32_t v) {
   VcpuCtx& c = vcpus_[v];
-  if (c.quantum_ev.valid()) {
-    sim_.cancel(c.quantum_ev);
-    c.quantum_ev = {};
-  }
+  sim_.cancel_timer(c.quantum_ev);
   if (c.runq.empty()) return;  // sole thread: no need to round-robin
   c.quantum_ev = sim_.after(kRrQuantum, [this, v] {
     vcpus_[v].quantum_ev = {};
@@ -491,28 +491,29 @@ void GuestKernel::arm_quantum(std::uint32_t v) {
 void GuestKernel::preempt_quantum(std::uint32_t v) {
   VcpuCtx& c = vcpus_[v];
   if (!c.online || c.current == kNoTid) return;
-  Thread& th = *threads_[c.current];
-  const bool in_kernel =
-      c.in_irq || (th.act.kind == ActKind::kSpin) ||
-      (th.act.kind == ActKind::kBurn && th.act.kernel);
-  if (in_kernel) {
+  if (irqs_masked(v)) {
     c.need_resched = true;
     return;
   }
   const Tid t = c.current;
   deactivate(t);
-  th.state = TState::kReady;
+  threads_[t]->state = TState::kReady;
   c.runq.push_back(t);
-  c.current = kNoTid;
-  schedule_vcpu(v);
+  vacate(v);
+}
+
+std::uint32_t GuestKernel::balance_target(std::uint32_t v,
+                                          std::uint64_t count,
+                                          std::uint32_t every) const {
+  const std::uint32_t n = cfg_.n_vcpus;
+  if (n <= 1 || every == 0 || count % every != 0) return v;
+  const auto target = static_cast<std::uint32_t>((v + 1 + count / every) % n);
+  return target == v ? (v + 1) % n : target;
 }
 
 void GuestKernel::arm_tick(std::uint32_t v) {
   VcpuCtx& c = vcpus_[v];
-  if (c.tick_ev.valid()) {
-    sim_.cancel(c.tick_ev);
-    c.tick_ev = {};
-  }
+  sim_.cancel_timer(c.tick_ev);
   if (c.tick_due < sim_.now()) c.tick_due = sim_.now();
   c.tick_ev = sim_.at(c.tick_due, [this, v] {
     vcpus_[v].tick_ev = {};
@@ -528,12 +529,7 @@ void GuestKernel::run_tick(std::uint32_t v) {
   ++c.ticks;
   ++stats_.ticks;
   if (c.in_irq) return;  // coalesce: a tick is already being handled
-  const Tid cur = c.current;
-  const bool in_kernel =
-      cur != kNoTid &&
-      ((threads_[cur]->act.kind == ActKind::kSpin) ||
-       (threads_[cur]->act.kind == ActKind::kBurn && threads_[cur]->act.kernel));
-  if (in_kernel) {
+  if (irqs_masked(v)) {
     // Interrupts are masked inside kernel critical sections; deliver when
     // the section ends.
     c.tick_pending = true;
@@ -556,18 +552,12 @@ void GuestKernel::enter_tick_irq(std::uint32_t v) {
     lock_acquire(irq, timer_lock_, [this, v, irq](Cycles) {
       burn(irq, kTickLockHold, true, [this, v, irq] {
         lock_release(irq, timer_lock_);
-        VcpuCtx& cc = vcpus_[v];
-        const bool balance = cfg_.n_vcpus > 1 &&
-                             cfg_.balance_every_ticks != 0 &&
-                             cc.ticks % cfg_.balance_every_ticks == 0;
-        if (!balance) {
+        const std::uint32_t target =
+            balance_target(v, vcpus_[v].ticks, cfg_.balance_every_ticks);
+        if (target == v) {
           finish_tick_irq(v);
           return;
         }
-        const std::uint32_t victim = static_cast<std::uint32_t>(
-            (v + 1 + cc.ticks / cfg_.balance_every_ticks) % cfg_.n_vcpus);
-        const std::uint32_t target = victim == v ? (v + 1) % cfg_.n_vcpus
-                                                 : victim;
         const std::uint32_t rq = rq_locks_[target];
         lock_acquire(irq, rq, [this, v, irq, rq](Cycles) {
           burn(irq, kBalanceHold, true, [this, v, irq, rq] {
@@ -603,12 +593,7 @@ void GuestKernel::tick_wake(std::uint32_t v) {
 
 void GuestKernel::maybe_deliver_pending(std::uint32_t v) {
   VcpuCtx& c = vcpus_[v];
-  if (!c.online || c.in_irq) return;
-  const Tid cur = c.current;
-  const bool in_kernel =
-      cur != kNoTid && threads_[cur]->act.kind != ActKind::kNone &&
-      ((threads_[cur]->act.kind == ActKind::kSpin) || threads_[cur]->act.kernel);
-  if (in_kernel) return;
+  if (!c.online || irqs_masked(v)) return;
   if (c.tick_pending) {
     c.tick_pending = false;
     enter_tick_irq(v);
@@ -634,10 +619,7 @@ void GuestKernel::vcpu_online(std::uint32_t v) {
   assert(!c.online);
   c.online = true;
   c.halted = false;
-  if (c.tick_wake_ev.valid()) {
-    sim_.cancel(c.tick_wake_ev);
-    c.tick_wake_ev = {};
-  }
+  sim_.cancel_timer(c.tick_wake_ev);
   if (c.tick_due.v == 0) c.tick_due = sim_.now() + cfg_.tick_period;
   arm_tick(v);
   if (c.in_irq) {
@@ -657,23 +639,14 @@ void GuestKernel::vcpu_offline(std::uint32_t v) {
   VcpuCtx& c = vcpus_[v];
   assert(c.online);
   c.online = false;
-  if (c.tick_ev.valid()) {
-    sim_.cancel(c.tick_ev);
-    c.tick_ev = {};
-  }
+  sim_.cancel_timer(c.tick_ev);
   // Schedule the timer-interrupt wake-up for the next tick deadline.
   if (!c.tick_wake_ev.valid()) {
     const Cycles due = c.tick_due < sim_.now() ? sim_.now() : c.tick_due;
     c.tick_wake_ev = sim_.at(due, [this, v] { tick_wake(v); });
   }
-  if (c.quantum_ev.valid()) {
-    sim_.cancel(c.quantum_ev);
-    c.quantum_ev = {};
-  }
-  if (c.idle_ev.valid()) {
-    sim_.cancel(c.idle_ev);
-    c.idle_ev = {};
-  }
+  sim_.cancel_timer(c.quantum_ev);
+  sim_.cancel_timer(c.idle_ev);
   if (c.in_irq) {
     deactivate(c.irq_tid);
   } else if (c.current != kNoTid) {
@@ -722,7 +695,8 @@ void GuestKernel::op_sleep(Tid t, Cycles len) {
     sim_.after(len, [this, t] {
       if (threads_[t]->state == TState::kBlocked) make_ready(t);
     });
-    block_current(t, [this, t] { next_op(t); });
+    park(t, [this, t] { next_op(t); });
+    block_current(t);
   });
 }
 
@@ -736,9 +710,7 @@ void GuestKernel::mutex_lock_hold(Tid t, std::uint32_t mtx, Cycles hold) {
   std::uint64_t& locked = futexes_[mutexes_[mtx].fq].word;
   if (locked == 0) {
     locked = 1;
-    burn(t, hold, false, [this, t, mtx] {
-      mutex_unlock(t, mtx, [this, t] { next_op(t); });
-    });
+    burn(t, hold, false, [this, t, mtx] { mutex_unlock(t, mtx); });
     return;
   }
   // Contended: sleep in the kernel and retry on wake (futex loop).
@@ -746,15 +718,14 @@ void GuestKernel::mutex_lock_hold(Tid t, std::uint32_t mtx, Cycles hold) {
              [this, t, mtx, hold] { mutex_lock_hold(t, mtx, hold); });
 }
 
-void GuestKernel::mutex_unlock(Tid t, std::uint32_t mtx, Cont done) {
-  park(t, std::move(done));
+void GuestKernel::mutex_unlock(Tid t, std::uint32_t mtx) {
   burn(t, Cycles{100}, false, [this, t, mtx] {
     const std::uint32_t fq = mutexes_[mtx].fq;
     futexes_[fq].word = 0;
     if (!futexes_[fq].sleepers.empty()) {
-      futex_wake(t, fq, 1, unpark(t));
+      futex_wake(t, fq, 1, [this, t] { next_op(t); });
     } else {
-      unpark(t)();
+      next_op(t);
     }
   });
 }
@@ -767,7 +738,7 @@ void GuestKernel::op_barrier(Tid t, std::uint32_t bar) {
     if (++b.arrived == b.parties) {
       b.arrived = 0;
       ++generation;
-      barrier_release(t, b, [this, t] { next_op(t); });
+      barrier_release(t, b);
       return;
     }
     const std::uint64_t g = generation;
@@ -811,41 +782,28 @@ void GuestKernel::barrier_spin_loop(Tid t, std::uint32_t bar,
     }
     // sched_yield: kernel entry + own runqueue lock, and (with an empty
     // local runqueue) an idle_balance probe of a remote runqueue lock.
-    const std::uint32_t self_v = threads_[t]->vcpu;
-    const std::uint32_t rq = rq_locks_[self_v];
-    const std::uint64_t yield_no = spun.v / kSpinYieldPeriod.v;
-    const bool probe_remote =
-        cfg_.n_vcpus > 1 && cfg_.yield_balance_every != 0 &&
-        yield_no % cfg_.yield_balance_every == 0;
-    std::uint32_t remote_rq = rq;
-    if (probe_remote) {
-      const std::uint32_t target = static_cast<std::uint32_t>(
-          (self_v + 1 + yield_no / cfg_.yield_balance_every) % cfg_.n_vcpus);
-      remote_rq = rq_locks_[target == self_v ? (self_v + 1) % cfg_.n_vcpus
-                                             : target];
-    }
     hv_.vcpu_yield_hint(vm_id_, threads_[t]->vcpu);
-    burn(t, kSyscallEntry, false,
-         [this, t, bar, gen, spun, rq, remote_rq, probe_remote] {
-      lock_acquire(t, rq, [this, t, bar, gen, spun, rq, remote_rq,
-                           probe_remote](Cycles) {
-        burn(t, kYieldHold, true,
-             [this, t, bar, gen, spun, rq, remote_rq, probe_remote] {
+    burn(t, kSyscallEntry, false, [this, t, bar, gen, spun] {
+      // In the kernel now, where barrier_release leaves the thread be: park
+      // the next spin round for yield_cpu.
+      park(t, [this, t, bar, gen, spun] {
+        barrier_spin_loop(t, bar, gen, spun + kSpinYieldPeriod);
+      });
+      const std::uint32_t self_v = threads_[t]->vcpu;
+      const std::uint32_t rq = rq_locks_[self_v];
+      const std::uint32_t remote_rq = rq_locks_[balance_target(
+          self_v, spun.v / kSpinYieldPeriod.v, cfg_.yield_balance_every)];
+      lock_acquire(t, rq, [this, t, rq, remote_rq](Cycles) {
+        burn(t, kYieldHold, true, [this, t, rq, remote_rq] {
           lock_release(t, rq);
-          if (!probe_remote || remote_rq == rq) {
-            yield_cpu(t, [this, t, bar, gen, spun] {
-              barrier_spin_loop(t, bar, gen, spun + kSpinYieldPeriod);
-            });
+          if (remote_rq == rq) {
+            yield_cpu(t);
             return;
           }
-          lock_acquire(t, remote_rq,
-                       [this, t, bar, gen, spun, remote_rq](Cycles) {
-            burn(t, kBalanceHold, true,
-                 [this, t, bar, gen, spun, remote_rq] {
+          lock_acquire(t, remote_rq, [this, t, remote_rq](Cycles) {
+            burn(t, kBalanceHold, true, [this, t, remote_rq] {
               lock_release(t, remote_rq);
-              yield_cpu(t, [this, t, bar, gen, spun] {
-                barrier_spin_loop(t, bar, gen, spun + kSpinYieldPeriod);
-              });
+              yield_cpu(t);
             });
           });
         });
@@ -854,26 +812,20 @@ void GuestKernel::barrier_spin_loop(Tid t, std::uint32_t bar,
   });
 }
 
-void GuestKernel::yield_cpu(Tid t, Cont resume) {
+void GuestKernel::yield_cpu(Tid t) {
   Thread& th = *threads_[t];
   VcpuCtx& c = vcpus_[th.vcpu];
   assert(c.current == t && th.act.kind == ActKind::kNone);
   if (c.runq.empty()) {
-    resume();  // nothing else to run: yield is a no-op
+    unpark(t)();  // nothing else to run: yield is a no-op
     return;
   }
   th.state = TState::kReady;
-  th.wake_cont = std::move(resume);
   c.runq.push_back(t);
-  c.current = kNoTid;
-  if (c.quantum_ev.valid()) {
-    sim_.cancel(c.quantum_ev);
-    c.quantum_ev = {};
-  }
-  if (c.online) schedule_vcpu(th.vcpu);
+  vacate(th.vcpu);
 }
 
-void GuestKernel::barrier_release(Tid t, Barrier& b, Cont done) {
+void GuestKernel::barrier_release(Tid t, Barrier& b) {
   // Wake user-level spinners: those inside their user-space spin chunk
   // observe the flag immediately (their burn is repurposed); those inside
   // the kernel part of the yield notice at the next loop check. Threads
@@ -892,9 +844,10 @@ void GuestKernel::barrier_release(Tid t, Barrier& b, Cont done) {
   }
   b.spinners.resize(kept);
   if (!futexes_[b.fq].sleepers.empty()) {
-    futex_wake(t, b.fq, static_cast<std::uint32_t>(-1), std::move(done));
+    futex_wake(t, b.fq, static_cast<std::uint32_t>(-1),
+               [this, t] { next_op(t); });
   } else {
-    burn(t, Cycles{100}, false, std::move(done));
+    burn(t, Cycles{100}, false, [this, t] { next_op(t); });
   }
 }
 
@@ -921,15 +874,8 @@ void GuestKernel::op_sem_wait(Tid t, std::uint32_t s) {
           burn(t, Cycles{150}, false, [this, t] { next_op(t); });
           return;
         }
-        q.sleepers.push_back(t);
-        lock_release(t, q.bucket_lock);
-        const std::uint32_t rq = rq_locks_[threads_[t]->vcpu];
-        lock_acquire(t, rq, [this, t, rq](Cycles) {
-          burn(t, kRqWakeHold, true, [this, t, rq] {
-            lock_release(t, rq);
-            block_current(t, [this, t] { next_op(t); });
-          });
-        });
+        park(t, [this, t] { next_op(t); });
+        sleep_on(t, sem2.fq);
       });
     });
   });
@@ -943,18 +889,10 @@ void GuestKernel::op_sem_post(Tid t, std::uint32_t s) {
         Semaphore& sem2 = semaphores_[s];
         FutexQ& q = futexes_[sem2.fq];
         if (!q.sleepers.empty()) {
-          const Tid w = q.sleepers.front();
-          q.sleepers.erase(q.sleepers.begin());
-          lock_release(t, q.bucket_lock);
           // Direct handoff: the count stays zero and the sleeper proceeds.
-          lock_acquire(t, rq_locks_[threads_[w]->vcpu],
-                       [this, t, w](Cycles) {
-            burn(t, kRqWakeHold, true, [this, t, w] {
-              lock_release(t, rq_locks_[threads_[w]->vcpu]);
-              make_ready(w);
-              next_op(t);
-            });
-          });
+          take_sleepers(t, sem2.fq, 1);
+          lock_release(t, q.bucket_lock);
+          wake_chain(t, 0, [this, t] { next_op(t); });
           return;
         }
         ++sem2.count;
@@ -973,19 +911,9 @@ void GuestKernel::retire(Tid t) {
   last_finish_ = sim_.now();
   ++done_count_;
   sim_.note_progress();
-  VcpuCtx& c = vcpus_[th.vcpu];
-  c.current = kNoTid;
-  if (c.quantum_ev.valid()) {
-    sim_.cancel(c.quantum_ev);
-    c.quantum_ev = {};
-  }
-  note_trace(sim::TraceCat::kGuest,
-             [t] { return "t" + std::to_string(t) + " done"; });
-  if (all_threads_done() && all_done_) {
-    Cont cb = std::move(all_done_);
-    cb();
-  }
-  if (c.online) schedule_vcpu(th.vcpu);
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kGuest,
+                  [t] { return "t" + std::to_string(t) + " done"; });
+  vacate(th.vcpu);
 }
 
 }  // namespace asman::guest

@@ -24,10 +24,18 @@
 // "activity" (a timed burn or a spinlock spin); activities only progress
 // while their VCPU is online. Continuations sequence multi-step kernel
 // paths such as futex wake chains. A continuation is a move-only
-// sim::InlineFunction whose closure carries scalars only; a path that must
-// run a caller's continuation when it ends parks it in the thread's
-// `path_done` slot instead of capturing it, so no closure nests another
-// callable and none outgrows the inline buffer.
+// sim::InlineFunction whose closure carries scalars only. Each thread has
+// one continuation slot, filled by park() and emptied by unpark(): a path
+// that must run a caller's continuation when it ends parks it there
+// instead of capturing it, and a thread that blocks or yields parks what
+// it runs once scheduled again. So no closure nests another callable and
+// none outgrows the inline buffer.
+//
+// Each job has one implementation: vacate() takes a thread off its VCPU
+// (block, yield, retire, quantum preemption), sleep_on() ends every sleep
+// and wake_chain() every wake-up, irqs_masked() says whether a tick or a
+// preemption must wait, and balance_target() picks the remote runqueue of
+// both load-balance probes (tick and sched_yield).
 #pragma once
 
 #include <cstdint>
@@ -39,7 +47,6 @@
 #include "guest/observer.h"
 #include "guest/program.h"
 #include "simcore/inline_function.h"
-#include "simcore/rng.h"
 #include "simcore/simulator.h"
 #include "simcore/trace.h"
 #include "vmm/ports.h"
@@ -56,7 +63,7 @@ class GuestKernel final : public vmm::GuestPort {
 
   struct Config {
     std::uint32_t n_vcpus{4};
-    std::uint64_t seed{1};
+    std::uint64_t seed{1};  // set by every scenario; the kernel draws no RNG
 
     // Timer tick (Linux 2.6.18 HZ=250 -> 4 ms). Pre-tickless kernels wake
     // even idle (halted) VCPUs at every tick to run the handler, which
@@ -131,17 +138,13 @@ class GuestKernel final : public vmm::GuestPort {
   Tid spawn(std::unique_ptr<ThreadProgram> prog, std::uint32_t vcpu);
   /// Set the spinlock observer (the Monitoring Module); may be null.
   void set_observer(SpinlockObserver* obs) { observer_ = obs; }
-  /// Invoked once when every spawned thread has retired.
-  void set_all_done(Cont cb) { all_done_ = std::move(cb); }
 
   // --- vmm::GuestPort ---
   void vcpu_online(std::uint32_t vidx) override;
   void vcpu_offline(std::uint32_t vidx) override;
 
   // --- introspection ---
-  const Config& config() const { return cfg_; }
   const GuestStats& stats() const { return stats_; }
-  GuestStats& stats() { return stats_; }
   vmm::VmId vm_id() const { return vm_id_; }
   std::uint32_t num_vcpus() const { return cfg_.n_vcpus; }
   std::size_t num_threads() const { return user_thread_count_; }
@@ -174,8 +177,9 @@ class GuestKernel final : public vmm::GuestPort {
     std::unique_ptr<ThreadProgram> prog;  // null for IRQ pseudo-threads
     TState state{TState::kReady};
     Activity act;
-    Cont wake_cont;  // continuation to run when a blocked thread wakes
-    Cont path_done;  // parked continuation of the kernel path in progress
+    // Parked continuation: the end of the kernel path in progress, or what
+    // a blocked or yielded thread runs once it is scheduled again.
+    Cont parked;
     std::vector<Tid> woken;  // this waker's futex_wake batch (wake_chain)
     Cycles finish_time{};
   };
@@ -248,6 +252,10 @@ class GuestKernel final : public vmm::GuestPort {
   // execution primitives
   bool is_executing(Tid t) const;
   Tid executing_on(std::uint32_t v) const;
+  /// Interrupts are masked on `v`: a tick handler runs, or the current
+  /// thread spins on or holds a kernel lock. Ticks and quantum preemption
+  /// wait until the section ends.
+  bool irqs_masked(std::uint32_t v) const;
   void activate(Tid t);
   void deactivate(Tid t);
   /// Burn `len` cycles on `t`, then run `done`, which is built directly
@@ -259,13 +267,17 @@ class GuestKernel final : public vmm::GuestPort {
   /// be in a kBurn activity. Its `done` is replaced by `instead`.
   void repurpose_burn(Tid t, Cycles extra, Cont instead);
 
-  /// Park `done` as `t`'s kernel-path continuation; take it back when the
-  /// path ends. Closures along the path then capture scalars only.
+  /// Park `done` in `t`'s continuation slot; take it back when the path
+  /// ends or the thread runs again. Closures then capture scalars only.
   void park(Tid t, Cont done);
   Cont unpark(Tid t);
 
   // spinlocks
   std::uint32_t create_spinlock(LockKind kind, std::uint32_t index);
+  /// A futex queue and its bucket lock, named after object `index`.
+  std::uint32_t create_futex(LockKind kind, std::uint32_t index);
+  /// Position of `t` in `l`'s waiters; waiters.size() when it is absent.
+  static std::size_t waiter_index(const SpinLock& l, Tid t);
   /// "timer", "rq:N", "futex:mN", "futex:bN" or "futex:sN".
   std::string lock_name(std::uint32_t lock) const;
   void lock_acquire(Tid t, std::uint32_t lock, Acquired acquired);
@@ -279,16 +291,33 @@ class GuestKernel final : public vmm::GuestPort {
   /// bucket lock); continue with `on_wake` once woken, or at once when the
   /// word already moved on.
   void futex_wait(Tid t, std::uint32_t fq, std::uint64_t val, Cont on_wake);
+  /// Tail of every sleep, entered holding `fq`'s bucket lock with the wake
+  /// continuation parked: join the sleepers, drop the bucket lock, hold the
+  /// own runqueue lock for kRqWakeHold (schedule()), then block.
+  void sleep_on(Tid t, std::uint32_t fq);
   void futex_wake(Tid t, std::uint32_t fq, std::uint32_t n, Cont done);
+  /// Move the first `k` sleepers of `fq` into `waker`'s woken batch.
+  void take_sleepers(Tid waker, std::uint32_t fq, std::size_t k);
   /// Make `waker`'s woken threads ready from index `i` on, each under its
   /// runqueue lock, then continue with `done`.
   void wake_chain(Tid waker, std::size_t i, Cont done);
-  void block_current(Tid t, Cont on_wake);
+  /// Block the current thread `t`; once made ready and scheduled it runs
+  /// its parked continuation.
+  void block_current(Tid t);
   void make_ready(Tid t);
 
   // scheduling inside the guest
   void schedule_vcpu(std::uint32_t v);
+  /// Take the current thread off `v` (its state is already set): drop the
+  /// quantum timer and, when `v` is online, run the next ready thread.
+  void vacate(std::uint32_t v);
   void preempt_quantum(std::uint32_t v);
+  /// Load balancing (rebalance_tick, idle_balance): the VCPU whose
+  /// runqueue lock the `count`-th balance occasion on `v` probes, rotating
+  /// over the others, when every `every`-th occasion probes (0 = never);
+  /// `v` itself when this occasion does not.
+  std::uint32_t balance_target(std::uint32_t v, std::uint64_t count,
+                               std::uint32_t every) const;
   void arm_quantum(std::uint32_t v);
   void arm_tick(std::uint32_t v);
   void run_tick(std::uint32_t v);
@@ -306,35 +335,27 @@ class GuestKernel final : public vmm::GuestPort {
   /// Take mutex `mtx` (futex loop while contended), hold it for `hold`,
   /// unlock it, and go on with the thread's next op.
   void mutex_lock_hold(Tid t, std::uint32_t mtx, Cycles hold);
-  void mutex_unlock(Tid t, std::uint32_t mtx, Cont done);
+  /// Unlock mutex `mtx`, waking one sleeper if any, then the next op.
+  void mutex_unlock(Tid t, std::uint32_t mtx);
   void op_barrier(Tid t, std::uint32_t bar);
   void barrier_spin_loop(Tid t, std::uint32_t bar, std::uint64_t gen,
                          Cycles spun);
   /// sched_yield semantics: rotate to the next ready thread on this VCPU
-  /// (if any) and continue with `resume` when scheduled again.
-  void yield_cpu(Tid t, Cont resume);
-  void barrier_release(Tid t, Barrier& b, Cont done);
+  /// (if any) and run the parked continuation when scheduled again.
+  void yield_cpu(Tid t);
+  /// Last arrival: release `b`'s spinners and sleepers, then the next op.
+  void barrier_release(Tid t, Barrier& b);
   void op_sem_wait(Tid t, std::uint32_t s);
   void op_sem_post(Tid t, std::uint32_t s);
   void op_sleep(Tid t, Cycles len);
   void retire(Tid t);
-
-  /// Emit a trace record whose text `msg()` builds. `msg` runs only when a
-  /// trace is attached and enabled, so tracing off formats nothing.
-  template <typename MakeMsg>
-  void note_trace(sim::TraceCat cat, MakeMsg&& msg) {
-    if (trace_ != nullptr && trace_->enabled())
-      trace_->emit(sim_.now(), cat, msg());
-  }
 
   sim::Simulator& sim_;
   vmm::HypervisorPort& hv_;
   vmm::VmId vm_id_;
   Config cfg_;
   sim::Trace* trace_;
-  sim::Rng rng_;
   SpinlockObserver* observer_{nullptr};
-  Cont all_done_;
 
   std::vector<VcpuCtx> vcpus_;
   std::vector<std::unique_ptr<Thread>> threads_;
@@ -354,12 +375,13 @@ class GuestKernel final : public vmm::GuestPort {
 };
 
 /// Trivial guest for administrator/idle VMs (the paper's Domain-0 carries
-/// no workload): halts every VCPU immediately and keeps them halted.
+/// no workload): halts every VCPU immediately and keeps them halted, so it
+/// needs no per-VCPU state and ignores the VCPU count.
 class IdleGuest final : public vmm::GuestPort {
  public:
   IdleGuest(sim::Simulator& simulation, vmm::HypervisorPort& hypervisor,
-            vmm::VmId vm_id, std::uint32_t n_vcpus)
-      : sim_(simulation), hv_(hypervisor), vm_(vm_id), n_(n_vcpus) {}
+            vmm::VmId vm_id, std::uint32_t /*n_vcpus*/)
+      : sim_(simulation), hv_(hypervisor), vm_(vm_id) {}
 
   void vcpu_online(std::uint32_t vidx) override {
     // Block as soon as the scheduler lets go of its internal state.
@@ -372,7 +394,6 @@ class IdleGuest final : public vmm::GuestPort {
   sim::Simulator& sim_;
   vmm::HypervisorPort& hv_;
   vmm::VmId vm_;
-  std::uint32_t n_;
 };
 
 }  // namespace asman::guest

@@ -62,6 +62,12 @@ class ASMAN_CAPABILITY("simulator") Simulator {
   /// Cancel a pending event; safe to call with an already-fired id.
   bool cancel(EventId id) { return queue_.cancel(id); }
 
+  /// Cancel a one-shot timer and forget its id (no-op when none is armed).
+  void cancel_timer(EventId& id) {
+    if (id.valid()) cancel(id);
+    id = {};
+  }
+
   /// True while `id` is scheduled and neither fired nor cancelled.
   bool pending(EventId id) const { return queue_.pending(id); }
 

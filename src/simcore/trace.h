@@ -53,4 +53,11 @@ class Trace {
   std::vector<TraceRecord> records_;
 };
 
+/// Emit a record at `at` whose text `msg()` builds. `msg` runs only when
+/// `trace` is attached and enabled, so tracing off formats nothing.
+template <typename MakeMsg>
+void note_trace(Trace* trace, Cycles at, TraceCat cat, MakeMsg&& msg) {
+  if (trace != nullptr && trace->enabled()) trace->emit(at, cat, msg());
+}
+
 }  // namespace asman::sim

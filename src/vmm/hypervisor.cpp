@@ -203,7 +203,7 @@ void Hypervisor::demote_vm(Vm& v, const char* why) {
   v.degraded = true;
   v.degraded_until = sim_.now() + slot_len_ * kDemoteBackoffSlots;
   ++v.demotions;
-  note_trace(sim::TraceCat::kMonitor, [&] {
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kMonitor, [&] {
     return v.name + " demoted to stock credit treatment (" + why + ")";
   });
   // Strip gang privileges immediately: cancel the boosts and let every
@@ -237,7 +237,7 @@ bool Hypervisor::grant_boost(Vm& m) {
       resilience_.boost_limit) {
     m.boost_penalty_until = now + slot_len_ * kBoostPenaltySlots;
     ++m.boost_denials;
-    note_trace(sim::TraceCat::kMonitor, [&] {
+    sim::note_trace(trace_, sim_.now(), sim::TraceCat::kMonitor, [&] {
       return m.name + " BOOST rate limit hit (abuse suspected)";
     });
     return false;
@@ -262,7 +262,7 @@ void Hypervisor::degradation_tick(Vm& v) {
     v.degraded = false;
     v.flaps = {};
     v.watchdog_streak = 0;
-    note_trace(sim::TraceCat::kMonitor, [&] {
+    sim::note_trace(trace_, sim_.now(), sim::TraceCat::kMonitor, [&] {
       return v.name + " degraded state lifted";
     });
     // While degraded the members ran under stock rules and may have drifted
@@ -279,7 +279,7 @@ void Hypervisor::degradation_tick(Vm& v) {
     v.vcrd = Vcrd::kLow;
     v.vcrd_high_time += now - v.vcrd_high_since;
     ++v.stale_vcrd_drops;
-    note_trace(sim::TraceCat::kMonitor, [&] {
+    sim::note_trace(trace_, sim_.now(), sim::TraceCat::kMonitor, [&] {
       return v.name + " VCRD stale -> LOW (TTL)";
     });
   }
@@ -309,7 +309,7 @@ void Hypervisor::gang_watchdog_fire(VmId id) {
   if (running > 0 && absent > 0) {
     ++gang_watchdog_fires_;
     ++v.watchdog_streak;
-    note_trace(sim::TraceCat::kCosched, [&] {
+    sim::note_trace(trace_, sim_.now(), sim::TraceCat::kCosched, [&] {
       return v.name + " gang watchdog: partial gang released";
     });
     if (v.watchdog_streak >= kWatchdogDemoteAfter) {
@@ -336,7 +336,7 @@ void Hypervisor::ipi_ack_check(VmId vm_id, std::uint32_t vidx,
   if (sib.state != VcpuState::kRunnable || sib.cosched_boost) return;
   if (attempt > kIpiMaxRetries) {
     ++gang_ipi_aborts_;
-    note_trace(sim::TraceCat::kCosched, [&] {
+    sim::note_trace(trace_, sim_.now(), sim::TraceCat::kCosched, [&] {
       return v.name + " gang start abandoned for this slot (" +
              key_str(sib.key) + " unreachable after retries)";
     });
@@ -344,7 +344,7 @@ void Hypervisor::ipi_ack_check(VmId vm_id, std::uint32_t vidx,
   }
   ++ipi_retries_;
   const std::uint32_t vector = vm_id * 2 + (strong ? 1u : 0u);
-  note_trace(sim::TraceCat::kCosched, [&] {
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kCosched, [&] {
     return "IPI retry " + std::to_string(attempt) + " for " + key_str(sib.key);
   });
   ipi_.send(sib.where, sib.where, vector);
@@ -457,7 +457,7 @@ void Hypervisor::note_migration(Vcpu& v, PcpuId from, PcpuId to) {
   const Credit debit = static_cast<Credit>(
       (static_cast<__int128>(pen.v) * kCreditPerSlot) / slot_len_.v);
   v.credit = std::max<Credit>(v.credit - debit, -credit_cap_);
-  note_trace(sim::TraceCat::kSched, [&] {
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kSched, [&] {
     return key_str(v.key) + " " + std::string(hw::to_string(hop)) +
            " migration P" + std::to_string(from) + "->P" + std::to_string(to) +
            " penalty=" + std::to_string(pen.v);
@@ -695,7 +695,8 @@ void Hypervisor::do_accounting() {
     // placement drift of a gang that is gang-scheduled right now.
     if (cosched_eligible(v)) relocate_vm(v);
   }
-  note_trace(sim::TraceCat::kCredit, [] { return "accounting done"; });
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kCredit,
+                  [] { return "accounting done"; });
 }
 
 // --- audited mutation seam --------------------------------------------------
@@ -734,7 +735,7 @@ void Hypervisor::go_online(PcpuId p, Vcpu* v) {
   v->online_since = sim_.now();
   v->slice_start = sim_.now();
   ++context_switches_;
-  note_trace(sim::TraceCat::kSched, [&] {
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kSched, [&] {
     return key_str(v->key) + " online on P" + std::to_string(p);
   });
   Vm& owner = vm(v->key.vm);
@@ -755,7 +756,7 @@ Vcpu* Hypervisor::unmap_current(PcpuId p) {
   v->ever_ran = true;
   v->cache_home = p;
   v->cache_home_at = sim_.now();
-  note_trace(sim::TraceCat::kSched, [&] {
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kSched, [&] {
     return key_str(v->key) + " offline from P" + std::to_string(p);
   });
   Vm& owner = vm(v->key.vm);
@@ -998,7 +999,7 @@ void Hypervisor::dispatch_idle(PcpuId first) {
 void Hypervisor::refresh_cosched_boost(Vcpu& v, bool weak) {
   v.cosched_boost = true;
   v.cosched_weak = weak;
-  cancel_timer(v.cosched_clear_ev);
+  sim_.cancel_timer(v.cosched_clear_ev);
   v.cosched_clear_ev = sim_.after(slot_len_, [this, &v] {
     v.cosched_boost = false;
     v.cosched_clear_ev = {};
@@ -1018,9 +1019,10 @@ void Hypervisor::preempt_current(PcpuId p) {
 void Hypervisor::co_stop(Vm& v) {
   if (in_co_stop_) return;
   in_co_stop_ = true;
-  note_trace(sim::TraceCat::kCosched, [&] { return v.name + " co-stop"; });
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kCosched,
+                  [&] { return v.name + " co-stop"; });
   for (Vcpu& w : v.vcpus) {
-    cancel_timer(w.cosched_clear_ev);
+    sim_.cancel_timer(w.cosched_clear_ev);
     w.cosched_boost = false;
     w.cosched_weak = false;
   }
@@ -1047,7 +1049,7 @@ void Hypervisor::launch_cosched(PcpuId from, Vcpu& head) {
   // but must not displace UNDER VCPUs of other VMs.
   const bool strong =
       head.credit >= 0 || (head.cosched_boost && !head.cosched_weak);
-  note_trace(sim::TraceCat::kCosched, [&] {
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kCosched, [&] {
     return "cosched launch " + gang.name + " from P" + std::to_string(from) +
            (strong ? " (strong)" : " (weak)");
   });
@@ -1117,7 +1119,7 @@ void Hypervisor::ipi_handler(PcpuId target, std::uint32_t vector) {
   in_scheduler_ = true;
   go_online(target, sib);
   in_scheduler_ = false;
-  note_trace(sim::TraceCat::kCosched, [&] {
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kCosched, [&] {
     return key_str(sib->key) + " cosched-boosted on P" + std::to_string(target);
   });
   audit_event(AuditPoint::kIpi);
@@ -1201,7 +1203,7 @@ void Hypervisor::do_vcrd_op(VmId id, Vcrd vcrd) {
   if (halted_ || id >= vms_.size() || !vms_[id]->alive ||
       (vcrd != Vcrd::kLow && vcrd != Vcrd::kHigh)) {
     ++hypercall_rejects_;
-    note_trace(sim::TraceCat::kMonitor, [&] {
+    sim::note_trace(trace_, sim_.now(), sim::TraceCat::kMonitor, [&] {
       return "do_vcrd_op rejected (vm=" + std::to_string(id) + " vcrd=" +
              std::to_string(static_cast<int>(vcrd)) + ")";
     });
@@ -1221,7 +1223,7 @@ void Hypervisor::do_vcrd_op(VmId id, Vcrd vcrd) {
         v.yields.recent(sim_.now(), slot_len_ * kVcrdCheckSlots);
     if (recent < resilience_.vcrd_min_yields) {
       ++v.implausible_vcrds;
-      note_trace(sim::TraceCat::kMonitor, [&] {
+      sim::note_trace(trace_, sim_.now(), sim::TraceCat::kMonitor, [&] {
         return v.name + " VCRD HIGH claim rejected (" + std::to_string(recent) +
                " recent yields < " +
                std::to_string(resilience_.vcrd_min_yields) + ")";
@@ -1240,7 +1242,7 @@ void Hypervisor::do_vcrd_op(VmId id, Vcrd vcrd) {
   } else {
     v.vcrd_high_time += sim_.now() - v.vcrd_high_since;
   }
-  note_trace(sim::TraceCat::kMonitor, [&] {
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kMonitor, [&] {
     return v.name + " VCRD -> " + to_string(vcrd);
   });
   on_vcrd_changed(v, previous);
@@ -1369,7 +1371,8 @@ void Hypervisor::relocate_vm(Vm& v) {
     move_home(c, dest);
     claimed[dest] = true;
   }
-  note_trace(sim::TraceCat::kCosched, [&] { return v.name + " relocated"; });
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kCosched,
+                  [&] { return v.name + " relocated"; });
   audit_relocated(v.id);
 }
 
@@ -1378,14 +1381,14 @@ void Hypervisor::relocate_vm(Vm& v) {
 void Hypervisor::fault_pcpu_offline(PcpuId p) {
   if (p >= machine_.num_pcpus || !pcpus_[p].online) return;
   if (online_pcpus_ <= 1) {
-    note_trace(sim::TraceCat::kSched, [&] {
+    sim::note_trace(trace_, sim_.now(), sim::TraceCat::kSched, [&] {
       return "P" + std::to_string(p) + " offline refused (last online PCPU)";
     });
     return;
   }
   faults_armed_ = true;
   ++pcpu_offline_events_;
-  note_trace(sim::TraceCat::kSched, [&] {
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kSched, [&] {
     return "P" + std::to_string(p) + " offline";
   });
   PcpuRec& pc = pcpus_[p];
@@ -1432,7 +1435,7 @@ void Hypervisor::fault_pcpu_online(PcpuId p) {
   if (p >= machine_.num_pcpus || pcpus_[p].online) return;
   pcpus_[p].online = true;
   ++online_pcpus_;
-  note_trace(sim::TraceCat::kSched, [&] {
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kSched, [&] {
     return "P" + std::to_string(p) + " online";
   });
   in_scheduler_ = true;
@@ -1457,7 +1460,7 @@ void Hypervisor::fault_crash_vcpu(VmId vm_id, std::uint32_t vidx) {
   if (v.crashed) return;
   v.crashed = true;
   faults_armed_ = true;
-  note_trace(sim::TraceCat::kSched, [&] {
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kSched, [&] {
     return key_str(v.key) + " crashed";
   });
   in_scheduler_ = true;

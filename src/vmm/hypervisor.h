@@ -609,13 +609,6 @@ class Hypervisor : public HypervisorPort {
   bool is_schedulable(const Vcpu& v) const;
   /// True if placing a VCPU of `vm_id` on `p` would co-locate gang members.
   bool would_collide(VmId vm_id, PcpuId p) const;
-  /// Emit a trace record whose text `msg()` builds. `msg` runs only when a
-  /// trace is attached and enabled, so tracing off formats nothing.
-  template <typename MakeMsg>
-  void note_trace(sim::TraceCat cat, MakeMsg&& msg) {
-    if (trace_ != nullptr && trace_->enabled())
-      trace_->emit(sim_.now(), cat, msg());
-  }
 
   // --- topology placement & migration cost (topology-gated) ------------------
   /// Cost model active: any multi-domain topology pays migration penalties,
@@ -775,11 +768,6 @@ class Hypervisor : public HypervisorPort {
   }
   void audit_contention() {
     if (audit_) audit_->on_contention();
-  }
-  /// Cancel a pending one-shot timer and forget its id (no-op when none).
-  void cancel_timer(sim::EventId& ev) {
-    if (ev.valid()) sim_.cancel(ev);
-    ev = {};
   }
   /// Sum of one per-VM counter over every VM, tombstones included.
   std::uint64_t sum_vms(std::uint64_t Vm::*field) const {

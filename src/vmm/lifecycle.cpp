@@ -165,7 +165,7 @@ VmId Hypervisor::create_vm(std::string name, std::uint32_t weight,
   // proof's assumptions behind.
   weight = core::clamp_to_bounds(core::field::weight, weight);
   if (n_vcpus > kMaxVmVcpus) {
-    note_trace(sim::TraceCat::kSched, [&] {
+    sim::note_trace(trace_, sim_.now(), sim::TraceCat::kSched, [&] {
       return name + " rejected: n_vcpus " + std::to_string(n_vcpus) +
              " outside the bounds spec";
     });
@@ -173,7 +173,7 @@ VmId Hypervisor::create_vm(std::string name, std::uint32_t weight,
   }
   double load = 0.0;
   if (!admit(n_vcpus, weight, load)) {
-    note_trace(sim::TraceCat::kSched, [&] {
+    sim::note_trace(trace_, sim_.now(), sim::TraceCat::kSched, [&] {
       char buf[128];
       std::snprintf(buf, sizeof buf,
                     "admission reject: %s (+%u VCPUs would load %.2f/%.2f "
@@ -205,7 +205,7 @@ VmId Hypervisor::create_vm(std::string name, std::uint32_t weight,
   weighted_vcpus_ += static_cast<std::uint64_t>(n_vcpus) * weight;
   if (started_) {
     ++vm_creates_;
-    note_trace(sim::TraceCat::kSched, [&] {
+    sim::note_trace(trace_, sim_.now(), sim::TraceCat::kSched, [&] {
       return vm(id).name + " hot-created (" + std::to_string(n_vcpus) +
              " VCPUs, weight " + std::to_string(weight) + ")";
     });
@@ -229,7 +229,7 @@ void Hypervisor::defer_dispatch_idle() {
 }
 
 bool Hypervisor::evict_vcpu(Vcpu& w) {
-  cancel_timer(w.cosched_clear_ev);
+  sim_.cancel_timer(w.cosched_clear_ev);
   w.cosched_boost = false;
   w.cosched_weak = false;
   w.wake_boost = false;
@@ -274,7 +274,7 @@ void Hypervisor::retire_vm(Vm& v) {
   v.destroyed_at = sim_.now();
   const bool was = in_scheduler_;
   in_scheduler_ = true;
-  cancel_timer(v.watchdog_ev);
+  sim_.cancel_timer(v.watchdog_ev);
   if (v.vcrd == Vcrd::kHigh) {  // close the HIGH interval for statistics
     v.vcrd_high_time += sim_.now() - v.vcrd_high_since;
     v.vcrd = Vcrd::kLow;
@@ -297,7 +297,8 @@ bool Hypervisor::destroy_vm(VmId id) {
   if (id >= vms_.size() || !vms_[id]->alive) return false;
   Vm& v = *vms_[id];
   ++vm_destroys_;
-  note_trace(sim::TraceCat::kSched, [&] { return v.name + " destroyed"; });
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kSched,
+                  [&] { return v.name + " destroyed"; });
   retire_vm(v);
   return true;
 }
@@ -313,7 +314,7 @@ bool Hypervisor::resize_vm(VmId id, std::uint32_t n_vcpus) {
   if (n_vcpus > n_old) {
     double load = 0.0;
     if (!admit(n_vcpus - n_old, v.weight, load)) {
-      note_trace(sim::TraceCat::kSched, [&] {
+      sim::note_trace(trace_, sim_.now(), sim::TraceCat::kSched, [&] {
         char buf[128];
         std::snprintf(buf, sizeof buf,
                       "admission reject: resize %s to %u VCPUs (load "
@@ -361,7 +362,7 @@ bool Hypervisor::resize_vm(VmId id, std::uint32_t n_vcpus) {
     maybe_restore_overload();
   }
   ++vm_resizes_;
-  note_trace(sim::TraceCat::kSched, [&] {
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kSched, [&] {
     return v.name + " resized " + std::to_string(n_old) + " -> " +
            std::to_string(n_vcpus) + " VCPUs";
   });
@@ -379,7 +380,7 @@ void Hypervisor::maybe_shed_overload() {
   overload_shed_ = true;
   overload_until_ = sim_.now() + slot_len_ * kRestoreBackoffSlots;
   ++overload_sheds_;
-  note_trace(sim::TraceCat::kMonitor, [&] {
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kMonitor, [&] {
     char buf[96];
     std::snprintf(buf, sizeof buf,
                   "overload shed: coscheduling off (load %.2f/%.2f per PCPU)",
@@ -394,7 +395,7 @@ void Hypervisor::maybe_shed_overload() {
   for (auto& vp : vms_) {
     Vm& v = *vp;
     if (!v.alive) continue;
-    cancel_timer(v.watchdog_ev);
+    sim_.cancel_timer(v.watchdog_ev);
     if (wants_cosched(v) && !v.degraded) co_stop(v);
   }
   in_scheduler_ = was;
@@ -407,7 +408,7 @@ void Hypervisor::maybe_restore_overload() {
   if (load > kRestoreLevel * admission_.max_vcpus_per_pcpu) return;
   overload_shed_ = false;
   ++overload_restores_;
-  note_trace(sim::TraceCat::kMonitor, [&] {
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kMonitor, [&] {
     char buf[96];
     std::snprintf(buf, sizeof buf,
                   "overload restored: coscheduling on (load %.2f/%.2f per "

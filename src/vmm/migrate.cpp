@@ -38,7 +38,7 @@ bool Hypervisor::pause_vm(VmId id) {
   v.paused = true;
   const bool was = in_scheduler_;
   in_scheduler_ = true;
-  cancel_timer(v.watchdog_ev);
+  sim_.cancel_timer(v.watchdog_ev);
   std::vector<PcpuId> freed;
   for (Vcpu& w : v.vcpus) {
     const bool held_work =
@@ -48,7 +48,8 @@ bool Hypervisor::pause_vm(VmId id) {
   }
   redispatch_freed(freed);
   in_scheduler_ = was;
-  note_trace(sim::TraceCat::kSched, [&] { return v.name + " paused"; });
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kSched,
+                  [&] { return v.name + " paused"; });
   audit_event(AuditPoint::kLifecycle);
   return true;
 }
@@ -74,7 +75,8 @@ bool Hypervisor::resume_vm(VmId id) {
   respread_gang(v);
   dispatch_idle(0);
   in_scheduler_ = was;
-  note_trace(sim::TraceCat::kSched, [&] { return v.name + " resumed"; });
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kSched,
+                  [&] { return v.name + " resumed"; });
   audit_event(AuditPoint::kLifecycle);
   return true;
 }
@@ -93,7 +95,8 @@ MigrationTicket Hypervisor::migrate_out(VmId id) {
     t.credit_pool += static_cast<__int128>(w.credit);
   // Retire the local records exactly like destroy_vm.
   ++vm_migrations_out_;
-  note_trace(sim::TraceCat::kSched, [&] { return v.name + " migrated out"; });
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kSched,
+                  [&] { return v.name + " migrated out"; });
   retire_vm(v);
   return t;
 }
@@ -106,7 +109,7 @@ VmId Hypervisor::migrate_in(const MigrationTicket& t, __int128* seeded) {
   const __int128 s = seed_credit(id, t.credit_pool);
   if (seeded) *seeded = s;
   ++vm_migrations_in_;
-  note_trace(sim::TraceCat::kSched, [&] {
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kSched, [&] {
     return vm(id).name + " migrated in";
   });
   audit_event(AuditPoint::kLifecycle);
@@ -140,7 +143,7 @@ void Hypervisor::halt() {
   std::vector<PcpuId> freed;
   for (auto& vp : vms_) {
     Vm& v = *vp;
-    cancel_timer(v.watchdog_ev);
+    sim_.cancel_timer(v.watchdog_ev);
     if (!v.alive) continue;
     for (Vcpu& w : v.vcpus)
       if (park_vcpu(w)) freed.push_back(w.where);
@@ -151,7 +154,8 @@ void Hypervisor::halt() {
   for (PcpuId p = 0; p < machine_.num_pcpus; ++p)
     assert(pcpus_[p].current == nullptr);
   in_scheduler_ = was;
-  note_trace(sim::TraceCat::kSched, [] { return "host halted"; });
+  sim::note_trace(trace_, sim_.now(), sim::TraceCat::kSched,
+                  [] { return "host halted"; });
   audit_event(AuditPoint::kFault);
 }
 

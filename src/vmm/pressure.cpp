@@ -45,7 +45,7 @@ void Hypervisor::set_vm_footprint(VmId id, const hw::memsys::MemFootprint& fp) {
     for (const hw::ConfigIssue& issue :
          hw::validate_footprint_config(machine_, /*footprint_declared=*/true)) {
       ++footprint_config_errors_;
-      note_trace(sim::TraceCat::kSched, [&] {
+      sim::note_trace(trace_, sim_.now(), sim::TraceCat::kSched, [&] {
         return "footprint config error: " + issue.what;
       });
     }
@@ -199,7 +199,7 @@ void Hypervisor::maybe_rebalance_pressure() {
   if (rebalance_vm_to_socket(*victim, cool)) {
     ++pressure_rebalances_;
     last_pressure_rebalance_period_ = pressure_periods_;
-    note_trace(sim::TraceCat::kSched, [&] {
+    sim::note_trace(trace_, sim_.now(), sim::TraceCat::kSched, [&] {
       return victim->name + " rebalanced to socket " + std::to_string(cool) +
              " (pressure)";
     });

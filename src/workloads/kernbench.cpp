@@ -7,12 +7,12 @@ using guest::Op;
 struct KernbenchWorkload::Shared {
   KernbenchParams p;
   sim::Simulator* sim{nullptr};
+  Workload* log{nullptr};  // the owner: one round per pass
   std::uint32_t join_barrier{0};
   std::uint32_t release_barrier{0};
   std::uint32_t jobs_left{0};
   std::uint64_t compiled{0};
   std::uint32_t release_arrivals{0};
-  std::vector<Cycles> pass_times;
 };
 
 namespace {
@@ -50,8 +50,7 @@ class MakeWorker final : public guest::ThreadProgram {
       case Stage::kPassEnd:
         if (++sh_.release_arrivals == p.workers) {
           sh_.release_arrivals = 0;
-          sh_.pass_times.push_back(sh_.sim->now());
-          sh_.sim->note_progress();
+          sh_.log->record_round(*sh_.sim);
         }
         ++pass_;
         stage_ = Stage::kPull;
@@ -81,6 +80,7 @@ KernbenchWorkload::KernbenchWorkload(sim::Simulator& simulation,
       shared_(std::make_unique<Shared>()) {
   shared_->p = params_;
   shared_->sim = &sim_;
+  shared_->log = this;
   shared_->jobs_left = params_.jobs_per_pass;
 }
 
@@ -94,14 +94,6 @@ void KernbenchWorkload::deploy(guest::GuestKernel& g) {
   for (std::uint32_t w = 0; w < params_.workers; ++w)
     g.spawn(std::make_unique<MakeWorker>(*shared_, w, seeds.next()),
             w % g.num_vcpus());
-}
-
-std::uint64_t KernbenchWorkload::rounds_completed() const {
-  return shared_->pass_times.size();
-}
-
-std::vector<Cycles> KernbenchWorkload::round_times() const {
-  return shared_->pass_times;
 }
 
 std::uint64_t KernbenchWorkload::work_units() const {

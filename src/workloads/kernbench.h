@@ -44,8 +44,6 @@ class KernbenchWorkload final : public Workload {
 
   void deploy(guest::GuestKernel& g) override;
   std::string name() const override { return "kernbench"; }
-  std::uint64_t rounds_completed() const override;
-  std::vector<Cycles> round_times() const override;
   /// Jobs compiled so far.
   std::uint64_t work_units() const override;
   hw::memsys::MemFootprint footprint() const override {

@@ -9,9 +9,9 @@ using guest::Op;
 struct PhaseWorkload::Shared {
   PhaseParams p;
   sim::Simulator* sim{nullptr};
+  Workload* log{nullptr};  // the owner, whose round log this fills
   std::uint32_t global_barrier{0};
   std::vector<std::uint32_t> neighbor;  // parties-2 pipeline barriers
-  std::vector<Cycles> round_times;
   std::uint32_t round_arrivals{0};  // threads that finished the current round
 };
 
@@ -76,8 +76,7 @@ class PhaseProgram final : public guest::ThreadProgram {
           // timestamps the round.
           if (++sh_.round_arrivals == sh_.p.threads) {
             sh_.round_arrivals = 0;
-            sh_.round_times.push_back(sh_.sim->now());
-            sh_.sim->note_progress();
+            sh_.log->record_round(*sh_.sim);
           }
           ++round_;
           if (round_ < p.rounds) {
@@ -120,6 +119,7 @@ PhaseWorkload::PhaseWorkload(sim::Simulator& simulation,
       shared_(std::make_unique<Shared>()) {
   shared_->p = params_;
   shared_->sim = &sim_;
+  shared_->log = this;
 }
 
 PhaseWorkload::~PhaseWorkload() = default;
@@ -139,14 +139,6 @@ void PhaseWorkload::deploy(guest::GuestKernel& g) {
     g.spawn(std::make_unique<PhaseProgram>(*shared_, t, seeds.next()),
             t % g.num_vcpus());
   }
-}
-
-std::uint64_t PhaseWorkload::rounds_completed() const {
-  return shared_->round_times.size();
-}
-
-std::vector<Cycles> PhaseWorkload::round_times() const {
-  return shared_->round_times;
 }
 
 }  // namespace asman::workloads

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "simcore/rng.h"
+
 namespace asman::workloads {
 
 using guest::Op;
@@ -34,8 +36,8 @@ SpecCpuParams spec_bzip2_params(std::uint64_t rounds) {
 struct SpecCpuRateWorkload::Shared {
   SpecCpuParams p;
   sim::Simulator* sim{nullptr};
+  Workload* log{nullptr};  // the owner; a round ends with its slowest copy
   std::vector<std::uint64_t> copy_round;  // rounds finished per copy
-  std::vector<Cycles> round_times;        // when the slowest copy finished
 };
 
 namespace {
@@ -58,10 +60,8 @@ class CopyProgram final : public guest::ThreadProgram {
         const bool round_complete = std::all_of(
             sh_.copy_round.begin(), sh_.copy_round.end(),
             [r](std::uint64_t c) { return c >= r; });
-        if (round_complete && sh_.round_times.size() + 1 == r + 0) {
-          sh_.round_times.push_back(sh_.sim->now());
-          sh_.sim->note_progress();
-        }
+        if (round_complete && sh_.log->rounds_completed() + 1 == r)
+          sh_.log->record_round(*sh_.sim);
         if (r >= p.rounds) return Op::done();
       }
       started_ = true;
@@ -96,6 +96,7 @@ SpecCpuRateWorkload::SpecCpuRateWorkload(sim::Simulator& simulation,
       shared_(std::make_unique<Shared>()) {
   shared_->p = params_;
   shared_->sim = &sim_;
+  shared_->log = this;
   shared_->copy_round.assign(params_.copies, 0);
 }
 
@@ -106,14 +107,6 @@ void SpecCpuRateWorkload::deploy(guest::GuestKernel& g) {
   for (std::uint32_t c = 0; c < params_.copies; ++c)
     g.spawn(std::make_unique<CopyProgram>(*shared_, c, seeds.next()),
             c % g.num_vcpus());
-}
-
-std::uint64_t SpecCpuRateWorkload::rounds_completed() const {
-  return shared_->round_times.size();
-}
-
-std::vector<Cycles> SpecCpuRateWorkload::round_times() const {
-  return shared_->round_times;
 }
 
 }  // namespace asman::workloads

@@ -44,8 +44,6 @@ class SpecCpuRateWorkload final : public Workload {
 
   void deploy(guest::GuestKernel& g) override;
   std::string name() const override { return name_; }
-  std::uint64_t rounds_completed() const override;
-  std::vector<Cycles> round_times() const override;
   hw::memsys::MemFootprint footprint() const override {
     return params_.footprint;
   }

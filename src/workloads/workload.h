@@ -3,7 +3,8 @@
 // A Workload creates its synchronization objects and spawns its threads
 // into one guest kernel. Finite workloads (the NPB models, SPEC CPU rate
 // batches) end; throughput workloads (SPECjbb) run until the simulation
-// horizon and expose counters instead.
+// horizon and expose counters instead. Batch workloads repeated in rounds
+// keep their round completions in the base class's one round log.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +13,7 @@
 
 #include "guest/guest_kernel.h"
 #include "hw/memsys/footprint.h"
+#include "simcore/simulator.h"
 #include "simcore/time.h"
 #include "vmm/ports.h"
 
@@ -46,11 +48,17 @@ class Workload {
 
   /// For batch workloads repeated in rounds (paper §5.3 runs each benchmark
   /// repeatedly and averages the first 10 rounds): completion count and
-  /// per-round completion timestamps. A workload that counts rounds calls
-  /// Simulator::note_progress() whenever it records one: run_scenario
-  /// re-reads rounds_completed() only after the progress epoch moved.
-  virtual std::uint64_t rounds_completed() const { return 0; }
-  virtual std::vector<Cycles> round_times() const { return {}; }
+  /// per-round completion timestamps. Both read 0 and empty for workloads
+  /// that never record a round.
+  std::uint64_t rounds_completed() const { return round_times_.size(); }
+  const std::vector<Cycles>& round_times() const { return round_times_; }
+
+  /// Log a round completed now, and bump the progress epoch: run_scenario
+  /// re-reads rounds_completed() only after the epoch moved.
+  void record_round(sim::Simulator& simulation) {
+    round_times_.push_back(simulation.now());
+    simulation.note_progress();
+  }
 
   /// Throughput-style counters (SPECjbb transactions etc.).
   virtual std::uint64_t work_units() const { return 0; }
@@ -60,6 +68,9 @@ class Workload {
   /// a zero footprint — keeps the engine inert for this VM, so existing
   /// workloads are bit-compatible until they opt in.
   virtual hw::memsys::MemFootprint footprint() const { return {}; }
+
+ private:
+  std::vector<Cycles> round_times_;
 };
 
 }  // namespace asman::workloads

@@ -16,13 +16,15 @@
 #include "run_fingerprint.h"
 #include "simcore/simulator.h"
 #include "simcore/trace.h"
+#include "trace_blob.h"
 #include "workloads/synthetic.h"
 
 namespace asman::experiments {
 namespace {
 
-using testutil::append;
 using testutil::fingerprint;
+using testutil::fnv1a;
+using testutil::trace_blob;
 
 Cycles ms(std::uint64_t n) { return sim::kDefaultClock.from_ms(n); }
 Cycles us(std::uint64_t n) { return sim::kDefaultClock.from_us(n); }
@@ -129,44 +131,16 @@ TEST(Determinism, AuditedRunMatchesUnauditedRun) {
   EXPECT_EQ(fingerprint(run_scenario(plain)), fa);
 }
 
-/// Every trace record of a short lock-hammer run, hypervisor and guest,
-/// one per line.
-std::string trace_blob(std::uint64_t seed) {
-  sim::Simulator s;
-  sim::Trace trace;
-  trace.enable(true);
-  core::AdaptiveScheduler hv(s, small_machine(2),
-                             vmm::SchedMode::kNonWorkConserving, &trace);
-  const vmm::VmId id = hv.create_vm("V0", 256, 2);
-  guest::GuestKernel::Config gc;
-  gc.n_vcpus = 2;
-  gc.seed = seed;
-  guest::GuestKernel g(s, hv, id, gc, &trace);
-  workloads::LockHammerWorkload wl(3, 200, us(100), us(12), seed);
-  wl.deploy(g);
-  hv.attach_guest(id, &g);
-  hv.start();
-  s.run_until(ms(800));
-  std::string blob;
-  for (const sim::TraceRecord& r : trace.records())
-    append(blob, "%" PRIu64 " %s %s\n", r.at.v, sim::trace_cat_name(r.cat),
-           r.msg.c_str());
-  return blob;
+std::unique_ptr<workloads::Workload> lock_hammer(sim::Simulator&,
+                                                 std::uint64_t seed) {
+  return std::make_unique<workloads::LockHammerWorkload>(3, 200, us(100),
+                                                         us(12), seed);
 }
 
 TEST(Determinism, GuestTraceIsBitIdentical) {
-  const std::string a = trace_blob(99);
+  const std::string a = trace_blob(99, {lock_hammer});
   EXPECT_GT(a.size(), 0u);
-  EXPECT_EQ(a, trace_blob(99));
-}
-
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
+  EXPECT_EQ(a, trace_blob(99, {lock_hammer}));
 }
 
 TEST(Determinism, TraceTextIsPinned) {
@@ -174,7 +148,7 @@ TEST(Determinism, TraceTextIsPinned) {
   // site's message callable. The record count and digest were recorded
   // before the text moved into those callables; any drift in a message or
   // in which records are emitted fails here.
-  const std::string blob = trace_blob(99);
+  const std::string blob = trace_blob(99, {lock_hammer});
   EXPECT_EQ(std::count(blob.begin(), blob.end(), '\n'), 1628);
   EXPECT_EQ(fnv1a(blob), 0xE616D9567EA6985EULL);
 }

@@ -78,13 +78,13 @@ TEST(GuestExec, MultipleOpsRunInSequence) {
   EXPECT_EQ(g.last_finish_time(), Cycles{6'000});
 }
 
-TEST(GuestExec, AllDoneCallbackFiresOnce) {
+TEST(GuestExec, EachRetirementBumpsTheProgressEpoch) {
+  // Run loops learn that threads finished from the progress epoch: each
+  // retirement bumps it once.
   sim::Simulator s;
   TestHv hv(2);
   GuestKernel g(s, hv, 0, quiet_config(2));
   hv.bind(&g);
-  int calls = 0;
-  g.set_all_done([&calls] { ++calls; });
   g.spawn(std::make_unique<ScriptProgram>(
               std::vector<Op>{Op::compute(Cycles{100})}),
           0);
@@ -93,8 +93,14 @@ TEST(GuestExec, AllDoneCallbackFiresOnce) {
           1);
   hv.map(0);
   hv.map(1);
+  const std::uint64_t epoch = s.progress();
+  // Stop at the first bump: exactly one thread has retired.
+  s.run_while(Cycles{1'000'000}, [&] { return s.progress() == epoch; });
+  EXPECT_EQ(g.threads_done(), 1u);
+  EXPECT_FALSE(g.all_threads_done());
   testutil::run_guest(s, g);
-  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(s.progress() - epoch, 2u);
+  EXPECT_TRUE(g.all_threads_done());
   EXPECT_EQ(g.threads_done(), 2u);
 }
 

@@ -1,10 +1,15 @@
 // Workload models: NPB parameter table, phase model behaviour, SPEC CPU
-// rate, SPECjbb, synthetic programs.
+// rate, SPECjbb, synthetic programs, and a trace pin of the guest paths
+// they drive.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "experiments/paper.h"
 #include "experiments/scenario.h"
 #include "guest_test_util.h"
+#include "trace_blob.h"
 #include "workloads/kernbench.h"
 #include "workloads/npb.h"
 #include "workloads/speccpu.h"
@@ -16,6 +21,8 @@ namespace {
 
 using testutil::TestHv;
 using testutil::quiet_config;
+
+Cycles us(std::uint64_t n) { return sim::kDefaultClock.from_us(n); }
 
 TEST(Npb, NameRoundTrip) {
   for (NpbBenchmark b : kAllNpb) EXPECT_EQ(npb_from_name(to_string(b)), b);
@@ -252,6 +259,53 @@ TEST(Synthetic, DeterministicAcrossIdenticalDeployments) {
   };
   EXPECT_EQ(finish(11), finish(11));
   EXPECT_NE(finish(11), finish(12));
+}
+
+/// Spin-then-block join barriers: the link stage outlasts the spin budget,
+/// so waiters yield (with remote runqueue probes) and then futex-sleep.
+std::unique_ptr<Workload> short_kernbench(sim::Simulator& s,
+                                          std::uint64_t seed) {
+  KernbenchParams p;
+  p.jobs_per_pass = 16;
+  p.job_mean = us(2'000);
+  p.link_cost = us(5'000);
+  p.passes = 50;
+  return std::make_unique<KernbenchWorkload>(s, p, seed);
+}
+
+/// Semaphore down() sleeps and up() direct hand-offs.
+std::unique_ptr<Workload> ping_pong(sim::Simulator&, std::uint64_t seed) {
+  return std::make_unique<SemaphorePingPongWorkload>(1, 100'000, us(40),
+                                                     seed);
+}
+
+/// A spin-only safepoint barrier and timed daemon sleeps.
+std::unique_ptr<Workload> specjbb(sim::Simulator& s, std::uint64_t seed) {
+  return std::make_unique<SpecJbbWorkload>(s, SpecJbbParams{}, seed);
+}
+
+TEST(WorkloadTrace, GuestPathsArePinned) {
+  // Determinism.TraceTextIsPinned holds mutex futexes, ticks and spinlocks
+  // record by record. This pin holds the guest paths it misses, on a host
+  // three times over-committed: the barrier spin-and-yield loop with its
+  // remote runqueue probe and a barrier waiter's futex sleep (kernbench),
+  // the semaphore sleep and hand-off (ping-pong), and a spin-only barrier
+  // with timed sleeps (SPECjbb). The count and digest were recorded before
+  // the guest kernel's paths were folded. With asserts on, kernbench here
+  // trips lock_acquire's executing-thread assert (ROADMAP item 1), which is
+  // why the pin lives in this guest_abort-labelled suite.
+  std::vector<guest::GuestStats> stats;
+  const std::string blob =
+      testutil::trace_blob(17, {short_kernbench, ping_pong, specjbb}, &stats);
+  ASSERT_EQ(stats.size(), 3u);
+  EXPECT_GT(stats[0].barrier_kernel_sleeps, 0u);
+  EXPECT_GT(stats[0].futex_waits, 0u);
+  EXPECT_GT(stats[0].futex_wakes, 0u);
+  EXPECT_GT(stats[1].sem_waits.total(), 0u);
+  EXPECT_GT(stats[2].barrier_arrivals, 0u);
+  EXPECT_EQ(stats[2].barrier_kernel_sleeps, 0u);  // spin-only safepoints
+  EXPECT_EQ(std::count(blob.begin(), blob.end(), '\n'), 40839);
+  EXPECT_EQ(testutil::fnv1a(blob), 0xCFC33E2A49EDAA3DULL);
 }
 
 }  // namespace
