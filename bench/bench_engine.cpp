@@ -65,6 +65,33 @@ void BM_EventQueueHold(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueHold)->Arg(40)->Arg(1024);
 
+// The guest burn's shape: the queue stays `depth` deep, and each callback
+// schedules its own successor from inside itself, a short delay after its
+// own time, while it still runs in its slot (BM_EventQueueHold schedules
+// from outside the callback).
+void BM_EventQueueChain(benchmark::State& state) {
+  constexpr std::uint64_t kDelay = 100'000;
+  struct Link {
+    sim::EventQueue* q;
+    sim::SplitMix64* rng;
+    sim::Cycles at;
+    void operator()() const {
+      const sim::Cycles next{at.v + 1 + rng->next() % kDelay};
+      q->schedule(next, Link{q, rng, next});
+    }
+  };
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  sim::SplitMix64 rng(42);
+  sim::EventQueue q;
+  for (std::size_t i = 0; i < depth; ++i) {
+    const sim::Cycles at{rng.next() % kDelay};
+    q.schedule(at, Link{&q, &rng, at});
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(q.pop_and_run());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueChain)->Arg(40);
+
 // cluster_storm's shape: `ticks` periodic timers staggered across one
 // period, each re-armed one period ahead when it fires, above 600 keys far
 // in the future (the storm's fleet operations, all armed at t = 0).

@@ -136,8 +136,9 @@ void GuestKernel::activate(Tid t) {
     case ActKind::kNone:
       return;
     case ActKind::kBurn:
+      assert(a.held && "the burn's event is already scheduled");
       a.started_at = sim_.now();
-      a.ev = sim_.after(a.remaining, [this, t] { burn_complete(t); });
+      a.ev = sim_.after(a.remaining, std::move(a.held));
       return;
     case ActKind::kSpin: {
       SpinLock& l = locks_[a.lock];
@@ -170,7 +171,8 @@ void GuestKernel::deactivate(Tid t) {
   Thread& th = *threads_[t];
   Activity& a = th.act;
   if (a.kind == ActKind::kBurn && a.ev.valid()) {
-    sim_.cancel_timer(a.ev);
+    a.held = sim_.withdraw(a.ev);
+    a.ev = {};
     a.remaining = sim::saturating_sub(a.remaining, sim_.now() - a.started_at);
   }
   // kSpin: wall-clock waiting continues; nothing to pause.
@@ -178,35 +180,38 @@ void GuestKernel::deactivate(Tid t) {
 
 template <typename F>
 void GuestKernel::burn(Tid t, Cycles len, bool kernel, F&& done) {
-  Thread& th = *threads_[t];
-  assert(th.act.kind == ActKind::kNone && "thread already has an activity");
-  th.act.kind = ActKind::kBurn;
-  th.act.kernel = kernel;
-  th.act.remaining = len;
-  th.act.done = std::forward<F>(done);
-  th.act.ev = {};
-  if (is_executing(t)) activate(t);
+  Activity& a = threads_[t]->act;
+  assert(a.kind == ActKind::kNone && "thread already has an activity");
+  a.kind = ActKind::kBurn;
+  a.kernel = kernel;
+  a.remaining = len;
+  // The completion epilogue: end the activity, run `done`, then deliver
+  // the tick or preemption the burn held off.
+  auto complete = [this, t, done = std::forward<F>(done)]() mutable {
+    Thread& th = *threads_[t];
+    th.act.ev = {};
+    th.act.kind = ActKind::kNone;
+    done();
+    maybe_deliver_pending(th.vcpu);
+  };
+  static_assert(sim::fits_inline<decltype(complete)>,
+                "a burn's event must fit InlineFunction's buffer");
+  if (is_executing(t)) {
+    a.started_at = sim_.now();
+    a.ev = sim_.after(len, std::move(complete));
+  } else {
+    a.held = std::move(complete);
+  }
 }
 
-void GuestKernel::burn_complete(Tid t) {
-  Thread& th = *threads_[t];
-  assert(th.act.kind == ActKind::kBurn);
-  th.act.ev = {};
-  th.act.kind = ActKind::kNone;
-  Cont done = std::move(th.act.done);
-  done();
-  maybe_deliver_pending(th.vcpu);
-}
-
-void GuestKernel::repurpose_burn(Tid t, Cycles extra, Cont instead) {
-  Thread& th = *threads_[t];
-  assert(th.act.kind == ActKind::kBurn);
-  sim_.cancel_timer(th.act.ev);
-  th.act.kind = ActKind::kBurn;
-  th.act.kernel = false;
-  th.act.remaining = extra;
-  th.act.done = std::move(instead);
-  if (is_executing(t)) activate(t);
+template <typename F>
+void GuestKernel::repurpose_burn(Tid t, Cycles extra, F&& instead) {
+  Activity& a = threads_[t]->act;
+  assert(a.kind == ActKind::kBurn && !a.kernel);
+  sim_.cancel_timer(a.ev);
+  a.held = nullptr;
+  a.kind = ActKind::kNone;
+  burn(t, extra, false, std::forward<F>(instead));
 }
 
 void GuestKernel::park(Tid t, Cont done) {
@@ -357,7 +362,7 @@ void GuestKernel::futex_wait(Tid t, std::uint32_t fq, std::uint64_t val,
           // The word changed while we were entering the kernel (futex
           // value re-check): do not sleep.
           lock_release(t, q.bucket_lock);
-          burn(t, Cycles{200}, false, unpark(t));
+          burn(t, Cycles{200}, false, [this, t] { unpark(t)(); });
           return;
         }
         sleep_on(t, fq);

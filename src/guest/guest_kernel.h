@@ -28,8 +28,14 @@
 // one continuation slot, filled by park() and emptied by unpark(): a path
 // that must run a caller's continuation when it ends parks it there
 // instead of capturing it, and a thread that blocks or yields parks what
-// it runs once scheduled again. So no closure nests another callable and
-// none outgrows the inline buffer.
+// it runs once scheduled again. So no closure nests a type-erased
+// callable and none outgrows the inline buffer.
+//
+// A burn is one event: burn() wraps its continuation's closure in the
+// completion epilogue and schedules that one closure, which the queue
+// builds in its slot and runs there. While the thread cannot execute, the
+// event waits withdrawn in its activity (Activity::held); it is scheduled
+// again when the thread resumes.
 //
 // Each job has one implementation: vacate() takes a thread off its VCPU
 // (block, yield, retire, quantum preemption), sleep_on() ends every sleep
@@ -166,8 +172,10 @@ class GuestKernel final : public vmm::GuestPort {
     Cycles remaining{};
     Cycles started_at{};
     std::uint32_t lock{0};  // valid for kSpin
-    Cont done;              // burn completion continuation
-    sim::EventId ev{};      // live completion event (burn, while executing)
+    // A burn's completion event: pending as `ev` while the thread
+    // executes, withdrawn from the queue into `held` while it cannot.
+    sim::EventId ev{};
+    Cont held;
   };
 
   enum class TState : std::uint8_t { kReady, kCurrent, kBlocked, kDone, kIrq };
@@ -258,14 +266,15 @@ class GuestKernel final : public vmm::GuestPort {
   bool irqs_masked(std::uint32_t v) const;
   void activate(Tid t);
   void deactivate(Tid t);
-  /// Burn `len` cycles on `t`, then run `done`, which is built directly
-  /// in the thread's activity. Defined in guest_kernel.cpp, its only user.
+  /// Burn `len` cycles on `t`, then run `done`. The completion event
+  /// wraps `done` and is built in its queue slot, or in the activity when
+  /// `t` does not execute. Defined in guest_kernel.cpp, its only user.
   template <typename F>
   void burn(Tid t, Cycles len, bool kernel, F&& done);
-  void burn_complete(Tid t);
-  /// Cancel a thread's pending burn (barrier satisfy path); the thread must
-  /// be in a kBurn activity. Its `done` is replaced by `instead`.
-  void repurpose_burn(Tid t, Cycles extra, Cont instead);
+  /// Cancel a thread's pending user burn (barrier satisfy path): it burns
+  /// `extra` cycles instead, then runs `instead`.
+  template <typename F>
+  void repurpose_burn(Tid t, Cycles extra, F&& instead);
 
   /// Park `done` in `t`'s continuation slot; take it back when the path
   /// ends or the thread runs again. Closures then capture scalars only.

@@ -77,8 +77,9 @@ void fill_root_from_back(std::vector<K>& heap) {
 }  // namespace
 
 void EventQueue::grow_slots() {
-  slots_.emplace_back();
-  free_slots_.push_back(static_cast<std::uint32_t>(slots_.size() - 1));
+  if (slot_count_ % kChunkSlots == 0)
+    chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+  free_head_ = slot_count_++;
 }
 
 void EventQueue::Ring::grow() {
@@ -99,7 +100,7 @@ Lane EventQueue::lane(Cycles delay) {
 inline EventQueue::Key EventQueue::claim(Cycles at, std::uint32_t slot,
                                          std::uint32_t lane) {
   const Key k{at, next_seq_++, slot, lane};
-  slots_[slot].seq = k.seq;
+  slot_at(slot).seq = k.seq;
   ++live_count_;
   return k;
 }
@@ -133,9 +134,11 @@ EventId EventQueue::enqueue(Lane lane, Cycles at, std::uint32_t slot) {
 }
 
 void EventQueue::release(std::uint32_t slot) {
-  slots_[slot].seq = 0;
-  slots_[slot].cb = nullptr;
-  free_slots_.push_back(slot);
+  Slot& s = slot_at(slot);
+  s.seq = 0;
+  s.cb = nullptr;
+  s.next_free = free_head_;
+  free_head_ = slot;
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -143,6 +146,14 @@ bool EventQueue::cancel(EventId id) {
   release(id.slot);
   --live_count_;
   return true;
+}
+
+EventQueue::Callback EventQueue::withdraw(EventId id) {
+  if (!pending(id)) return {};
+  Callback cb = std::move(slot_at(id.slot).cb);
+  release(id.slot);
+  --live_count_;
+  return cb;
 }
 
 bool EventQueue::advance_lane(std::uint32_t lane) const {
@@ -164,7 +175,7 @@ void EventQueue::settle() const {
     fill_root_from_back(heap_);
   }
   while (!heap_.empty() &&
-         slots_[heap_.front().slot].seq != heap_.front().seq)
+         slot_at(heap_.front().slot).seq != heap_.front().seq)
     drop_top();
 }
 
@@ -181,12 +192,18 @@ Cycles EventQueue::pop_and_run() {
   // was a lane's front and the lane's next key takes the top at once.
   top_vacant_ = true;
   if (top.lane != 0) top_vacant_ = !advance_lane(top.lane);
-  // Move the callback out and free the slot before running it: the
-  // callback may schedule (growing slots_) or cancel its own stale id.
-  Callback cb = std::move(slots_[top.slot].cb);
-  release(top.slot);
+  // Run the callback in its slot. Its event stops being pending first, so
+  // that the callback cannot cancel or withdraw itself, and the slot stays
+  // off the free list until the callback has returned or thrown.
+  Slot& s = slot_at(top.slot);
+  s.seq = 0;
   --live_count_;
-  cb();
+  struct ReleaseOnExit {
+    EventQueue& q;
+    std::uint32_t index;
+    ~ReleaseOnExit() { q.release(index); }
+  } const on_exit{*this, top.slot};
+  s.cb();
   return top.at;
 }
 

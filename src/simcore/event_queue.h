@@ -14,16 +14,20 @@
 // and pop are O(log n), cancel() is O(1), and once the tables have grown to
 // the run's peak none of them hashes or allocates.
 //
-// The per-event path copies no closure it does not have to. schedule()
-// builds the callable directly in its slot; pop_and_run() moves it out
-// once, because the callback may grow the slot table while it runs. A pop
-// and the next push share one sift: pop_and_run() leaves the heap's top
-// entry vacant while the callback runs, and the first key scheduled after
-// it fills that vacancy with one top-down sift, which stops as soon as the
-// key is no later than both children. When nothing is scheduled before
-// the next next_time() or pop, the last key fills it with Floyd's
-// bottom-up sift instead, as std::pop_heap does. Keys compare as one
-// 128-bit (at, seq) number, so choosing the earlier child is branch-free.
+// The per-event path copies no closure. schedule() builds the callable
+// directly in its slot and pop_and_run() runs it there: the slot table is
+// made of fixed chunks that never move, so a callback may schedule, and
+// grow the table, while it runs. The running event is no longer pending,
+// and its slot is freed only once the callback returns or throws.
+// withdraw() cancels a pending event and hands its callback back unrun,
+// to be scheduled again later. A pop and the next push share one sift:
+// pop_and_run() leaves the heap's top entry vacant while the callback
+// runs, and the first key scheduled after it fills that vacancy with one
+// top-down sift, which stops as soon as the key is no later than both
+// children. When nothing is scheduled before the next next_time() or pop,
+// the last key fills it with Floyd's bottom-up sift instead, as
+// std::pop_heap does. Keys compare as one 128-bit (at, seq) number, so
+// choosing the earlier child is branch-free.
 //
 // Periodic timers skip the heap. Events armed with one fixed delay from a
 // clock that never runs backwards come due in the order they were armed,
@@ -38,6 +42,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -71,6 +76,9 @@ class Lane {
 class EventQueue {
  public:
   using Callback = InlineFunction<void()>;
+  /// Slots per chunk of the slot table, which grows a chunk at a time; a
+  /// power of two, so that finding a slot's chunk is a shift.
+  static constexpr std::uint32_t kChunkSlots = 64;
 
   /// Schedule `cb` to fire at absolute time `at`; the callable is built in
   /// its slot. If building it throws, the queue is left as it was: the
@@ -96,14 +104,19 @@ class EventQueue {
   }
 
   /// Cancel a previously scheduled event and destroy its callback. Returns
-  /// true if the event was still pending (false if already fired or
-  /// cancelled).
+  /// true if the event was still pending (false if already fired, running
+  /// or cancelled).
   bool cancel(EventId id);
+
+  /// Cancel a pending event and return its callback unrun; it uses no
+  /// sequence number. Returns an empty callback when `id` is not pending
+  /// (fired, running or cancelled).
+  Callback withdraw(EventId id);
 
   /// True while `id` is scheduled and neither fired nor cancelled.
   bool pending(EventId id) const {
-    return id.valid() && id.slot < slots_.size() &&
-           slots_[id.slot].seq == id.seq;
+    return id.valid() && id.slot < slot_count_ &&
+           slot_at(id.slot).seq == id.seq;
   }
 
   bool empty() const { return live_count_ == 0; }
@@ -112,7 +125,8 @@ class EventQueue {
   /// Timestamp of the earliest pending event; Cycles::max() when empty.
   Cycles next_time() const;
 
-  /// Pop and run the earliest pending event. Returns its timestamp.
+  /// Pop and run the earliest pending event in its slot, then free the
+  /// slot (also when the callback throws). Returns its timestamp.
   /// Precondition: !empty().
   Cycles pop_and_run();
 
@@ -123,8 +137,10 @@ class EventQueue {
     std::uint32_t slot;
     std::uint32_t lane{0};  // the Lane tag of a lane's key; 0 in no lane
   };
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
   struct Slot {
-    std::uint64_t seq{0};  // seq of the pending event held; 0 when free
+    std::uint64_t seq{0};  // seq of the pending event held; 0 when none
+    std::uint32_t next_free{kNoSlot};  // the free list's link while free
     Callback cb;
   };
   /// A FIFO of keys whose capacity is zero or a power of two; it doubles
@@ -156,16 +172,22 @@ class EventQueue {
     Ring ring;
   };
 
+  /// Slot `i`, wherever its chunk lives; chunks never move.
+  Slot& slot_at(std::uint32_t i) const {
+    return chunks_[i / kChunkSlots][i % kChunkSlots];
+  }
   /// Build `cb` in a free slot and return the slot, still unclaimed.
   template <typename F>
   std::uint32_t claim_slot(F&& cb) {
-    if (free_slots_.empty()) grow_slots();
-    const std::uint32_t slot = free_slots_.back();
-    slots_[slot].cb = std::forward<F>(cb);
-    free_slots_.pop_back();
-    return slot;
+    if (free_head_ == kNoSlot) grow_slots();
+    const std::uint32_t i = free_head_;
+    Slot& s = slot_at(i);
+    s.cb = std::forward<F>(cb);
+    free_head_ = s.next_free;
+    return i;
   }
-  /// Append one free slot to the table.
+  /// Put one new slot on the free list, adding a chunk when the last is
+  /// full.
   void grow_slots();
   /// Give the event in `slot`, whose callback is built, its seq and key.
   Key claim(Cycles at, std::uint32_t slot, std::uint32_t lane);
@@ -174,6 +196,7 @@ class EventQueue {
   /// Claim `slot` for a new event at `at`, in the heap or in `lane`.
   EventId enqueue(Cycles at, std::uint32_t slot);
   EventId enqueue(Lane lane, Cycles at, std::uint32_t slot);
+  /// Mark `slot` not pending, destroy its callback and free it.
   void release(std::uint32_t slot);
   /// The top key, the front of lane tag `lane` (not 0), has left the heap:
   /// drop it from its lane and fill the top with the lane's next key.
@@ -196,8 +219,10 @@ class EventQueue {
   /// heap_.front() holds no key: its event was popped and no key has
   /// filled the entry since.
   mutable bool top_vacant_{false};
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_slots_;
+  /// The slot table; a chunk never moves once made.
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t slot_count_{0};       // slots made, in all chunks
+  std::uint32_t free_head_{kNoSlot};  // top of the LIFO free list
   std::uint64_t next_seq_{1};
   std::size_t live_count_{0};
 };

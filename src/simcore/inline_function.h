@@ -22,6 +22,14 @@ namespace asman::sim {
 
 inline constexpr std::size_t kInlineFunctionCapacity = 64;
 
+/// True when an InlineFunction stores a closure of type `Fn` in its own
+/// buffer; any other closure costs one heap allocation.
+template <typename Fn>
+inline constexpr bool fits_inline =
+    sizeof(Fn) <= kInlineFunctionCapacity &&
+    alignof(Fn) <= alignof(std::max_align_t) &&
+    std::is_nothrow_move_constructible_v<Fn>;
+
 template <typename Sig>
 class InlineFunction;
 
@@ -90,13 +98,6 @@ class InlineFunction<R(Args...)> {
   };
 
   template <typename Fn>
-  static constexpr bool fits_inline() {
-    return sizeof(Fn) <= kInlineFunctionCapacity &&
-           alignof(Fn) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<Fn>;
-  }
-
-  template <typename Fn>
   static R call(Fn& f, Args&&... args) {
     if constexpr (std::is_void_v<R>)
       std::invoke(f, std::forward<Args>(args)...);
@@ -142,7 +143,7 @@ class InlineFunction<R(Args...)> {
   template <typename F>
   void emplace(F&& f) {
     using Fn = std::decay_t<F>;
-    if constexpr (fits_inline<Fn>()) {
+    if constexpr (fits_inline<Fn>) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
       ops_ = &kInlineOps<Fn>;
     } else {

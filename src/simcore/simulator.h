@@ -62,6 +62,10 @@ class ASMAN_CAPABILITY("simulator") Simulator {
   /// Cancel a pending event; safe to call with an already-fired id.
   bool cancel(EventId id) { return queue_.cancel(id); }
 
+  /// Cancel a pending event and return its callback unrun, so that it can
+  /// be scheduled again; empty when `id` is not pending.
+  EventQueue::Callback withdraw(EventId id) { return queue_.withdraw(id); }
+
   /// Cancel a one-shot timer and forget its id (no-op when none is armed).
   void cancel_timer(EventId& id) {
     if (id.valid()) cancel(id);

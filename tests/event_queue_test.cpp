@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "simcore/event_scope.h"
@@ -194,10 +196,6 @@ struct MoveCounter {
 
 TEST(EventQueue, AfterBuildsTheClosureInItsSlot) {
   Simulator s;
-  // Grow the slot table first, so that no table reallocation moves the
-  // closure below.
-  for (int i = 0; i < 8; ++i) s.after(Cycles{1}, [] {});
-  s.run_all();
   int moves = 0;
   int moves_when_run = -1;
   s.after(Cycles{5}, [c = MoveCounter(&moves), &moves_when_run] {
@@ -205,10 +203,104 @@ TEST(EventQueue, AfterBuildsTheClosureInItsSlot) {
   });
   // Into the slot, and nowhere on the way there.
   EXPECT_LE(moves, 1);
+  // Growing the table moves no slot.
+  for (std::uint32_t i = 0; i < EventQueue::kChunkSlots; ++i)
+    s.after(Cycles{1}, [] {});
   s.run_all();
-  // Plus out of the slot before it runs.
+  // It runs where it was built.
   ASSERT_GE(moves_when_run, 0) << "the closure did not run";
-  EXPECT_LE(moves_when_run, 2);
+  EXPECT_LE(moves_when_run, 1);
+}
+
+TEST(EventQueue, CallbackGrowsTheTableAndStillReadsItsCaptures) {
+  EventQueue q;
+  const std::array<std::uint64_t, 6> captured{3, 1, 4, 1, 5, 9};
+  std::vector<std::uint64_t> seen;
+  auto grow = [&q, &seen, captured] {
+    // Three chunks' worth of new slots while this closure runs in its own;
+    // a table that moved would leave the reads below on freed memory.
+    for (std::uint32_t i = 0; i < 3 * EventQueue::kChunkSlots; ++i)
+      q.schedule(Cycles{2}, [] {});
+    seen.assign(captured.begin(), captured.end());
+  };
+  static_assert(fits_inline<decltype(grow)>, "must live in its slot");
+  q.schedule(Cycles{1}, std::move(grow));
+  EXPECT_EQ(q.pop_and_run(), Cycles{1});
+  EXPECT_EQ(seen,
+            std::vector<std::uint64_t>(captured.begin(), captured.end()));
+  EXPECT_EQ(q.size(), 3 * EventQueue::kChunkSlots);
+  while (!q.empty()) q.pop_and_run();
+}
+
+TEST(EventQueue, WithdrawReturnsThePendingCallbackUnrun) {
+  EventQueue q;
+  const auto fired = std::make_shared<int>(0);
+  q.schedule(Cycles{3}, [] {});
+  const EventId id = q.schedule(Cycles{5}, [fired] { ++*fired; });
+  EXPECT_EQ(q.size(), 2u);
+  EventQueue::Callback cb = q.withdraw(id);
+  ASSERT_TRUE(cb);
+  EXPECT_EQ(*fired, 0);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_FALSE(q.pending(id));
+  EXPECT_FALSE(q.cancel(id));
+  EXPECT_EQ(fired.use_count(), 2) << "the callback left the queue whole";
+  // It used no sequence number.
+  const EventId next = q.schedule(Cycles{9}, [] {});
+  EXPECT_EQ(next.seq, id.seq + 1);
+  // Scheduled again, it fires once.
+  const EventId again = q.schedule(Cycles{7}, std::move(cb));
+  EXPECT_FALSE(cb);
+  EXPECT_TRUE(q.pending(again));
+  EXPECT_EQ(q.size(), 3u);
+  while (!q.empty()) q.pop_and_run();
+  EXPECT_EQ(*fired, 1);
+  EXPECT_EQ(fired.use_count(), 1);
+}
+
+TEST(EventQueue, WithdrawOfAnIdNotPendingIsEmpty) {
+  EventQueue q;
+  EXPECT_FALSE(q.withdraw(EventId{}));
+  const EventId fired = q.schedule(Cycles{1}, [] {});
+  q.pop_and_run();
+  EXPECT_FALSE(q.withdraw(fired));
+  const EventId cancelled = q.schedule(Cycles{2}, [] {});
+  ASSERT_TRUE(q.cancel(cancelled));
+  EXPECT_FALSE(q.withdraw(cancelled));
+  // The running event is no longer pending: it can neither withdraw nor
+  // cancel itself.
+  EventId running;
+  bool pending = true;
+  bool withdrew = true;
+  bool cancelled_itself = true;
+  running = q.schedule(Cycles{3}, [&] {
+    pending = q.pending(running);
+    withdrew = static_cast<bool>(q.withdraw(running));
+    cancelled_itself = q.cancel(running);
+  });
+  EXPECT_EQ(q.pop_and_run(), Cycles{3});
+  EXPECT_FALSE(pending);
+  EXPECT_FALSE(withdrew);
+  EXPECT_FALSE(cancelled_itself);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, ThrowingCallbackStillFreesItsSlot) {
+  EventQueue q;
+  const auto token = std::make_shared<int>(7);
+  const EventId id = q.schedule(Cycles{1}, [token] {
+    throw std::runtime_error(std::to_string(*token));
+  });
+  EXPECT_THROW(q.pop_and_run(), std::runtime_error);
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.pending(id));
+  EXPECT_EQ(token.use_count(), 1) << "the callback was not destroyed";
+  // The slot is back on the free list, and the queue runs on.
+  bool fired = false;
+  const EventId next = q.schedule(Cycles{2}, [&fired] { fired = true; });
+  EXPECT_EQ(next.slot, id.slot);
+  EXPECT_EQ(q.pop_and_run(), Cycles{2});
+  EXPECT_TRUE(fired);
 }
 
 TEST(EventQueueLanes, LaneAndHeapKeysAtOneTimeFireInSeqOrder) {

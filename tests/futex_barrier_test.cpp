@@ -101,6 +101,38 @@ TEST(Barrier, SpinOnlyBarrierNeverSleeps) {
   EXPECT_GT(g.stats().spin_acquisitions, 5u);
 }
 
+TEST(Barrier, ReleaseRepurposesTheSpinOfAnOfflineSpinner) {
+  // The spinner's user-spin burn is paused (its event withdrawn into the
+  // activity) when the last arrival releases the barrier; the release
+  // replaces it with the 120-cycle exit burn, which runs once the
+  // spinner's VCPU is mapped again.
+  sim::Simulator s;
+  TestHv hv(2);
+  GuestKernel g(s, hv, 0, quiet_config(2));
+  hv.bind(&g);
+  const std::uint32_t bar = g.create_barrier(2);
+  const Tid spinner = g.spawn(
+      std::make_unique<ScriptProgram>(std::vector<Op>{Op::barrier(bar)}), 0);
+  const Tid last = g.spawn(std::make_unique<ScriptProgram>(std::vector<Op>{
+                               Op::compute(us(40)), Op::barrier(bar)}),
+                           1);
+  hv.map(0);
+  hv.map(1);
+  // The spinner arrives at 150 cycles and spins in user space until
+  // 150 + kSpinYieldPeriod; its VCPU goes offline inside that burn.
+  ASSERT_GT(Cycles{150} + GuestKernel::kSpinYieldPeriod, us(20));
+  s.run_until(us(20));
+  hv.unmap(0);
+  s.run_until(us(100));
+  EXPECT_TRUE(g.thread_done(last));
+  EXPECT_FALSE(g.thread_done(spinner));
+  hv.map(0);
+  testutil::run_guest(s, g);
+  EXPECT_TRUE(g.all_threads_done());
+  EXPECT_EQ(g.thread_finish_time(spinner), us(100) + Cycles{120});
+  EXPECT_EQ(g.stats().futex_waits, 0u);
+}
+
 TEST(Barrier, RepeatedIterationsNoLostWakeups) {
   sim::Simulator s;
   TestHv hv(2);

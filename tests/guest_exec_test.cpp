@@ -10,6 +10,7 @@ namespace {
 
 using testutil::TestHv;
 using testutil::quiet_config;
+using workloads::LambdaProgram;
 using workloads::ScriptProgram;
 
 Cycles us(std::uint64_t n) { return sim::kDefaultClock.from_us(n); }
@@ -61,6 +62,41 @@ TEST(GuestExec, PauseResumePreservesRemainingWork) {
   EXPECT_FALSE(g.all_threads_done());
   s.run_until(us(561));
   EXPECT_TRUE(g.all_threads_done());
+}
+
+TEST(GuestExec, BurnPausedAcrossThreeGapsEndsExactlyAndContinuesOnce) {
+  // A paused burn's completion event waits withdrawn in the activity and
+  // is scheduled again on resume; each gap must move the end by exactly
+  // its length, and the continuation must run once.
+  sim::Simulator s;
+  TestHv hv(1);
+  GuestKernel g(s, hv, 0, quiet_config(1));
+  hv.bind(&g);
+  int pulls = 0;  // ops handed out: the compute, then kDone
+  g.spawn(std::make_unique<LambdaProgram>([&pulls] {
+            return ++pulls == 1 ? Op::compute(us(100)) : Op::done();
+          }),
+          0);
+  hv.map(0);
+  // Offline for 50, 70 and 90 us after 10, 20 and 20 us of work.
+  struct Gap {
+    std::uint64_t off_us, on_us;
+  };
+  for (const Gap gap : {Gap{10, 60}, Gap{80, 150}, Gap{170, 260}}) {
+    s.run_until(us(gap.off_us));
+    hv.unmap(0);
+    s.run_until(us(gap.on_us));
+    EXPECT_EQ(pulls, 1);
+    hv.map(0);
+  }
+  // 50 us of work remain.
+  s.run_until(us(310) - Cycles{1});
+  EXPECT_FALSE(g.all_threads_done());
+  s.run_until(us(310));
+  EXPECT_TRUE(g.all_threads_done());
+  EXPECT_EQ(g.last_finish_time(), us(310));
+  s.run_until(us(1'000));
+  EXPECT_EQ(pulls, 2);
 }
 
 TEST(GuestExec, MultipleOpsRunInSequence) {
