@@ -95,8 +95,12 @@ BENCHMARK(BM_EventQueueChain)->Arg(40);
 // cluster_storm's shape: `ticks` periodic timers staggered across one
 // period, each re-armed one period ahead when it fires, above 600 keys far
 // in the future (the storm's fleet operations, all armed at t = 0).
-// TickLane re-arms in a delay lane; TickHeap is its heap-only twin.
-template <bool kInLane>
+// TickLane re-arms in a delay lane with a fresh closure; TickHeap is its
+// heap-only twin; TickRearm re-arms the running closure in the lane with
+// EventQueue::rearm, as the VMM's ticks do.
+enum class Rearm : std::uint8_t { kHeap, kLane, kInPlace };
+
+template <Rearm kHow>
 void tick_model(benchmark::State& state) {
   constexpr std::uint64_t kPeriod = 23'300'000;  // 10 ms at 2.33 GHz
   constexpr std::uint64_t kFar = std::uint64_t{1} << 62;
@@ -105,23 +109,41 @@ void tick_model(benchmark::State& state) {
   std::uint64_t fired = 0;
   for (std::uint64_t i = 0; i < 600; ++i)
     q.schedule(sim::Cycles{kFar + i}, [&fired] { ++fired; });
-  for (std::uint64_t i = 0; i < ticks; ++i)
-    q.schedule(sim::Cycles{kPeriod * (i + 1) / ticks}, [&fired] { ++fired; });
-  const sim::Lane lane = kInLane ? q.lane(sim::Cycles{kPeriod}) : sim::Lane{};
+  const sim::Lane lane =
+      kHow == Rearm::kHeap ? sim::Lane{} : q.lane(sim::Cycles{kPeriod});
+  for (std::uint64_t i = 0; i < ticks; ++i) {
+    const sim::Cycles first{kPeriod * (i + 1) / ticks};
+    if constexpr (kHow == Rearm::kInPlace)
+      q.schedule(first, [&q, &fired, lane, at = first]() mutable {
+        ++fired;
+        at += sim::Cycles{kPeriod};
+        q.rearm(lane, at);
+      });
+    else
+      q.schedule(first, [&fired] { ++fired; });
+  }
   for (auto _ : state) {
     const sim::Cycles next = q.pop_and_run() + sim::Cycles{kPeriod};
-    if constexpr (kInLane)
+    if constexpr (kHow == Rearm::kLane)
       q.schedule(lane, next, [&fired] { ++fired; });
-    else
+    else if constexpr (kHow == Rearm::kHeap)
       q.schedule(next, [&fired] { ++fired; });
   }
   benchmark::DoNotOptimize(fired);
   state.SetItemsProcessed(state.iterations());
 }
-void BM_EventQueueTickLane(benchmark::State& state) { tick_model<true>(state); }
-void BM_EventQueueTickHeap(benchmark::State& state) { tick_model<false>(state); }
+void BM_EventQueueTickLane(benchmark::State& state) {
+  tick_model<Rearm::kLane>(state);
+}
+void BM_EventQueueTickHeap(benchmark::State& state) {
+  tick_model<Rearm::kHeap>(state);
+}
+void BM_EventQueueTickRearm(benchmark::State& state) {
+  tick_model<Rearm::kInPlace>(state);
+}
 BENCHMARK(BM_EventQueueTickLane)->Arg(256);
 BENCHMARK(BM_EventQueueTickHeap)->Arg(256);
+BENCHMARK(BM_EventQueueTickRearm)->Arg(256);
 
 void BM_RngU64(benchmark::State& state) {
   sim::Rng rng(42);

@@ -175,7 +175,7 @@ void Cluster::start() {
   }
   started_ = true;
   heartbeat_lane_ = sim_.lane(recovery_.heartbeat_period);
-  arm_heartbeat();
+  sim_.after(heartbeat_lane_, [this] { heartbeat(); });
   audit_cluster_event();
 }
 
@@ -459,10 +459,6 @@ void Cluster::degrade_host(HostId h, Cycles duration) {
 
 // --- heartbeat & credit bookkeeping ---
 
-void Cluster::arm_heartbeat() {
-  sim_.after(heartbeat_lane_, [this] { heartbeat(); });
-}
-
 void Cluster::heartbeat() {
   ++heartbeats_;
   for (VmRecord& r : vms_) {
@@ -471,7 +467,7 @@ void Cluster::heartbeat() {
     snapshot_heartbeat(r);
   }
   audit_cluster_event();
-  arm_heartbeat();
+  sim_.rearm(heartbeat_lane_);  // the same event, one period on
 }
 
 void Cluster::snapshot_heartbeat(VmRecord& r) {

@@ -292,8 +292,8 @@ class Cluster {
   /// kInvalidHostId when none is left.
   HostId next_host(HostId after, HostId exclude) const;
   void degrade_host(HostId h, sim::Cycles duration);
+  /// The fabric heartbeat's event; it re-arms itself in heartbeat_lane_.
   void heartbeat();
-  void arm_heartbeat();
   bool readmit(VmRecord& r);
   void snapshot_heartbeat(VmRecord& r);
   __int128 resident_pool(const VmRecord& r) const;

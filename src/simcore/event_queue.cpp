@@ -133,6 +133,18 @@ EventId EventQueue::enqueue(Lane lane, Cycles at, std::uint32_t slot) {
   return {k.seq, slot};
 }
 
+std::uint32_t EventQueue::rearm_slot() {
+  assert(running_ != kNoSlot && slot_at(running_).seq == 0 &&
+         "rearm() is called from a running callback, at most once per run");
+  return running_;
+}
+
+EventId EventQueue::rearm(Cycles at) { return enqueue(at, rearm_slot()); }
+
+EventId EventQueue::rearm(Lane lane, Cycles at) {
+  return enqueue(lane, at, rearm_slot());
+}
+
 void EventQueue::release(std::uint32_t slot) {
   Slot& s = slot_at(slot);
   s.seq = 0;
@@ -143,13 +155,19 @@ void EventQueue::release(std::uint32_t slot) {
 
 bool EventQueue::cancel(EventId id) {
   if (!pending(id)) return false;
-  release(id.slot);
+  // A running callback that re-armed its event is still on the stack:
+  // only the event stops being pending, and pop_and_run frees the slot.
+  if (id.slot == running_)
+    slot_at(id.slot).seq = 0;
+  else
+    release(id.slot);
   --live_count_;
   return true;
 }
 
 EventQueue::Callback EventQueue::withdraw(EventId id) {
   if (!pending(id)) return {};
+  assert(id.slot != running_ && "a running callback cannot be withdrawn");
   Callback cb = std::move(slot_at(id.slot).cb);
   release(id.slot);
   --live_count_;
@@ -194,15 +212,23 @@ Cycles EventQueue::pop_and_run() {
   if (top.lane != 0) top_vacant_ = !advance_lane(top.lane);
   // Run the callback in its slot. Its event stops being pending first, so
   // that the callback cannot cancel or withdraw itself, and the slot stays
-  // off the free list until the callback has returned or thrown.
+  // off the free list until the callback has returned or thrown. It is
+  // freed then unless the callback re-armed the event, which is pending
+  // again. The outer run is restored, in case this pop runs inside one.
   Slot& s = slot_at(top.slot);
   s.seq = 0;
   --live_count_;
-  struct ReleaseOnExit {
+  struct FinishRun {
     EventQueue& q;
-    std::uint32_t index;
-    ~ReleaseOnExit() { q.release(index); }
-  } const on_exit{*this, top.slot};
+    const Slot& s;
+    std::uint32_t slot;
+    std::uint32_t outer;
+    ~FinishRun() {
+      q.running_ = outer;
+      if (s.seq == 0) q.release(slot);
+    }
+  } const finish{*this, s, top.slot, running_};
+  running_ = top.slot;
   s.cb();
   return top.at;
 }

@@ -20,7 +20,17 @@
 // grow the table, while it runs. The running event is no longer pending,
 // and its slot is freed only once the callback returns or throws.
 // withdraw() cancels a pending event and hands its callback back unrun,
-// to be scheduled again later. A pop and the next push share one sift:
+// to be scheduled again later.
+//
+// A periodic timer owns one slot and one closure for the whole run: from
+// inside its run, at most once, a callback may rearm() its own event, in
+// the heap or in a lane. That draws a fresh seq where a schedule() would,
+// and leaves the closure in its slot, which pop_and_run() then does not
+// free. A cancel() of the re-armed event while the callback still runs
+// only marks it not pending, and pop_and_run() frees the slot once the
+// callback returns; withdraw() of it is a precondition violation.
+//
+// A pop and the next push share one sift:
 // pop_and_run() leaves the heap's top entry vacant while the callback
 // runs, and the first key scheduled after it fills that vacancy with one
 // top-down sift, which stops as soon as the key is no later than both
@@ -35,10 +45,11 @@
 // order already. Only a lane's front competes in the heap, tagged with its
 // lane: popping it puts the lane's next key into the vacated top at once
 // (it is due soon, so the top-down fill stops near the root), and the
-// timer's re-arm appends to the lane's tail in O(1), with no sift. A
+// timer's rearm() appends to the lane's tail in O(1), with no sift. A
 // cancelled lane key stays in its ring and is dropped when it surfaces as
 // the lane's front. Lanes are explicit: lane(d) finds or makes the lane
-// for delay d, and only schedule(Lane, ...) arms in one.
+// for delay d, and only schedule(Lane, ...) and rearm(Lane, ...) arm in
+// one.
 #pragma once
 
 #include <cstdint>
@@ -103,14 +114,25 @@ class EventQueue {
     return enqueue(lane, at, claim_slot(std::forward<F>(cb)));
   }
 
+  /// From inside a running callback, at most once per run: schedule that
+  /// same callback again at `at`, in the heap or in `lane`, with the same
+  /// preconditions as schedule(). The closure stays in its slot; the seq
+  /// is drawn here, as schedule() would draw it. Asserted by checking that
+  /// the event is not pending, so a second call passes only after a
+  /// cancel() of the first.
+  EventId rearm(Cycles at);
+  EventId rearm(Lane lane, Cycles at);
+
   /// Cancel a previously scheduled event and destroy its callback. Returns
   /// true if the event was still pending (false if already fired, running
-  /// or cancelled).
+  /// or cancelled). A re-armed event whose callback still runs is only
+  /// marked not pending; pop_and_run destroys it once the callback returns.
   bool cancel(EventId id);
 
   /// Cancel a pending event and return its callback unrun; it uses no
   /// sequence number. Returns an empty callback when `id` is not pending
-  /// (fired, running or cancelled).
+  /// (fired, running or cancelled). Precondition (asserted): `id` is not
+  /// a re-armed event whose callback still runs.
   Callback withdraw(EventId id);
 
   /// True while `id` is scheduled and neither fired nor cancelled.
@@ -126,8 +148,9 @@ class EventQueue {
   Cycles next_time() const;
 
   /// Pop and run the earliest pending event in its slot, then free the
-  /// slot (also when the callback throws). Returns its timestamp.
-  /// Precondition: !empty().
+  /// slot (also when the callback throws) unless the callback re-armed it
+  /// and it is still pending. Returns its timestamp. Precondition:
+  /// !empty().
   Cycles pop_and_run();
 
  private:
@@ -196,6 +219,8 @@ class EventQueue {
   /// Claim `slot` for a new event at `at`, in the heap or in `lane`.
   EventId enqueue(Cycles at, std::uint32_t slot);
   EventId enqueue(Lane lane, Cycles at, std::uint32_t slot);
+  /// The running callback's slot, for its one rearm().
+  std::uint32_t rearm_slot();
   /// Mark `slot` not pending, destroy its callback and free it.
   void release(std::uint32_t slot);
   /// The top key, the front of lane tag `lane` (not 0), has left the heap:
@@ -219,6 +244,9 @@ class EventQueue {
   /// heap_.front() holds no key: its event was popped and no key has
   /// filled the entry since.
   mutable bool top_vacant_{false};
+  /// The running callback's slot (kNoSlot between runs). It sits in the
+  /// padding after top_vacant_, so the queue keeps its size and layout.
+  std::uint32_t running_{kNoSlot};
   /// The slot table; a chunk never moves once made.
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t slot_count_{0};       // slots made, in all chunks

@@ -2,6 +2,8 @@
 //
 // One Simulator instance owns one simulated machine. All components hold a
 // reference to it and express behaviour as events ("at time T, do X").
+// A periodic timer is one event that re-arms itself from inside its own
+// callback (rearm), so its closure is built once for the whole run.
 // The loop is single-threaded and deterministic; parallelism in this code
 // base lives one level up, across independent simulations (ThreadPool).
 #pragma once
@@ -57,6 +59,17 @@ class ASMAN_CAPABILITY("simulator") Simulator {
   EventId at(Cycles when, F&& cb) {
     assert(when >= now_ && "cannot schedule into the past");
     return queue_.schedule(when, std::forward<F>(cb));
+  }
+
+  /// From inside a running callback, at most once per run (asserted):
+  /// schedule that same callback again after `delay`, or after `lane`'s
+  /// delay in that lane. It fires exactly when and in the order that
+  /// after(delay, cb) or after(lane, cb) would fire a copy of it, but the
+  /// closure is neither rebuilt nor destroyed: a periodic timer keeps one
+  /// slot and one closure for the whole run.
+  EventId rearm(Cycles delay) { return queue_.rearm(now_ + delay); }
+  EventId rearm(Lane lane) {
+    return queue_.rearm(lane, now_ + queue_.delay(lane));
   }
 
   /// Cancel a pending event; safe to call with an already-fired id.

@@ -40,6 +40,18 @@ static_assert(core::in_bounds(core::field::ipi_max_retries, kIpiMaxRetries));
 static_assert(core::in_bounds(core::field::watchdog_demote_after,
                               kWatchdogDemoteAfter));
 static_assert(core::in_bounds(core::field::flap_limit, kFlapLimit));
+
+/// The steal-candidate count's oracle: true when `count` equals a recount
+/// of `rq`'s steal candidates and every entry names `q` as its queue.
+[[maybe_unused]] bool candidates_exact(std::uint32_t count, const RunQueue& rq,
+                                       PcpuId q) {
+  std::uint32_t n = 0;
+  for (const Vcpu* v : rq.entries()) {
+    if (v->queued_on != q) return false;
+    n += v->steal_candidate() ? 1u : 0u;
+  }
+  return n == count;
+}
 }  // namespace
 
 const char* to_string(AuditPoint p) {
@@ -140,7 +152,8 @@ void Hypervisor::start() {
   // Per-PCPU ticks, staggered across the slot like real Xen's independent
   // per-PCPU timers; the stagger is what lets a capped VM's VCPUs park and
   // unpark at different instants. The first ticks' delays differ, so they
-  // go through the heap; each tick then re-arms in the slot lane.
+  // go through the heap; each tick then re-arms its own event in the slot
+  // lane, so a PCPU's tick is one closure for the whole run.
   tick_lane_ = sim_.lane(slot_len_);
   accounting_lane_ = sim_.lane(machine_.accounting_cycles());
   for (PcpuId p = 0; p < machine_.num_pcpus; ++p) {
@@ -456,6 +469,7 @@ void Hypervisor::note_migration(Vcpu& v, PcpuId from, PcpuId to) {
   // flat-vs-aware comparison would diverge for reasons other than cost.
   const Credit debit = static_cast<Credit>(
       (static_cast<__int128>(pen.v) * kCreditPerSlot) / slot_len_.v);
+  const CandidateWrite guard(*this, v);  // v may already sit in to's queue
   v.credit = std::max<Credit>(v.credit - debit, -credit_cap_);
   sim::note_trace(trace_, sim_.now(), sim::TraceCat::kSched, [&] {
     return key_str(v.key) + " " + std::string(hw::to_string(hop)) +
@@ -540,6 +554,7 @@ void Hypervisor::charge(Vcpu& v, Cycles elapsed) {
       const double p = std::min(1.0, static_cast<double>(elapsed.v) /
                                          static_cast<double>(slot_len_.v));
       if (rng_.next_double() < p) {
+        const CandidateWrite guard(*this, v);
         v.credit = std::max<Credit>(v.credit - kCreditPerSlot, -credit_cap_);
         attribute(v, slot_len_);
       } else {
@@ -556,6 +571,7 @@ void Hypervisor::charge(Vcpu& v, Cycles elapsed) {
           static_cast<__int128>(elapsed.v) * kCreditPerSlot + v.charge_carry;
       const Credit debit = static_cast<Credit>(num / slot_len_.v);
       v.charge_carry = static_cast<std::uint64_t>(num % slot_len_.v);
+      const CandidateWrite guard(*this, v);
       v.credit = std::max<Credit>(v.credit - debit, -credit_cap_);
       attribute(v, elapsed);
       return;
@@ -577,6 +593,7 @@ void Hypervisor::charge(Vcpu& v) {
   // Sampling-instant debit (kTickSampled): the VCPU caught running pays a
   // full slot regardless of how long it actually ran — Xen's classic
   // sampled accounting, billed and attributed in slot quanta.
+  const CandidateWrite guard(*this, v);
   v.credit = std::max<Credit>(v.credit - kCreditPerSlot, -credit_cap_);
   attribute(v, slot_len_);
 }
@@ -689,7 +706,10 @@ void Hypervisor::do_accounting() {
     Credit pool = inc;
     for (const Vcpu& c : v.vcpus) pool += c.credit;
     const Credit per = pool / static_cast<Credit>(v.num_vcpus());
-    for (Vcpu& c : v.vcpus) c.credit = std::min<Credit>(per, credit_cap_);
+    for (Vcpu& c : v.vcpus) {
+      const CandidateWrite guard(*this, c);
+      c.credit = std::min<Credit>(per, credit_cap_);
+    }
     audit_minted(v.id, inc);
     // Algorithm 3 lines 8-16 at the credit-assignment pass: repair any
     // placement drift of a gang that is gang-scheduled right now.
@@ -706,6 +726,8 @@ void Hypervisor::do_accounting() {
 // other site. set_state reads `from` out of the record itself, so the
 // transition the auditor's shadow replays is by construction the transition
 // that actually happened — the two copies cannot be told different stories.
+// enqueue and dequeue are also the only writers of Vcpu::queued_on, and
+// count the VCPU in or out of its queue's steal candidates.
 
 void Hypervisor::set_state(Vcpu& v, VcpuState to) {
   const VcpuState from = v.state;
@@ -713,10 +735,19 @@ void Hypervisor::set_state(Vcpu& v, VcpuState to) {
   audit_transition(v.key, from, to);
 }
 
-void Hypervisor::enqueue(PcpuId p, Vcpu* v) { pcpus_[p].runq.push(v); }
+void Hypervisor::enqueue(PcpuId p, Vcpu* v) {
+  PcpuRec& pc = pcpus_[p];
+  pc.runq.push(v);
+  v->queued_on = p;
+  if (v->steal_candidate()) ++pc.steal_candidates;
+}
 
 bool Hypervisor::dequeue(PcpuId p, Vcpu* v) {
-  return pcpus_[p].runq.remove(v);
+  PcpuRec& pc = pcpus_[p];
+  if (!pc.runq.remove(v)) return false;
+  v->queued_on = kNotQueued;
+  if (v->steal_candidate()) --pc.steal_candidates;
+  return true;
 }
 
 // --- map / unmap ------------------------------------------------------------
@@ -820,8 +851,13 @@ Vcpu* Hypervisor::steal_for(PcpuId p, bool allow_over) {
   PcpuId src = 0;
   int best_dist = 0;
   for (PcpuId q = 0; q < machine_.num_pcpus; ++q) {
+    const PcpuRec& from = pcpus_[q];
+    assert(candidates_exact(from.steal_candidates, from.runq, q));
     if (q == p) continue;
-    if (!pcpus_[q].online) continue;  // offline queues are empty anyway
+    if (!from.online) continue;  // offline queues are empty anyway
+    // Pass 1 takes steal candidates only: a queue that holds none is
+    // skipped without reading its entries.
+    if (!allow_over && from.steal_candidates == 0) continue;
     const int dist =
         by_distance ? static_cast<int>(topo_.distance(q, p)) : 0;
     // Cross-socket stealing is conservative, like a NUMA sched domain: a
@@ -830,13 +866,12 @@ Vcpu* Hypervisor::steal_for(PcpuId p, bool allow_over) {
     // cache refill for one slot of latency. Only genuinely backed-up
     // remote queues (two or more waiters) are worth raiding.
     if (by_distance && dist == static_cast<int>(hw::TopoDistance::kCrossSocket) &&
-        pcpus_[q].runq.size() < 2)
+        from.runq.size() < 2)
       continue;
-    for (Vcpu* v : pcpus_[q].runq.entries()) {
-      if (!allow_over && static_cast<int>(v->prio_class()) >
-                             static_cast<int>(PrioClass::kUnder))
-        continue;
-      if (v->cosched_boost) continue;  // an IPI promised it to its queue
+    for (Vcpu* v : from.runq.entries()) {
+      // Pass 2 also takes OVER and weak-boosted VCPUs, but never a
+      // gang-boosted one: an IPI promised it to its queue.
+      if (allow_over ? v->cosched_boost : !v->steal_candidate()) continue;
       const bool gang = cosched_eligible(vm(v->key.vm));
       if (gang && would_collide(v->key.vm, p)) continue;
       // Never pull a packed gang's member across the FSB: the next
@@ -997,10 +1032,12 @@ void Hypervisor::dispatch_idle(PcpuId first) {
 }
 
 void Hypervisor::refresh_cosched_boost(Vcpu& v, bool weak) {
+  const CandidateWrite guard(*this, v);
   v.cosched_boost = true;
   v.cosched_weak = weak;
   sim_.cancel_timer(v.cosched_clear_ev);
   v.cosched_clear_ev = sim_.after(slot_len_, [this, &v] {
+    const CandidateWrite expiry(*this, v);  // v may sit in a queue by now
     v.cosched_boost = false;
     v.cosched_clear_ev = {};
   });
@@ -1023,6 +1060,7 @@ void Hypervisor::co_stop(Vm& v) {
                   [&] { return v.name + " co-stop"; });
   for (Vcpu& w : v.vcpus) {
     sim_.cancel_timer(w.cosched_clear_ev);
+    const CandidateWrite guard(*this, w);
     w.cosched_boost = false;
     w.cosched_weak = false;
   }
@@ -1133,8 +1171,13 @@ void Hypervisor::pcpu_tick(PcpuId p) {
   // Wake boosts last until the next scheduling event on the holding PCPU.
   // Cosched boosts expire on their own one-slot timer and are refreshed by
   // the gang head's scheduling events, so a live gang sustains itself.
-  if (pc.current) pc.current->wake_boost = false;
-  for (Vcpu* v : pc.runq.entries()) v->wake_boost = false;
+  const auto clear_wake_boost = [this](Vcpu& v) {
+    if (!v.wake_boost) return;
+    const CandidateWrite guard(*this, v);
+    v.wake_boost = false;
+  };
+  if (pc.current) clear_wake_boost(*pc.current);
+  for (Vcpu* v : pc.runq.entries()) clear_wake_boost(*v);
   // Sampled accounting bills at sampling instants, not spans: at the tick
   // itself (faithful vulnerable Xen), or — hardened — at a seeded-random
   // offset inside the coming slot, where a tick-grid dodger cannot aim.
@@ -1173,12 +1216,12 @@ void Hypervisor::pcpu_tick(PcpuId p) {
   audit_event(AuditPoint::kTick);
   // Timer-tick jitter (fault injection): the hook shifts the next tick of
   // this PCPU; with no hook, or no jitter drawn, the cadence is the exact
-  // slot length and the tick re-arms in the slot lane.
+  // slot length and the tick re-arms its own event in the slot lane.
   const Cycles jitter = fault_hook_ ? fault_hook_->tick_jitter(p) : Cycles{0};
   if (jitter.v == 0)
-    sim_.after(tick_lane_, [this, p] { pcpu_tick(p); });
+    sim_.rearm(tick_lane_);
   else
-    sim_.after(slot_len_ + jitter, [this, p] { pcpu_tick(p); });
+    sim_.rearm(slot_len_ + jitter);
 }
 
 void Hypervisor::accounting_event() {
@@ -1190,7 +1233,7 @@ void Hypervisor::accounting_event() {
   dispatch_start_ = (dispatch_start_ + 1) % machine_.num_pcpus;
   in_scheduler_ = false;
   audit_event(AuditPoint::kAccountingEnd);
-  sim_.after(accounting_lane_, [this] { accounting_event(); });
+  sim_.rearm(accounting_lane_);
 }
 
 // --- hypercalls --------------------------------------------------------------
@@ -1314,7 +1357,10 @@ void Hypervisor::vcpu_kick(VmId id, std::uint32_t vidx) {
   // Xen-style BOOST only for UNDER VCPUs, metered and (when the limiter is
   // armed) rate-limited per VM: sleep/wake oscillation cannot farm
   // unbounded wake-priority (arXiv 1103.0759's BOOST abuse).
-  v.wake_boost = v.credit > 0 && grant_boost(vm(id));
+  {
+    const CandidateWrite guard(*this, v);
+    v.wake_boost = v.credit > 0 && grant_boost(vm(id));
+  }
   // The wake home went offline while this VCPU was blocked; re-home it
   // lazily now (credit travels with the VCPU).
   if (!pcpus_[v.where].online) rehome(v, pick_online_home(id, v.where));

@@ -19,6 +19,12 @@
 // every scheduler alike. Graceful degradation runs on fixed constants
 // (see ResilienceConfig); the knobs left are the ones scenarios vary.
 //
+// The slot tick and accounting are periodic events that re-arm themselves
+// in place (sim::Simulator::rearm). An idle PCPU's first steal pass skips
+// every run queue whose PcpuRec counts no VCPU it may take
+// (Vcpu::steal_candidate); the audited enqueue/dequeue seam and a guard
+// around each credit and boost write keep that count exact.
+//
 // The scheduler is event-driven and deterministic; it owns all Vm/Vcpu
 // records and exposes read-only views for metrics and tests.
 #pragma once
@@ -344,7 +350,8 @@ class Hypervisor : public HypervisorPort {
 
   /// Mutable run-queue access. This is a fault-injection seam for the
   /// auditor's seeded-violation tests (duplicating a VCPU across queues,
-  /// orphaning one, ...); production code must never use it.
+  /// orphaning one, ...); production code must never use it. It bypasses
+  /// the membership seam, so the queue's steal-candidate count goes stale.
   RunQueue& mutable_runqueue(PcpuId p) { return pcpus_[p].runq; }
 
   bool vcpu_is_online(VmId id, std::uint32_t vidx) const;
@@ -516,6 +523,11 @@ class Hypervisor : public HypervisorPort {
     RunQueue runq;
     bool online{true};  // offline PCPUs hold no work and dispatch nothing
     bool idle_marked{true};
+    /// Queued VCPUs whose Vcpu::steal_candidate() holds. steal_for's first
+    /// pass skips a queue whose count is 0 without reading its entries.
+    /// enqueue/dequeue and CandidateWrite keep it exact; steal_for asserts
+    /// it against a recount of every queue.
+    std::uint32_t steal_candidates{0};
     Cycles idle_since{0};
     Cycles idle_total{0};
     /// Non-idle cycles, maintained at the same burn instants as VCPU
@@ -525,6 +537,31 @@ class Hypervisor : public HypervisorPort {
     /// detection: a span that never crossed one was never billable).
     Cycles last_sample_at{0};
     std::uint64_t ticks{0};
+  };
+
+  /// Brackets one write of a VCPU's credit, cosched_boost or wake_boost,
+  /// the inputs of Vcpu::steal_candidate: it takes the VCPU out of its
+  /// queue's steal_candidates count on construction and counts it again,
+  /// re-evaluated, on destruction. Every such write in the VMM sits in the
+  /// scope of one, and no enqueue or dequeue of that VCPU does.
+  class CandidateWrite {
+   public:
+    CandidateWrite(Hypervisor& hv, const Vcpu& v)
+        : v_(v),
+          count_(v.queued_on == kNotQueued
+                     ? nullptr
+                     : &hv.pcpus_[v.queued_on].steal_candidates) {
+      if (count_ != nullptr) *count_ -= v_.steal_candidate() ? 1u : 0u;
+    }
+    ~CandidateWrite() {
+      if (count_ != nullptr) *count_ += v_.steal_candidate() ? 1u : 0u;
+    }
+    CandidateWrite(const CandidateWrite&) = delete;
+    CandidateWrite& operator=(const CandidateWrite&) = delete;
+
+   private:
+    const Vcpu& v_;
+    std::uint32_t* count_;
   };
 
   /// Per-PCPU scheduling event, period = one slot (10 ms), with per-PCPU
@@ -579,7 +616,8 @@ class Hypervisor : public HypervisorPort {
   /// VcpuState write and run-queue membership change in the VMM flows
   /// through these three — asman-lint's audit-seam check rejects any
   /// other site — so the auditor's shadow state machine and queue
-  /// partition scan can never drift from reality.
+  /// partition scan can never drift from reality. enqueue/dequeue also
+  /// keep Vcpu::queued_on and the queue's steal_candidates count.
   void set_state(Vcpu& v, VcpuState to);
   void enqueue(PcpuId p, Vcpu* v);
   bool dequeue(PcpuId p, Vcpu* v);
@@ -590,7 +628,9 @@ class Hypervisor : public HypervisorPort {
   void redispatch(PcpuId p);
   /// Dispatch every online PCPU with nothing mapped, starting at `first`.
   void dispatch_idle(PcpuId first);
-  /// Find the best migratable VCPU for an idle `p` from other run queues.
+  /// Find the best migratable VCPU for an idle `p` from other run queues:
+  /// a steal candidate (Vcpu::steal_candidate), or with `allow_over` any
+  /// VCPU without a gang boost.
   Vcpu* steal_for(PcpuId p, bool allow_over);
   /// Algorithm 4 lines 5-7: IPI the PCPUs holding siblings of `head`.
   void launch_cosched(PcpuId from, Vcpu& head);
@@ -875,8 +915,8 @@ class Hypervisor : public HypervisorPort {
   double fairness_sum_{0.0};
   std::uint64_t fairness_periods_{0};
   /// The simulator's delay lanes for the self-re-arming timers, found at
-  /// start(): a tick without jitter re-arms one slot ahead, accounting one
-  /// accounting period ahead.
+  /// start(): a tick without jitter re-arms its own event one slot ahead
+  /// in one, accounting one accounting period ahead in the other.
   sim::Lane tick_lane_;
   sim::Lane accounting_lane_;
 };

@@ -230,9 +230,12 @@ void Hypervisor::defer_dispatch_idle() {
 
 bool Hypervisor::evict_vcpu(Vcpu& w) {
   sim_.cancel_timer(w.cosched_clear_ev);
-  w.cosched_boost = false;
-  w.cosched_weak = false;
-  w.wake_boost = false;
+  {
+    const CandidateWrite guard(*this, w);
+    w.cosched_boost = false;
+    w.cosched_weak = false;
+    w.wake_boost = false;
+  }
   const bool ran = w.state == VcpuState::kRunning;
   if (ran) {
     // Burn/charge through the normal unmap path (the guest sees its
@@ -254,6 +257,7 @@ bool Hypervisor::drain_vcpu(Vcpu& w) {
   // Residual credit leaves with the VCPU: a tombstone holds no stake in
   // the next redistribution (the mint is split among live VMs only), and
   // no latched wake.
+  const CandidateWrite guard(*this, w);
   w.credit = 0;
   w.paused_pending = false;
   return ran;

@@ -128,6 +128,7 @@ __int128 Hypervisor::seed_credit(VmId id, __int128 pool) {
   if (share < -cap) share = -cap;
   __int128 seeded = 0;
   for (Vcpu& w : v.vcpus) {
+    const CandidateWrite guard(*this, w);  // create_vm queued it
     w.credit = static_cast<Credit>(share);
     seeded += share;
   }

@@ -24,6 +24,9 @@ static_assert(core::bounds_of(core::field::kCreditPerSlot)->lo ==
               core::bounds_of(core::field::kCreditPerSlot)->hi ==
                   kCreditPerSlot);
 
+/// Vcpu::queued_on of a VCPU that sits in no run queue.
+inline constexpr PcpuId kNotQueued = ~PcpuId{0};
+
 struct Vcpu {
   VcpuKey key;
   Credit credit{0};
@@ -33,6 +36,10 @@ struct Vcpu {
   /// PCPU it is running on (when kRunning). For kBlocked it remembers the
   /// last home so wakes re-enqueue locally.
   PcpuId where{0};
+  /// PCPU whose run queue holds this VCPU, or kNotQueued. Only the audited
+  /// membership seam (Hypervisor::enqueue/dequeue) writes it, so unlike
+  /// `where` it names no queue while a runnable VCPU is between queues.
+  PcpuId queued_on{kNotQueued};
 
   /// Temporarily raised priorities. Cosched boost is installed by the
   /// Algorithm-4 IPI, lasts one slot, and is refreshed by the gang head's
@@ -90,6 +97,13 @@ struct Vcpu {
       return cosched_weak ? PrioClass::kWeakCosched : PrioClass::kCosched;
     if (wake_boost) return PrioClass::kWake;
     return credit >= 0 ? PrioClass::kUnder : PrioClass::kOver;
+  }
+  /// Whether an idle PCPU's first steal pass (Hypervisor::steal_for with
+  /// allow_over false) may take this VCPU from its queue: no gang boost
+  /// promises it to that queue, and it is wake-boosted or UNDER. Each run
+  /// queue's PCPU counts the queued VCPUs for which this holds.
+  bool steal_candidate() const {
+    return !cosched_boost && (wake_boost || credit >= 0);
   }
 };
 

@@ -11,6 +11,13 @@
 // capacity while wrapping, and lane callbacks that re-arm in their own
 // lane. The reference knows nothing of lanes: a lane event is an event at
 // now + delay.
+//
+// Every case also has callbacks that re-arm their own event in place
+// (EventQueue::rearm), in their lane or in the heap, and some of them then
+// cancel the re-armed event while they still run. The reference sees a
+// re-arm as a fresh event at now + delay; the closure keeps its seq in a
+// capture that the re-arm updates, so a closure that was rebuilt or
+// destroyed on the way would fail the seq check when it fires again.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -69,15 +76,18 @@ class Reference {
   std::uint64_t next_{1};
 };
 
-/// What the lane traffic of one run reached; a lane case checks that the
-/// fuzz hit every path it is there for.
-struct LaneCoverage {
+/// What the traffic of one run reached; each case checks that the fuzz
+/// hit every path it is there for.
+struct Coverage {
   std::size_t armed{0};          // lane events armed
   std::size_t max_depth{0};      // most pending events in one lane
   std::size_t refills{0};        // lanes armed again after draining to empty
   std::size_t front_cancels{0};  // cancels of a lane's earliest event
   std::size_t middle_cancels{0};  // cancels behind a lane's front
-  std::size_t self_rearms{0};    // lane callbacks re-arming in their lane
+  std::size_t self_rearms{0};    // lane callbacks arming a copy in their lane
+  std::size_t heap_rearms{0};    // callbacks re-armed in place in the heap
+  std::size_t lane_rearms{0};    // callbacks re-armed in place in a lane
+  std::size_t running_cancels{0};  // re-armed events cancelled by their run
 };
 
 /// Drives an EventQueue and the reference in lockstep. EventQueue seq
@@ -97,32 +107,21 @@ class Harness {
   std::size_t pending() const { return ref_.size(); }
   std::size_t distinct_times() const { return ref_.distinct_times(); }
   std::size_t lanes() const { return lanes_.size(); }
-  const LaneCoverage& coverage() const { return cov_; }
+  const Coverage& coverage() const { return cov_; }
 
   /// Schedule one event in [now, now + horizon) on both.
   void schedule() {
     const Cycles at{now_.v + rng_.next_below(horizon_)};
     const std::uint64_t n = ref_.schedule(at);
-    const EventId id = q_.schedule(at, [this, n] { fired(n, kNoLane); });
+    const EventId id =
+        q_.schedule(at, [this, seq = n]() mutable { fired(seq, kNoLane); });
     EXPECT_EQ(id.seq, n);
     live_.push_back(id);
   }
 
   /// Schedule one event at now + delay in lane `li` on the queue, and at
   /// the same time on the reference.
-  void schedule_in_lane(std::size_t li) {
-    LaneTraffic& l = lanes_[li];
-    if (depth(li) == 0 && l.used) ++cov_.refills;
-    l.used = true;
-    const Cycles at{now_.v + l.delay};
-    const std::uint64_t n = ref_.schedule(at);
-    const EventId id = q_.schedule(l.lane, at, [this, n, li] { fired(n, li); });
-    EXPECT_EQ(id.seq, n);
-    live_.push_back(id);
-    l.armed.push_back(id);
-    ++cov_.armed;
-    cov_.max_depth = std::max(cov_.max_depth, depth(li));
-  }
+  void schedule_in_lane(std::size_t li) { arm_in_lane(li, false); }
 
   /// Schedule on the heap or in a random lane; with no lanes it draws
   /// nothing, so the heap-only cases replay their pre-lane streams.
@@ -178,6 +177,7 @@ class Harness {
     fired_ = 0;
     EXPECT_EQ(q_.pop_and_run(), now_);
     EXPECT_EQ(fired_, expected_);
+    running_rearm_ = {};
   }
 
  private:
@@ -189,6 +189,45 @@ class Harness {
     std::vector<EventId> armed;  // pending events in arming order, pruned
     bool used;                   // armed at least once
   };
+
+  /// Arm an event at now + delay in lane `li`: a new one, or with
+  /// `in_place` the running event again.
+  EventId arm_in_lane(std::size_t li, bool in_place) {
+    LaneTraffic& l = lanes_[li];
+    if (depth(li) == 0 && l.used) ++cov_.refills;
+    l.used = true;
+    const Cycles at{now_.v + l.delay};
+    const std::uint64_t n = ref_.schedule(at);
+    const EventId id =
+        in_place ? q_.rearm(l.lane, at)
+                 : q_.schedule(l.lane, at,
+                               [this, seq = n, li]() mutable {
+                                 fired(seq, li);
+                               });
+    EXPECT_EQ(id.seq, n);
+    live_.push_back(id);
+    l.armed.push_back(id);
+    ++cov_.armed;
+    cov_.max_depth = std::max(cov_.max_depth, depth(li));
+    return id;
+  }
+
+  /// Re-arm the running event in place: in its lane `li` on a coin flip,
+  /// else in the heap at now + [0, horizon). Returns its new seq.
+  std::uint64_t rearm(std::size_t li) {
+    if (li != kNoLane && rng_.next_below(2) == 0) {
+      ++cov_.lane_rearms;
+      running_rearm_ = arm_in_lane(li, true);
+      return running_rearm_.seq;
+    }
+    ++cov_.heap_rearms;
+    const Cycles at{now_.v + rng_.next_below(horizon_)};
+    const std::uint64_t n = ref_.schedule(at);
+    running_rearm_ = q_.rearm(at);
+    EXPECT_EQ(running_rearm_.seq, n);
+    live_.push_back(running_rearm_);
+    return n;
+  }
 
   /// Pending events of lane `li`, after dropping fired and cancelled ones.
   std::size_t depth(std::size_t li) {
@@ -203,6 +242,7 @@ class Harness {
 
   void cancel_at(std::size_t idx) {
     const EventId id = live_[idx];
+    if (id == running_rearm_) ++cov_.running_cancels;
     EXPECT_EQ(q_.cancel(id), ref_.cancel(id.seq));
     live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(idx));
   }
@@ -212,14 +252,19 @@ class Harness {
     cancel_at(static_cast<std::size_t>(it - live_.begin()));
   }
 
-  /// A callback: up to four actions, at most two of them schedules. A lane
-  /// event may also re-arm in its own lane, as a periodic timer does.
-  void fired(std::uint64_t n, std::size_t li) {
+  /// A callback: up to four actions, at most two of them schedules. One
+  /// may re-arm the running event in place; a later one of that kind
+  /// cancels the re-armed event while the callback still runs. A lane
+  /// event may also arm a copy of itself in its own lane, as a periodic
+  /// timer did before it could re-arm. `n`, the event's seq, lives in the
+  /// closure, and a re-arm updates it.
+  void fired(std::uint64_t& n, std::size_t li) {
     EXPECT_EQ(n, expected_);
     fired_ = n;
+    running_rearm_ = {};
     int schedules = 0;
     for (auto k = rng_.next_below(5); k > 0; --k) {
-      switch (rng_.next_below(3)) {
+      switch (rng_.next_below(4)) {
         case 0:
           if (schedules < 2) {
             ++schedules;
@@ -228,6 +273,12 @@ class Harness {
           break;
         case 1:
           cancel_random();
+          break;
+        case 2:
+          if (!running_rearm_.valid())
+            n = rearm(li);
+          else if (q_.pending(running_rearm_))
+            cancel_id(running_rearm_);
           break;
         default:
           check_counts();
@@ -247,7 +298,9 @@ class Harness {
   Reference ref_;
   std::vector<EventId> live_;
   std::vector<LaneTraffic> lanes_;
-  LaneCoverage cov_;
+  Coverage cov_;
+  /// The running event's id once the callback re-armed it; none before.
+  EventId running_rearm_;
   Cycles now_{0};
   std::uint64_t expected_{0};
   std::uint64_t fired_{0};
@@ -314,8 +367,11 @@ TEST_P(EventQueueModel, MatchesReferenceUnderRandomOps) {
   while (!h.empty() && !HasFailure()) h.pop();
   h.check_counts();
   h.check_next_time();
+  const Coverage& cov = h.coverage();
+  EXPECT_GT(cov.heap_rearms, 0u);
+  EXPECT_GT(cov.running_cancels, 0u);
   if (h.lanes() > 0) {
-    const LaneCoverage& cov = h.coverage();
+    EXPECT_GT(cov.lane_rearms, 0u);
     EXPECT_GT(cov.refills, 0u);
     EXPECT_GT(cov.front_cancels, 0u);
     EXPECT_GT(cov.middle_cancels, 0u);

@@ -365,6 +365,224 @@ TEST(EventQueueLanesDeathTest, KeyDueBeforeTheLanesLastIsAsserted) {
 }
 #endif
 
+/// One firing of a periodic-timer twin: when, which event, and the
+/// queue's size() as the callback ran.
+struct Firing {
+  Cycles at;
+  int tag;
+  std::size_t size;
+  friend bool operator==(const Firing&, const Firing&) = default;
+};
+
+/// A heap event that logs its firing as `tag`.
+auto logger(Simulator* s, std::vector<Firing>* log, int tag) {
+  return [s, log, tag] { log->push_back({s->now(), tag, s->pending_events()}); };
+}
+
+/// A timer of period 10 that fires six times. Before it re-arms, each
+/// firing schedules a heap event (tag 2) for the timer's next instant;
+/// after, another (tag 3). kInPlace re-arms the running closure with
+/// rearm(lane); otherwise the timer schedules a copy of itself with
+/// after(lane, cb), as periodic timers did before rearm().
+template <bool kInPlace>
+struct TwinTick {
+  Simulator* s;
+  Lane lane;
+  std::vector<Firing>* log;
+  int* left;
+  void operator()() const {
+    log->push_back({s->now(), 1, s->pending_events()});
+    if (--*left == 0) return;
+    s->after(Cycles{10}, logger(s, log, 2));
+    if constexpr (kInPlace)
+      s->rearm(lane);
+    else
+      s->after(lane, *this);
+    s->after(Cycles{10}, logger(s, log, 3));
+  }
+};
+
+template <bool kInPlace>
+std::vector<Firing> run_twin() {
+  Simulator s;
+  const Lane lane = s.lane(Cycles{10});
+  std::vector<Firing> log;
+  int left = 6;
+  s.after(lane, TwinTick<kInPlace>{&s, lane, &log, &left});
+  // Heap keys armed at t = 0 for every instant the timer fires at: they
+  // precede its key at each instant but the first.
+  for (std::uint64_t k = 1; k <= 6; ++k)
+    s.at(Cycles{10} * k, logger(&s, &log, 0));
+  s.run_all();
+  return log;
+}
+
+TEST(EventQueueRearm, LaneRearmFiresLikeAnAfterLaneTwin) {
+  const std::vector<Firing> in_place = run_twin<true>();
+  const std::vector<Firing> copied = run_twin<false>();
+  EXPECT_EQ(in_place, copied);
+  ASSERT_EQ(in_place.size(), 6u + 6u + 2u * 5u);
+  // At t = 10 the timer's key was armed first; from t = 20 on, the key
+  // armed at t = 0 precedes the heap event armed before the re-arm, which
+  // precedes the timer, which precedes the heap event armed after it.
+  EXPECT_EQ(in_place[0], (Firing{Cycles{10}, 1, 6}));
+  EXPECT_EQ(in_place[1].tag, 0);
+  const std::vector<int> at20{in_place[2].tag, in_place[3].tag,
+                              in_place[4].tag, in_place[5].tag};
+  EXPECT_EQ(at20, (std::vector<int>{0, 2, 1, 3}));
+  EXPECT_EQ(in_place[4].at, Cycles{20});
+}
+
+/// Counts the constructions and destructions of a periodic timer's closure.
+struct Lifetimes {
+  int built{0};
+  int destroyed{0};
+};
+
+/// Fires `n` times, re-arming itself in place 10 cycles on, and records
+/// each re-armed EventId and the closure counts it saw while it ran.
+struct CountedTick {
+  Simulator* s;
+  Lifetimes* life;
+  std::vector<EventId>* ids;
+  std::vector<Lifetimes>* seen;
+  int n;
+  CountedTick(Simulator* sim, Lifetimes* l, std::vector<EventId>* i,
+              std::vector<Lifetimes>* v, int count)
+      : s(sim), life(l), ids(i), seen(v), n(count) {
+    ++life->built;
+  }
+  CountedTick(const CountedTick& o)
+      : s(o.s), life(o.life), ids(o.ids), seen(o.seen), n(o.n) {
+    ++life->built;
+  }
+  CountedTick(CountedTick&& o) noexcept
+      : s(o.s), life(o.life), ids(o.ids), seen(o.seen), n(o.n) {
+    ++life->built;
+  }
+  CountedTick& operator=(const CountedTick&) = delete;
+  CountedTick& operator=(CountedTick&&) = delete;
+  ~CountedTick() { ++life->destroyed; }
+  void operator()() const {
+    seen->push_back(*life);
+    if (static_cast<int>(seen->size()) < n) ids->push_back(s->rearm(Cycles{10}));
+  }
+};
+
+TEST(EventQueueRearm, ReArmedClosureIsBuiltOnceAndDestroyedOnce) {
+  constexpr int kFirings = 50;
+  Simulator s;
+  Lifetimes life;
+  std::vector<EventId> ids;
+  std::vector<Lifetimes> seen;
+  const EventId first =
+      s.after(Cycles{10}, CountedTick(&s, &life, &ids, &seen, kFirings));
+  // The temporary is gone; its move built the one closure in the slot.
+  ASSERT_EQ(life.built - life.destroyed, 1);
+  const Lifetimes scheduled = life;
+  s.run_all();
+  ASSERT_EQ(seen.size(), static_cast<std::size_t>(kFirings));
+  for (const Lifetimes& l : seen) {
+    EXPECT_EQ(l.built, scheduled.built) << "a re-arm built a closure";
+    EXPECT_EQ(l.destroyed, scheduled.destroyed) << "a re-arm destroyed one";
+  }
+  EXPECT_EQ(life.built, scheduled.built);
+  EXPECT_EQ(life.destroyed, scheduled.destroyed + 1)
+      << "destroyed once, after its last run";
+  // One slot for the whole run, and a fresh seq at each re-arm.
+  ASSERT_EQ(ids.size(), static_cast<std::size_t>(kFirings - 1));
+  std::uint64_t seq = first.seq;
+  for (const EventId id : ids) {
+    EXPECT_EQ(id.slot, first.slot);
+    EXPECT_GT(id.seq, seq);
+    seq = id.seq;
+  }
+  EXPECT_EQ(s.now(), Cycles{10} * static_cast<std::uint64_t>(kFirings));
+}
+
+TEST(EventQueueRearm, CancelInsideItsOwnCallbackDefersTheDestruction) {
+  Simulator s;
+  const auto token = std::make_shared<int>(0);
+  const std::array<std::uint64_t, 6> captured{2, 7, 1, 8, 2, 8};
+  std::vector<std::uint64_t> seen;
+  long uses_after_cancel = 0;
+  int fires = 0;
+  EventId again;
+  EventId other;
+  const EventId first = s.after(Cycles{5}, [&, token, captured] {
+    ++fires;
+    again = s.rearm(Cycles{5});
+    EXPECT_TRUE(s.pending(again));
+    EXPECT_EQ(s.pending_events(), 1u);
+    EXPECT_TRUE(s.cancel(again));
+    EXPECT_FALSE(s.pending(again));
+    EXPECT_FALSE(s.cancel(again));
+    EXPECT_EQ(s.pending_events(), 0u);
+    // The slot still holds this closure: a new event must not take it.
+    other = s.after(Cycles{1}, [] {});
+    seen.assign(captured.begin(), captured.end());
+    uses_after_cancel = token.use_count();
+  });
+  EXPECT_EQ(s.run_until(Cycles{5}), 1u);
+  EXPECT_EQ(again.slot, first.slot);
+  EXPECT_NE(other.slot, first.slot);
+  EXPECT_EQ(seen, std::vector<std::uint64_t>(captured.begin(), captured.end()));
+  EXPECT_EQ(uses_after_cancel, 2) << "destroyed before it returned";
+  EXPECT_EQ(token.use_count(), 1) << "not destroyed once it returned";
+  EXPECT_EQ(s.pending_events(), 1u);  // `other` alone
+  // The slot was freed once the callback returned.
+  EXPECT_EQ(s.after(Cycles{1}, [] {}).slot, first.slot);
+  s.run_all();
+  EXPECT_EQ(fires, 1) << "the cancelled re-arm fired";
+}
+
+TEST(EventQueueRearm, ReArmedThenThrowingCallbackStaysPending) {
+  EventQueue q;
+  const auto token = std::make_shared<int>(0);
+  int fires = 0;
+  EventId again;
+  q.schedule(Cycles{1}, [&, token] {
+    ++fires;
+    if (fires < 3) again = q.rearm(Cycles{1 + static_cast<std::uint64_t>(fires)});
+    if (fires == 1) throw std::runtime_error("after the re-arm");
+  });
+  EXPECT_THROW(q.pop_and_run(), std::runtime_error);
+  EXPECT_TRUE(q.pending(again));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(token.use_count(), 2) << "a pending event's closure was destroyed";
+  EXPECT_EQ(q.pop_and_run(), Cycles{2});
+  EXPECT_EQ(fires, 2);
+  // No callback runs now: a cancel frees the slot at once.
+  ASSERT_TRUE(q.pending(again));
+  EXPECT_TRUE(q.cancel(again));
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_TRUE(q.empty());
+}
+
+#ifndef NDEBUG
+TEST(EventQueueRearmDeathTest, RearmOutsideACallbackIsAsserted) {
+  EventQueue q;
+  q.schedule(Cycles{1}, [] {});
+  EXPECT_DEATH(q.rearm(Cycles{2}), "at most once per run");
+}
+
+TEST(EventQueueRearmDeathTest, SecondRearmInOneRunIsAsserted) {
+  EventQueue q;
+  const Lane lane = q.lane(Cycles{4});
+  q.schedule(Cycles{1}, [&q, lane] {
+    q.rearm(lane, Cycles{5});
+    q.rearm(Cycles{6});
+  });
+  EXPECT_DEATH(q.pop_and_run(), "at most once per run");
+}
+
+TEST(EventQueueRearmDeathTest, WithdrawOfTheRunningReArmedEventIsAsserted) {
+  EventQueue q;
+  q.schedule(Cycles{1}, [&q] { (void)q.withdraw(q.rearm(Cycles{2})); });
+  EXPECT_DEATH(q.pop_and_run(), "cannot be withdrawn");
+}
+#endif
+
 class EventQueueRandomized : public ::testing::TestWithParam<std::uint64_t> {
 };
 

@@ -1,7 +1,10 @@
 // VMM edge cases: relocation overflow, stealing constraints, boost expiry,
-// charge statistics, strictness interactions, and the cluster transfer
-// seams (pause/resume, migrate_out, halt) driven directly.
+// charge statistics, strictness interactions, the steal-candidate count,
+// and the cluster transfer seams (pause/resume, migrate_out, halt) driven
+// directly.
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "core/schedulers.h"
 #include "guest/guest_kernel.h"
@@ -175,6 +178,213 @@ TEST(Block, BlockingAQueuedVcpuRemovesIt) {
   EXPECT_FALSE(hv.vcpu_is_online(a, queued));
   // The remaining VCPU owns the PCPU.
   EXPECT_GT(hv.vm(a).total_online.ratio(s.now()), 0.85);
+}
+
+// --- the steal-candidate count ---------------------------------------------
+//
+// Each PCPU counts its queued VCPUs that an idle PCPU's first steal pass
+// may take (Vcpu::steal_candidate), and that pass skips a queue whose count
+// is 0. These tests run in non-work-conserving mode, where only that pass
+// steals: each shows a VCPU becoming a candidate while it sits in a busy
+// PCPU's queue, and an idle PCPU taking it at the first scheduling event
+// after, which a count left behind by the change would forbid.
+
+/// Two PCPUs: a heavy hog on P0 and a blocked VM homed on P1, so that P1
+/// idles. A VM migrated in at 32 ms lands in P0's queue with the carried
+/// credit.
+struct MigratedInRig {
+  sim::Simulator s;
+  CreditScheduler hv{s, machine(2), SchedMode::kNonWorkConserving};
+  HogGuest g;
+  VmId migrated{kInvalidVmId};
+
+  explicit MigratedInRig(Credit pool) {
+    hv.attach_guest(hv.create_vm("hog", 1024, 1), &g);  // homed on P0
+    const VmId idle = hv.create_vm("idle", 256, 1);      // homed on P1
+    hv.attach_guest(idle, &g);
+    hv.start();
+    s.run_until(seconds(0.001));
+    hv.vcpu_block(idle, 0);
+    s.run_until(seconds(0.032));  // past the accounting pass at 30 ms
+    MigrationTicket t;
+    t.name = "in";
+    t.weight = 256;
+    t.n_vcpus = 1;
+    t.credit_pool = pool;
+    migrated = hv.migrate_in(t);
+    hv.attach_guest(migrated, &g);
+  }
+  const Vcpu& vcpu() const { return hv.vm(migrated).vcpus[0]; }
+};
+
+TEST(StealCount, MigratedInVcpuSeededNegativeIsNotStolen) {
+  MigratedInRig r(-50'000);
+  ASSERT_NE(r.migrated, kInvalidVmId);
+  // P1 dispatched right after the admission and at its ticks at 40 and
+  // 50 ms; none of them may take an OVER VCPU.
+  r.s.run_until(seconds(0.059));
+  EXPECT_EQ(r.hv.running_on(1), nullptr);
+  EXPECT_EQ(r.vcpu().state, VcpuState::kRunnable);
+  EXPECT_EQ(r.vcpu().credit, -50'000);
+  EXPECT_TRUE(r.hv.runqueue(0).contains(&r.vcpu()));
+  EXPECT_EQ(r.vcpu().queued_on, 0u);
+}
+
+TEST(StealCount, AccountingLiftsQueuedCreditAndAnIdlePcpuSteals) {
+  MigratedInRig r(-50'000);
+  r.s.run_until(seconds(0.059));
+  ASSERT_TRUE(r.hv.runqueue(0).contains(&r.vcpu()));
+  // The pass at 60 ms mints the VM 100 000 (weight 256 of 1536 on a
+  // 600 000 pool), and its dispatch of the idle P1 steals the VCPU.
+  r.s.run_until(seconds(0.060));
+  EXPECT_EQ(r.vcpu().credit, 50'000);
+  EXPECT_EQ(r.vcpu().state, VcpuState::kRunning);
+  EXPECT_EQ(r.vcpu().where, 1u);
+  EXPECT_EQ(r.vcpu().queued_on, kNotQueued);
+}
+
+/// Two always-coscheduled gangs fill four PCPUs. A member of gang `a`
+/// evacuated from a hot-unplugged PCPU lands in the queue of a PCPU that
+/// runs a boosted member of gang `b`, which neither a dispatch nor an IPI
+/// preempts.
+struct TwoGangRig {
+  sim::Simulator s;
+  std::unique_ptr<Hypervisor> hv;
+  HogGuest g;
+  VmId a{kInvalidVmId};
+  VmId b{kInvalidVmId};
+
+  explicit TwoGangRig(Hypervisor::Strictness strictness)
+      : hv(core::make_scheduler(SchedulerKind::kCon, s, machine(4),
+                                SchedMode::kNonWorkConserving)) {
+    hv->set_cosched_strictness(strictness);
+    a = hv->create_vm("a", 256, 2, VmType::kConcurrent);
+    b = hv->create_vm("b", 256, 2, VmType::kConcurrent);
+    hv->attach_guest(a, &g);
+    hv->attach_guest(b, &g);
+    hv->start();
+    s.run_until(seconds(0.1));
+  }
+};
+
+TEST(StealCount, CoStopOfAQueuedGangMemberLetsAnIdlePcpuSteal) {
+  // A strict gang that loses a member to hot-unplug is co-stopped, which
+  // strips the evacuee's boost in its new queue.
+  TwoGangRig r(Hypervisor::Strictness::kStrict);
+  Vcpu& moved = r.hv->vm(r.a).vcpus[1];
+  ASSERT_EQ(moved.state, VcpuState::kRunning);
+  ASSERT_TRUE(moved.cosched_boost);
+  const PcpuId unplugged = moved.where;
+  r.hv->fault_pcpu_offline(unplugged);
+  ASSERT_FALSE(moved.cosched_boost);
+  const PcpuId host = moved.queued_on;
+  ASSERT_NE(host, kNotQueued);
+  ASSERT_NE(r.hv->running_on(host), nullptr);
+  ASSERT_EQ(r.hv->running_on(host)->key.vm, r.b);
+  ASSERT_GE(moved.credit, 0);
+  r.hv->fault_pcpu_online(unplugged);
+  EXPECT_EQ(moved.state, VcpuState::kRunning);
+  EXPECT_EQ(moved.where, unplugged);
+}
+
+TEST(StealCount, CoschedBoostExpiryWhileQueuedLetsAnIdlePcpuSteal) {
+  // Relaxed gangs have no co-stop: the evacuee keeps its boost in its new
+  // queue until the boost runs out.
+  TwoGangRig r(Hypervisor::Strictness::kRelaxed);
+  Vcpu& moved = r.hv->vm(r.a).vcpus[1];
+  ASSERT_EQ(moved.state, VcpuState::kRunning);
+  ASSERT_TRUE(moved.cosched_boost);
+  const PcpuId unplugged = moved.where;
+  r.hv->fault_pcpu_offline(unplugged);
+  ASSERT_EQ(moved.state, VcpuState::kRunnable);
+  ASSERT_TRUE(moved.cosched_boost) << "the evacuee lost its boost";
+  const PcpuId host = moved.queued_on;
+  ASSERT_NE(host, kNotQueued);
+  ASSERT_NE(r.hv->running_on(host), nullptr);
+  ASSERT_EQ(r.hv->running_on(host)->key.vm, r.b);
+  // Nobody refreshes it now: the boost runs out within a slot.
+  r.s.run_until(r.s.now() + seconds(0.025));
+  ASSERT_FALSE(moved.cosched_boost);
+  ASSERT_EQ(moved.queued_on, host) << "the expired evacuee left its queue";
+  ASSERT_GE(moved.credit, 0);
+  // The next scheduling event of an idle PCPU, the hotplug's own dispatch,
+  // steals it.
+  r.hv->fault_pcpu_online(unplugged);
+  EXPECT_EQ(moved.state, VcpuState::kRunning);
+  EXPECT_EQ(moved.where, unplugged);
+}
+
+/// Exact accounting on three PCPUs: a hog runs on P0 and P2 is unplugged.
+/// A VCPU migrated in with 40 000 credit is woken with BOOST on P1, and P1
+/// goes offline before its next tick: the VCPU, billed to -10 000 but
+/// still woken, waits in P0's queue behind the hog.
+struct WokenOverRig {
+  sim::Simulator s;
+  CreditScheduler hv{s, machine(3), SchedMode::kNonWorkConserving};
+  HogGuest g;
+  VmId w{kInvalidVmId};
+
+  WokenOverRig() {
+    ResilienceConfig res;
+    res.accounting = AccountingMode::kExact;
+    hv.set_resilience(res);
+    hv.attach_guest(hv.create_vm("hog", 256, 1), &g);  // homed on P0
+    hv.start();
+    s.run_until(seconds(0.001));
+    hv.fault_pcpu_offline(2);
+    MigrationTicket t;
+    t.name = "waker";
+    t.weight = 256;
+    t.n_vcpus = 1;
+    t.credit_pool = 40'000;
+    w = hv.migrate_in(t);  // homed on P1
+    hv.attach_guest(w, &g);
+    s.run_until(seconds(0.0015));
+    hv.vcpu_block(w, 0);  // 0.5 ms billed: 35 000 left
+    s.run_until(seconds(0.002));
+    hv.vcpu_kick(w, 0);  // positive credit: woken with BOOST, runs on P1
+    // 4.5 ms later, before P1's next tick at 6.67 ms clears the boost, P1
+    // goes offline: the VCPU is billed 45 000 and evacuated behind the hog.
+    s.run_until(seconds(0.0065));
+    hv.fault_pcpu_offline(1);
+  }
+  const Vcpu& vcpu() const { return hv.vm(w).vcpus[0]; }
+};
+
+TEST(StealCount, WakeBoostMakesANegativeCreditVcpuStealable) {
+  WokenOverRig r;
+  const Vcpu& v = r.vcpu();
+  ASSERT_EQ(v.credit, -10'000);
+  ASSERT_TRUE(v.wake_boost);
+  ASSERT_EQ(v.queued_on, 0u);
+  // OVER, but woken: the plugged-in P2's dispatch steals it.
+  r.hv.fault_pcpu_online(2);
+  EXPECT_EQ(v.state, VcpuState::kRunning);
+  EXPECT_EQ(v.where, 2u);
+}
+
+TEST(StealCount, TheTickThatClearsTheWakeBoostEndsTheCandidacy) {
+  WokenOverRig r;
+  const Vcpu& v = r.vcpu();
+  ASSERT_TRUE(v.wake_boost);
+  // P0's tick at 13.33 ms clears the boost of the VCPU in its queue.
+  r.s.run_until(seconds(0.014));
+  ASSERT_FALSE(v.wake_boost);
+  r.hv.fault_pcpu_online(2);
+  EXPECT_EQ(r.hv.running_on(2), nullptr);
+  EXPECT_EQ(v.state, VcpuState::kRunnable);
+  EXPECT_EQ(v.queued_on, 0u);
+}
+
+TEST(StealCount, DestroyingAWokenQueuedVcpuLeavesNoCandidate) {
+  WokenOverRig r;
+  ASSERT_TRUE(r.vcpu().wake_boost);
+  ASSERT_EQ(r.vcpu().queued_on, 0u);
+  ASSERT_TRUE(r.hv.destroy_vm(r.w));  // evicted from P0's queue, unboosted
+  EXPECT_EQ(r.vcpu().queued_on, kNotQueued);
+  r.hv.fault_pcpu_online(2);
+  EXPECT_EQ(r.hv.running_on(2), nullptr);
+  EXPECT_TRUE(r.hv.runqueue(0).empty());
 }
 
 // --- transfer seams: pause/resume, migrate_out vs destroy_vm, halt ---------
